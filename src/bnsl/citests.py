@@ -1,10 +1,21 @@
-"""Conditional independence tests with per-engine test counters.
+"""Conditional independence tests behind one memoised engine.
 
-Three engines share one interface: the discrete mutual-information test
+Three statistics share one engine: the discrete mutual-information test
 (G^2, asymptotically chi-squared), the exact Student's t test for partial
 correlation, and a d-separation oracle for validating learners on known
-graphs. Every executed test increments the engine's counter exactly once;
-results are never cached across calls.
+graphs. :class:`CiEngine` holds what they share - the argument checks, the
+memo, the counter and ``spawn`` - and each subclass only binds a kernel.
+The standalone :func:`mi_test` and :func:`cor_test` check their arguments
+and call the same index-based kernels.
+
+Each engine keeps a memo of the outcomes it computed, keyed on the
+unordered pair and the conditioning set. Every kernel is symmetric in
+``x`` and ``y`` bit for bit, so a memo hit returns exactly what a fresh
+evaluation would. The executor builds one engine per task, so a memo lives
+for one task only. Its counter records two numbers: ``count``, the tests
+requested (memo hits included; this is the learner's cost in tests, and
+the logical count merged at the phase barriers), and ``executed``, the
+kernel evaluations. Both are invariant in the worker count and schedule.
 
 Degenerate cases are resolved conservatively: a test with zero degrees of
 freedom (or a t test with a non-positive sample-size margin) returns
@@ -15,6 +26,7 @@ ridge before inversion and the outcome is flagged.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -22,6 +34,7 @@ import numpy as np
 from scipy import special
 
 from .data import ContinuousDataset, Dataset, DiscreteDataset
+from .data import correlation_matrix  # noqa: F401 - re-exported for callers of citests
 from .graph import Dag, d_separated
 
 RIDGE = 1e-12
@@ -48,19 +61,88 @@ class TestOutcome:
 
 
 class TestCounter:
-    """Monotone count of tests executed by one engine instance."""
+    """Monotone counts of one engine: tests requested and tests executed."""
 
     def __init__(self) -> None:
         self.count = 0
+        self.executed = 0
 
     def increment(self) -> None:
         self.count += 1
 
     def reset(self) -> None:
         self.count = 0
+        self.executed = 0
 
     def __repr__(self):
-        return f"TestCounter({self.count})"
+        return f"TestCounter({self.count}, executed={self.executed})"
+
+
+def _resolve(data: Dataset, x: str, y: str, z, alpha: float) -> tuple[list[int], int, int]:
+    """Check a test's arguments and put them in canonical order.
+
+    Returns the column indices of {x, y} union z sorted by variable name,
+    then the positions of the name-smaller and the name-larger of x and y
+    in that list. Name order makes every statistic bit-identical under
+    (x, y) swaps and column permutations of the dataset.
+    """
+    names = sorted((x, y, *z))
+    idx = list(map(data.column_index, names))
+    if x == y:
+        raise ValueError("x and y must differ")
+    if x in z or y in z:
+        raise ValueError("x and y must not appear in the conditioning set")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    a, b = names.index(x), names.index(y)
+    return (idx, a, b) if a < b else (idx, b, a)
+
+
+def _g2(columns: np.ndarray, cards, idx: list[int], a: int, b: int, alpha: float) -> TestOutcome:
+    """G^2 kernel over contiguous code columns; arguments from :func:`_resolve`.
+
+    Strata are coded in name order of z, and whenever their running count
+    exceeds n they are re-coded to the combinations actually observed, in
+    the same order; so memory stays O(n |x| |y|), the codes cannot
+    overflow, and the nonzero cells are summed in the same order either way.
+    """
+    ix, iy = idx[a], idx[b]
+    izs = idx[:a] + idx[a + 1:b] + idx[b + 1:]
+    cx, cy = cards[ix], cards[iy]
+    dof = (cx - 1) * (cy - 1)
+    for j in izs:
+        dof *= cards[j]
+    if dof <= 0:
+        return TestOutcome(0.0, 0, 1.0, independent=True, degenerate=True)
+
+    n = columns.shape[1]
+    strata, k = None, 1
+    for j in izs:
+        strata = columns[j] if strata is None else strata * cards[j] + columns[j]
+        k *= cards[j]
+        if k > n:
+            strata, k = _observed(strata, k)
+    flat = columns[ix] * cy if strata is None else (strata * cx + columns[ix]) * cy
+    flat += columns[iy]
+    cube = np.bincount(flat, minlength=k * cx * cy).reshape(k, cx, cy)
+
+    rows = cube.sum(axis=2)
+    cols = cube.sum(axis=1)
+    totals = rows.sum(axis=1)
+    s, i, j = cube.nonzero()
+    counts = cube[s, i, j]
+    terms = counts * np.log(counts * totals[s] / (rows[s, i] * cols[s, j]))
+    statistic = max(2.0 * float(terms.sum()), 0.0)
+    p_value = float(special.chdtrc(dof, statistic))
+    return TestOutcome(statistic, dof, p_value, independent=p_value > alpha)
+
+
+def _observed(codes: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Re-code ``codes`` in [0, k) to ranks among the values present."""
+    seen = np.zeros(k, dtype=bool)
+    seen[codes] = True
+    rank = np.cumsum(seen) - 1
+    return rank[codes], int(rank[-1]) + 1
 
 
 def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, alpha: float) -> TestOutcome:
@@ -71,39 +153,71 @@ def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, a
     freedom use the declared level counts: (|x|-1)(|y|-1) * prod |z_k|;
     empty strata still count toward the dof (pure asymptotic formula).
     """
-    _check_args(data, x, y, z)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    # Name-canonical roles and stratum order make the statistic bit-identical
-    # under (x, y) swaps and column permutations of the dataset.
-    if y < x:
-        x, y = y, x
-    zs = sorted(z)
-    cx = data.cardinality(x)
-    cy = data.cardinality(y)
-    dof = (cx - 1) * (cy - 1)
-    for v in zs:
-        dof *= data.cardinality(v)
+    return _g2(data.code_columns, data.cardinalities, *_resolve(data, x, y, z, alpha), alpha)
+
+
+def _partial_t(corr: np.ndarray, n: int, idx: list[int], a: int, b: int, alpha: float) -> TestOutcome:
+    """Partial-correlation t kernel; arguments from :func:`_resolve`.
+
+    Conditioning sets of size 0 and 1 use the closed forms on Python
+    floats; larger sets invert the correlation submatrix over the sorted
+    variables, applying the diagonal ridge if the submatrix is singular.
+    """
+    dof = n - len(idx)
     if dof <= 0:
-        return TestOutcome(0.0, 0, 1.0, independent=True, degenerate=True)
+        return TestOutcome(0.0, max(dof, 0), 1.0, independent=True, degenerate=True)
+    ix, iy = idx[a], idx[b]
+    if len(idx) == 2:
+        return _t_outcome(corr.item(ix, iy), dof, alpha)
+    if len(idx) == 3:
+        iz = idx[3 - a - b]
+        rxy, rxz, ryz = corr.item(ix, iy), corr.item(ix, iz), corr.item(iy, iz)
+        denom = (1.0 - rxz * rxz) * (1.0 - ryz * ryz)
+        if denom > 0:
+            return _t_outcome((rxy - rxz * ryz) / math.sqrt(denom), dof, alpha)
+    sub = corr.take(idx, axis=0).take(idx, axis=1)
+    ridged = False
+    try:
+        omega = np.linalg.inv(sub)
+        if not np.isfinite(omega).all():
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        omega = np.linalg.inv(sub + RIDGE * np.eye(len(idx)))
+        ridged = True
+    denom = omega[a, a] * omega[b, b]
+    r = -omega[a, b] / math.sqrt(denom) if denom > 0 else 0.0
+    return _t_outcome(float(r), dof, alpha, ridged)
 
-    strata = np.zeros(data.n, dtype=np.int64)
-    n_strata = 1
-    for v in zs:
-        strata = strata * data.cardinality(v) + data.column(v)
-        n_strata *= data.cardinality(v)
-    flat = (strata * cx + data.column(x)) * cy + data.column(y)
-    cube = np.bincount(flat, minlength=n_strata * cx * cy).reshape(n_strata, cx, cy)
 
-    totals = cube.sum(axis=(1, 2), keepdims=True)
-    row_sums = cube.sum(axis=2, keepdims=True)
-    col_sums = cube.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = cube * np.log(cube * totals / (row_sums * col_sums))
-    statistic = 2.0 * float(terms[cube > 0].sum())
-    statistic = max(statistic, 0.0)
-    p_value = float(special.chdtrc(dof, statistic))
-    return TestOutcome(statistic, dof, p_value, independent=p_value > alpha)
+def _t_outcome(r: float, dof: int, alpha: float, ridged: bool = False) -> TestOutcome:
+    """Two-sided t test of a (partial) correlation ``r`` on ``dof`` degrees."""
+    r = min(max(r, -1.0), 1.0)
+    # Exactly collinear pairs land within rounding error of |r| = 1.
+    if abs(r) >= 1.0 - 1e-12:
+        return TestOutcome(math.copysign(math.inf, r), dof, 0.0, independent=False, ridged=ridged)
+    t = r * math.sqrt(dof / (1.0 - r * r))
+    p_value = float(2.0 * special.stdtr(dof, -abs(t)))
+    return TestOutcome(t, dof, p_value, independent=p_value > alpha, ridged=ridged)
+
+
+def _marginal_table(names, corr: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` and ``p`` of every z = {} test, as :func:`_t_outcome` computes
+    them, in symmetric matrices indexed by column.
+
+    ``np.corrcoef`` is not exactly symmetric, so each pair reads the entry
+    whose row is the name-smaller variable, as :func:`_resolve` orders it.
+    """
+    m = len(names)
+    rank = np.argsort(np.asarray(names, dtype=object)).argsort()
+    i, j = np.triu_indices(m, 1)
+    r = np.clip(np.where(rank[i] < rank[j], corr[i, j], corr[j, i]), -1.0, 1.0)
+    sure = np.abs(r) >= 1.0 - 1e-12
+    safe = np.where(sure, 0.0, r)
+    t = np.where(sure, np.copysign(np.inf, r), safe * np.sqrt(dof / (1.0 - safe * safe)))
+    p = np.where(sure, 0.0, 2.0 * special.stdtr(dof, -np.abs(t)))
+    tables = np.zeros((2, m, m))
+    tables[:, i, j] = tables[:, j, i] = t, p
+    return tables[0], tables[1]
 
 
 def cor_test(
@@ -120,65 +234,12 @@ def cor_test(
     submatrix over {x, y} union z; t = r * sqrt((n - |z| - 2) / (1 - r^2))
     with n - |z| - 2 degrees of freedom, two-sided p-value.
 
-    ``corr`` optionally supplies a precomputed full correlation matrix in
-    dataset column order (used by the engine to avoid rebuilding it).
+    ``corr`` optionally supplies a full correlation matrix in dataset
+    column order; by default the dataset's own (built once) is used.
     """
-    _check_args(data, x, y, z)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    if y < x:
-        x, y = y, x
-    zs = sorted(z)
-    dof = data.n - len(zs) - 2
-    if dof <= 0:
-        return TestOutcome(0.0, max(dof, 0), 1.0, independent=True, degenerate=True)
-
     if corr is None:
-        corr = correlation_matrix(data.values)
-    r, ridged = _partial_correlation(data, corr, x, y, zs)
-    r = min(max(r, -1.0), 1.0)
-    # Exactly collinear pairs land within rounding error of |r| = 1.
-    if abs(r) >= 1.0 - 1e-12:
-        statistic = math.copysign(math.inf, r)
-        return TestOutcome(statistic, dof, 0.0, independent=False, ridged=ridged)
-    t = r * math.sqrt(dof / (1.0 - r * r))
-    p_value = float(2.0 * special.stdtr(dof, -abs(t)))
-    return TestOutcome(t, dof, p_value, independent=p_value > alpha, ridged=ridged)
-
-
-def _partial_correlation(data, corr, x, y, zs) -> tuple[float, bool]:
-    """Partial correlation of (x, y) given ``zs`` from a correlation matrix.
-
-    Conditioning sets of size 0 and 1 use the closed forms; larger sets
-    invert the correlation submatrix over {x, y} union zs, applying the
-    diagonal ridge if the submatrix is singular.
-    """
-    ix = data.column_index(x)
-    iy = data.column_index(y)
-    if not zs:
-        return float(corr[ix, iy]), False
-    if len(zs) == 1:
-        iz = data.column_index(zs[0])
-        rxy, rxz, ryz = corr[ix, iy], corr[ix, iz], corr[iy, iz]
-        denom = (1.0 - rxz * rxz) * (1.0 - ryz * ryz)
-        if denom > 0:
-            return float((rxy - rxz * ryz) / math.sqrt(denom)), False
-    names = sorted([x, y, *zs])
-    idx = [data.column_index(v) for v in names]
-    sub = corr[np.ix_(idx, idx)]
-    ridged = False
-    try:
-        omega = np.linalg.inv(sub)
-        if not np.all(np.isfinite(omega)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        omega = np.linalg.inv(sub + RIDGE * np.eye(len(names)))
-        ridged = True
-    a = names.index(x)
-    b = names.index(y)
-    denom = omega[a, a] * omega[b, b]
-    r = -omega[a, b] / math.sqrt(denom) if denom > 0 else 0.0
-    return float(r), ridged
+        corr = data.correlation
+    return _partial_t(corr, data.n, *_resolve(data, x, y, z, alpha), alpha)
 
 
 def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOutcome:
@@ -188,105 +249,103 @@ def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOut
     return TestOutcome(math.inf, 0, 0.0, independent=False)
 
 
-def correlation_matrix(values: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix with non-finite entries neutralised.
+class CiEngine:
+    """A test engine: a kernel behind a task-local memo and a counter.
 
-    Constant columns produce undefined correlations; they are replaced with
-    zero off the diagonal (and one on it) so learning stays defined on
-    degenerate data.
+    Subclasses implement ``_kernel(x, y, z)``, which checks its arguments
+    and computes the outcome; invalid arguments raise on every call,
+    because only outcomes enter the memo.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.corrcoef(values, rowvar=False)
-    corr = np.atleast_2d(corr)
-    bad = ~np.isfinite(corr)
-    if bad.any():
-        corr[bad] = 0.0
-        np.fill_diagonal(corr, 1.0)
-    return corr
+
+    name = ""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.counter = TestCounter()
+        self._memo: dict[tuple, TestOutcome] = {}
+
+    def test(self, x: str, y: str, z) -> TestOutcome:
+        key = (x, y, frozenset(z)) if x < y else (y, x, frozenset(z))
+        outcome = self._memo.get(key)
+        if outcome is None:
+            outcome = self._memo[key] = self._kernel(*key)
+            self.counter.executed += 1
+        self.counter.count += 1
+        return outcome
+
+    def _kernel(self, x: str, y: str, z: frozenset) -> TestOutcome:
+        raise NotImplementedError
+
+    def spawn(self):
+        """Engine over the same data and precomputed tables, with a zeroed
+        private counter and an empty memo."""
+        clone = copy.copy(self)
+        clone.counter = TestCounter()
+        clone._memo = {}
+        return clone
 
 
-def _check_args(data: Dataset, x: str, y: str, z) -> None:
-    data.column_index(x)
-    data.column_index(y)
-    for v in z:
-        data.column_index(v)
-    if x == y:
-        raise ValueError("x and y must differ")
-    if x in z or y in z:
-        raise ValueError("x and y must not appear in the conditioning set")
-
-
-class MutualInfoTest:
-    """Engine wrapper for :func:`mi_test` over one discrete dataset."""
+class MutualInfoTest(CiEngine):
+    """Engine for :func:`mi_test` over one discrete dataset."""
 
     name = "mi"
 
     def __init__(self, data: DiscreteDataset, alpha: float):
         if not isinstance(data, DiscreteDataset):
             raise ValueError("the mutual information test requires discrete data")
+        super().__init__(alpha)
         self.data = data
-        self.alpha = alpha
-        self.counter = TestCounter()
+        data.code_columns  # derive the contiguous columns once, before workers fork
 
-    def test(self, x: str, y: str, z) -> TestOutcome:
-        outcome = mi_test(self.data, x, y, z, self.alpha)
-        self.counter.increment()
-        return outcome
-
-    def spawn(self) -> "MutualInfoTest":
-        """Fresh engine over the same data with a zeroed private counter."""
-        return MutualInfoTest(self.data, self.alpha)
+    def _kernel(self, x, y, z):
+        return mi_test(self.data, x, y, z, self.alpha)
 
 
-class PartialCorrelationTest:
-    """Engine wrapper for :func:`cor_test` over one continuous dataset.
+class PartialCorrelationTest(CiEngine):
+    """Engine for :func:`cor_test` over one continuous dataset.
 
-    The full correlation matrix is computed once at construction; each test
-    inverts only the small submatrix it needs.
+    The dataset's correlation matrix is shared by every engine over it;
+    a z = {} test is one lookup in a table of every pair's t and p built
+    with the engine and shared by its spawns.
     """
 
     name = "cor"
 
-    def __init__(self, data: ContinuousDataset, alpha: float, _corr: np.ndarray | None = None):
+    def __init__(self, data: ContinuousDataset, alpha: float):
         if not isinstance(data, ContinuousDataset):
             raise ValueError("the correlation test requires continuous data")
+        super().__init__(alpha)
         self.data = data
-        self.alpha = alpha
-        self.corr = correlation_matrix(data.values) if _corr is None else _corr
-        self.counter = TestCounter()
+        self.corr = data.correlation
+        self._dof0 = data.n - 2
+        if self._dof0 > 0:
+            self._t0, self._p0 = _marginal_table(data.names, self.corr, self._dof0)
 
-    def test(self, x: str, y: str, z) -> TestOutcome:
-        outcome = cor_test(self.data, x, y, z, self.alpha, corr=self.corr)
-        self.counter.increment()
-        return outcome
+    def _kernel(self, x, y, z):
+        idx, a, b = _resolve(self.data, x, y, z, self.alpha)
+        if len(idx) == 2 and self._dof0 > 0:
+            p_value = self._p0.item(*idx)
+            return TestOutcome(self._t0.item(*idx), self._dof0, p_value, independent=p_value > self.alpha)
+        return _partial_t(self.corr, self.data.n, idx, a, b, self.alpha)
 
-    def spawn(self) -> "PartialCorrelationTest":
-        return PartialCorrelationTest(self.data, self.alpha, _corr=self.corr)
 
-
-class OracleTest:
-    """Engine wrapper for :func:`oracle_test` against a known true DAG."""
+class OracleTest(CiEngine):
+    """Engine for :func:`oracle_test` against a known true DAG."""
 
     name = "oracle"
 
     def __init__(self, dag: Dag, alpha: float = 0.01):
+        super().__init__(alpha)
         self.dag = dag
-        self.alpha = alpha
-        self.counter = TestCounter()
 
-    def test(self, x: str, y: str, z) -> TestOutcome:
-        outcome = oracle_test(self.dag, x, y, z)
-        self.counter.increment()
-        return outcome
-
-    def spawn(self) -> "OracleTest":
-        return OracleTest(self.dag, self.alpha)
+    def _kernel(self, x, y, z):
+        return oracle_test(self.dag, x, y, z)
 
 
-CiTest = MutualInfoTest | PartialCorrelationTest | OracleTest
+CiTest = CiEngine
 
 
-def make_engine(test: str, data: Dataset | None, alpha: float, truth: Dag | None = None) -> CiTest:
+def make_engine(test: str, data: Dataset | None, alpha: float, truth: Dag | None = None) -> CiEngine:
     """Build a test engine by name: ``mi``, ``cor`` or ``oracle``."""
     if test == "mi":
         if data is None:

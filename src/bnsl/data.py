@@ -2,9 +2,14 @@
 
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
+Views the CI tests need (contiguous code columns, the correlation matrix)
+are derived on first use and kept, so every engine over one dataset shares
+them and construction itself does no extra work.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +69,18 @@ class DiscreteDataset:
     def column(self, name: str) -> np.ndarray:
         return self.codes[:, self.column_index(name)]
 
+    @cached_property
+    def code_columns(self) -> np.ndarray:
+        """``(m, n)`` read-only copy of the codes: row ``j`` is column ``j``,
+        contiguous in memory."""
+        cols = np.ascontiguousarray(self.codes.T)
+        cols.flags.writeable = False
+        return cols
+
+    @cached_property
+    def cardinalities(self) -> tuple[int, ...]:
+        return tuple(len(levels) for _, levels in self.variables)
+
     def __repr__(self):
         return f"DiscreteDataset({self.n} rows, {len(self.variables)} variables)"
 
@@ -105,11 +122,35 @@ class ContinuousDataset:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_index(name)]
 
+    @cached_property
+    def correlation(self) -> np.ndarray:
+        """Read-only Pearson correlation matrix in column order."""
+        corr = correlation_matrix(self.values)
+        corr.flags.writeable = False
+        return corr
+
     def __repr__(self):
         return f"ContinuousDataset({self.n} rows, {len(self.names_list)} variables)"
 
 
 Dataset = DiscreteDataset | ContinuousDataset
+
+
+def correlation_matrix(values: np.ndarray) -> np.ndarray:
+    """Pearson correlation matrix with non-finite entries neutralised.
+
+    Constant columns produce undefined correlations; they are replaced with
+    zero off the diagonal (and one on it) so learning stays defined on
+    degenerate data.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.corrcoef(values, rowvar=False)
+    corr = np.atleast_2d(corr)
+    bad = ~np.isfinite(corr)
+    if bad.any():
+        corr[bad] = 0.0
+        np.fill_diagonal(corr, 1.0)
+    return corr
 
 
 def reverse_columns(data: Dataset) -> Dataset:

@@ -62,6 +62,18 @@ class Skeleton:
     def has_edge(self, a: str, b: str) -> bool:
         return _pair(a, b) in self.edges
 
+    def unshielded_triples(self) -> list[tuple[str, str, str]]:
+        """Sorted triples ``(a, k, b)``, a < b, with a - k - b and a, b
+        non-adjacent; built from each middle node's neighbour pairs, so the
+        cost is O(sum of squared degrees)."""
+        triples = []
+        for k, adj in self._adj.items():
+            nbrs = sorted(adj)
+            for i, a in enumerate(nbrs):
+                triples.extend((a, k, b) for b in nbrs[i + 1:] if b not in self._adj[a])
+        triples.sort()
+        return triples
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Skeleton):
             return NotImplemented

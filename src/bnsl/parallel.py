@@ -32,11 +32,13 @@ class TaskBatch:
 
 @dataclass
 class WorkerReport:
-    """One worker's share of a phase: its items and its test count."""
+    """One worker's share of a phase: its items, the tests they requested
+    and the tests the engines executed (requests minus memo hits)."""
 
     worker: int
     items: tuple
     test_count: int
+    executed: int = 0
 
 
 @dataclass
@@ -48,6 +50,10 @@ class PhaseTelemetry:
     @property
     def test_count(self) -> int:
         return sum(r.test_count for r in self.reports)
+
+    @property
+    def executed(self) -> int:
+        return sum(r.executed for r in self.reports)
 
 
 @dataclass
@@ -96,18 +102,26 @@ def _call_task(ctx: _PhaseContext, i: int, engine):
         raise PhaseTaskError(f"task {ctx.items[i]!r} failed: {exc}") from exc
 
 
-def _run_span(span: tuple[int, int]) -> tuple[list, int]:
-    ctx = _PHASE_CTX
-    engine = ctx.engine_factory()
-    results = [_call_task(ctx, i, engine) for i in range(span[0], span[1])]
-    return results, engine.counter.count
+def _run_range(ctx: _PhaseContext, lo: int, hi: int) -> tuple[list, int, int]:
+    """Run items [lo, hi), each on a fresh engine so that a test memo lives
+    for exactly one task; returns the results and the summed requested and
+    executed test counts."""
+    results, count, executed = [], 0, 0
+    for i in range(lo, hi):
+        engine = ctx.engine_factory()
+        results.append(_call_task(ctx, i, engine))
+        count += engine.counter.count
+        executed += engine.counter.executed
+    return results, count, executed
 
 
-def _run_item(i: int) -> tuple[int, object, int]:
-    ctx = _PHASE_CTX
-    engine = ctx.engine_factory()
-    result = _call_task(ctx, i, engine)
-    return os.getpid(), result, engine.counter.count
+def _run_span(span: tuple[int, int]) -> tuple[list, int, int]:
+    return _run_range(_PHASE_CTX, *span)
+
+
+def _run_item(i: int) -> tuple[int, object, int, int]:
+    results, count, executed = _run_range(_PHASE_CTX, i, i + 1)
+    return os.getpid(), results[0], count, executed
 
 
 class ParallelExecutor:
@@ -137,9 +151,10 @@ class ParallelExecutor:
     ) -> PhaseResult:
         """Execute ``task_fn(item, engine)`` for every item.
 
-        Each worker owns a private engine (and therefore a private test
-        counter) created by ``engine_factory``; counts are merged only at
-        the barrier, i.e. here, after all tasks completed.
+        Every task gets a private engine (and therefore a private test
+        counter and memo) from ``engine_factory``; counts are summed per
+        worker and merged only at the barrier, i.e. here, after all tasks
+        completed.
         """
         start = time.perf_counter()
         items = tuple(items)
@@ -160,10 +175,9 @@ class ParallelExecutor:
         results = []
         reports = []
         for w, (lo, hi) in enumerate(batch.assignment):
-            engine = engine_factory()
-            for i in range(lo, hi):
-                results.append(_call_task(ctx, i, engine))
-            reports.append(WorkerReport(w, items[lo:hi], engine.counter.count))
+            chunk, count, executed = _run_range(ctx, lo, hi)
+            results.extend(chunk)
+            reports.append(WorkerReport(w, items[lo:hi], count, executed))
         return results, reports
 
     def _run_static(self, items, task_fn, engine_factory):
@@ -178,9 +192,9 @@ class ParallelExecutor:
             _PHASE_CTX = None
         results = []
         reports = []
-        for w, ((lo, hi), (chunk, count)) in enumerate(zip(batch.assignment, chunk_results)):
+        for w, ((lo, hi), (chunk, count, executed)) in enumerate(zip(batch.assignment, chunk_results)):
             results.extend(chunk)
-            reports.append(WorkerReport(w, items[lo:hi], count))
+            reports.append(WorkerReport(w, items[lo:hi], count, executed))
         return results, reports
 
     def _run_dynamic(self, items, task_fn, engine_factory):
@@ -192,19 +206,22 @@ class ParallelExecutor:
                 per_item = pool.map(_run_item, range(len(items)), chunksize=1)
         finally:
             _PHASE_CTX = None
-        results = [r for _, r, _ in per_item]
-        by_pid: dict[int, tuple[list, int]] = {}
-        for (pid, _, count), item in zip(per_item, items):
-            slot = by_pid.setdefault(pid, ([], 0))
-            by_pid[pid] = (slot[0] + [item], slot[1] + count)
+        results = [r for _, r, _, _ in per_item]
+        by_pid: dict[int, tuple[list, int, int]] = {}
+        for (pid, _, count, executed), item in zip(per_item, items):
+            assigned, total, total_executed = by_pid.get(pid, ([], 0, 0))
+            by_pid[pid] = (assigned + [item], total + count, total_executed + executed)
         reports = [
-            WorkerReport(w, tuple(assigned), count)
-            for w, (pid, (assigned, count)) in enumerate(sorted(by_pid.items()))
+            WorkerReport(w, tuple(assigned), count, executed)
+            for w, (pid, (assigned, count, executed)) in enumerate(sorted(by_pid.items()))
         ]
         return results, reports
 
     def total_tests(self) -> int:
         return sum(t.test_count for t in self.telemetry)
+
+    def total_executed(self) -> int:
+        return sum(t.executed for t in self.telemetry)
 
     def reset_telemetry(self) -> None:
         self.telemetry = []

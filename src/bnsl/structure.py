@@ -126,7 +126,7 @@ def _learn_node_sets(data, names, backend, cfg, executor, engine, learner, phase
     else:
         results = {}
         t0 = time.perf_counter()
-        before = engine.counter.count
+        before = engine.counter.count, engine.counter.executed
         for j, node in enumerate(names):
             earlier = names[:j]
             seeds = frozenset(i for i in earlier if node in results[i][0])
@@ -140,7 +140,7 @@ def _learn_node_sets(data, names, backend, cfg, executor, engine, learner, phase
             PhaseTelemetry(
                 phase,
                 time.perf_counter() - t0,
-                [WorkerReport(0, tuple(names), engine.counter.count - before)],
+                [_sequential_report(names, engine, before)],
             )
         )
     for node in names:
@@ -208,7 +208,7 @@ def _pairwise_within_blankets(data, names, blankets, cfg, executor, engine, seps
     # Sequential with pair reuse: the pair (i, j), i before j in column
     # order, is decided once while processing i.
     t0 = time.perf_counter()
-    before = engine.counter.count
+    before = engine.counter.count, engine.counter.executed
     order = {n: pos for pos, n in enumerate(names)}
     kept_sets: dict[str, set[str]] = {n: set() for n in names}
     for node in names:
@@ -227,10 +227,16 @@ def _pairwise_within_blankets(data, names, blankets, cfg, executor, engine, seps
         PhaseTelemetry(
             "pair-separation",
             time.perf_counter() - t0,
-            [WorkerReport(0, tuple(names), engine.counter.count - before)],
+            [_sequential_report(names, engine, before)],
         )
     )
     return {node: frozenset(kept_sets[node]) for node in names}
+
+
+def _sequential_report(names, engine, before) -> WorkerReport:
+    """The one worker's share of a backtracking phase run on ``engine``."""
+    count, executed = before
+    return WorkerReport(0, tuple(names), engine.counter.count - count, engine.counter.executed - executed)
 
 
 class VStructureResult(NamedTuple):
@@ -264,15 +270,7 @@ def orient_v_structures(
     if not set(skel.nodes) <= set(data.names):
         raise ValueError("skeleton nodes are not all present in the dataset")
     names = skel.nodes
-    triples = []
-    for a in sorted(names):
-        for b in sorted(names):
-            if a >= b or skel.has_edge(a, b):
-                continue
-            common = sorted(skel.neighbours(a) & skel.neighbours(b))
-            for k in common:
-                triples.append((a, k, b))
-    triples.sort()
+    triples = skel.unshielded_triples()
 
     def task(triple, worker_engine):
         a, k, b = triple

@@ -6,8 +6,10 @@ scipy.stats.pearsonr for partial correlation) and are frozen below. The
 brute-force oracles live in this file and never call the implementation.
 """
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +346,149 @@ class TestCountersAndEngines:
         c.increment()
         c.increment()
         assert c.count == 2
+
+
+def bits(outcome):
+    """Every field of an outcome, floats by their exact bit pattern."""
+    return tuple(
+        v.hex() if isinstance(v, float) else (type(v), v) for v in dataclasses.astuple(outcome)
+    )
+
+
+def random_queries(names, rng, count, max_z):
+    """(x, y, z) queries that revisit earlier ones with x and y swapped and
+    z given as a permuted tuple, a set or a frozenset."""
+    queries = []
+    for _ in range(count):
+        if queries and rng.random() < 0.5:
+            x, y, z = queries[int(rng.integers(len(queries)))]
+            z = list(z)
+            rng.shuffle(z)
+            queries.append((y, x, [tuple, set, frozenset][int(rng.integers(3))](z)))
+        else:
+            pick = rng.permutation(names)[: 2 + int(rng.integers(0, max_z + 1))]
+            queries.append((str(pick[0]), str(pick[1]), tuple(str(v) for v in pick[2:])))
+    return queries
+
+
+def asymmetric_continuous(seed, n=300, m=24):
+    """Continuous data under shuffled names (name order is not column
+    order) whose correlation matrix is not exactly symmetric; it holds an
+    exactly collinear and an exactly anti-collinear pair."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, m)) * rng.uniform(0.1, 50.0, m)
+    values[:, 1] += 0.7 * values[:, 0]
+    values[:, 5] = 3.0 * values[:, 4] - 1.0
+    values[:, 7] = -0.5 * values[:, 6]
+    names = [f"V{j:02d}" for j in rng.permutation(m)]
+    data = ContinuousDataset(names, values)
+    assert (data.correlation != data.correlation.T).any()
+    return data
+
+
+class TestMemoisedEngine:
+    def test_engines_match_standalone_tests_field_for_field(self):
+        rng = np.random.default_rng(31)
+        m = 9
+        cards = [int(c) for c in rng.integers(2, 4, m)]
+        codes = np.column_stack([rng.integers(0, c, 400) for c in cards])
+        codes[:, 1] = (codes[:, 0] + codes[:, 2]) % cards[1]
+        names = [f"D{j}" for j in rng.permutation(m)]
+        discrete = DiscreteDataset(
+            [(nm, [str(v) for v in range(c)]) for nm, c in zip(names, cards)], codes
+        )
+        continuous = asymmetric_continuous(32, m=m)
+        dag = random_dag(m, 33, edge_prob=0.3)
+        cases = [
+            (MutualInfoTest(discrete, 0.05), lambda x, y, z: mi_test(discrete, x, y, z, 0.05)),
+            (PartialCorrelationTest(continuous, 0.05), lambda x, y, z: cor_test(continuous, x, y, z, 0.05)),
+            (OracleTest(dag), lambda x, y, z: oracle_test(dag, x, y, z)),
+        ]
+        for engine, reference in cases:
+            names = list(engine.dag.nodes if isinstance(engine, OracleTest) else engine.data.names)
+            queries = random_queries(names, rng, 300, max_z=4)
+            for x, y, z in queries:
+                assert bits(engine.test(x, y, z)) == bits(reference(x, y, z)), (engine.name, x, y, z)
+            assert engine.counter.count == len(queries)
+            distinct = {(frozenset((x, y)), frozenset(z)) for x, y, z in queries}
+            assert engine.counter.executed == len(distinct)
+
+    def test_marginal_table_matches_cor_test_for_every_pair(self):
+        data = asymmetric_continuous(41)
+        engine = PartialCorrelationTest(data, 0.01)
+        for x, y in itertools.permutations(data.names, 2):
+            assert bits(engine.test(x, y, ())) == bits(cor_test(data, x, y, (), 0.01)), (x, y)
+        names = data.names
+        assert math.isinf(engine.test(names[4], names[5], ()).statistic)
+        assert engine.test(names[6], names[7], ()).statistic == -math.inf
+
+    def test_memo_hits_are_counted_as_requests(self):
+        data = dataset_from_table([[5, 1], [2, 7]])
+        engine = MutualInfoTest(data, alpha=0.01)
+        first = engine.test("X", "Y", frozenset())
+        assert engine.test("Y", "X", ()) is first
+        assert engine.test("X", "Y", set()) is first
+        assert (engine.counter.count, engine.counter.executed) == (3, 1)
+        clone = engine.spawn()
+        clone.test("X", "Y", ())
+        assert (clone.counter.count, clone.counter.executed) == (1, 1)
+        assert engine.counter.executed <= engine.counter.count
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        discrete = dataset_from_table([[5, 1], [2, 7]])
+        continuous = ContinuousDataset(["X", "Y"], np.random.default_rng(0).standard_normal((20, 2)))
+        engines = [
+            MutualInfoTest(discrete, 0.01),
+            PartialCorrelationTest(continuous, 0.01),
+            OracleTest(Dag(["X", "Y"], [("X", "Y")])),
+        ]
+        for engine in engines:
+            engine.test("X", "Y", ())
+            for _ in range(2):
+                for x, y, z in [("X", "X", ()), ("X", "Q", ()), ("X", "Y", ("Y",)), ("X", "Y", ("Q",))]:
+                    with pytest.raises(ValueError):
+                        engine.test(x, y, z)
+            assert (engine.counter.count, engine.counter.executed) == (1, 1)
+        for engine in (MutualInfoTest(discrete, 1.5), PartialCorrelationTest(continuous, 0.0)):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    engine.test("X", "Y", ())
+
+    def test_cor_engines_share_the_dataset_correlation_matrix(self):
+        data = asymmetric_continuous(5)
+        first = make_engine("cor", data, 0.01)
+        second = make_engine("cor", data, 0.05)
+        assert first.corr is second.corr is data.correlation
+        assert first.spawn().corr is first.corr
+        assert not data.correlation.flags.writeable
+        np.testing.assert_array_equal(data.correlation, citests.correlation_matrix(data.values))
+
+
+class TestWideConditioningSets:
+    @pytest.mark.parametrize("n, n_z", [(500, 20), (200, 45)])
+    def test_bounded_memory_and_reference_statistic(self, n, n_z):
+        # 20 ternary variables would need a 3^20-stratum table, and 45 would
+        # overflow int64 stratum codes; strata are re-coded to those observed.
+        from test_acceptance import g2_reference
+
+        rng = np.random.default_rng(n_z)
+        cards = [2, 3] + [3] * n_z
+        codes = np.column_stack([rng.integers(0, c, n) for c in cards])
+        codes[:, 1] = np.where(rng.random(n) < 0.6, codes[:, 2], codes[:, 1])
+        names = [f"V{j:02d}" for j in range(len(cards))]
+        data = DiscreteDataset(
+            [(nm, [str(v) for v in range(c)]) for nm, c in zip(names, cards)], codes
+        )
+        tracemalloc.start()
+        try:
+            out = mi_test(data, "V00", "V01", frozenset(names[2:]), alpha=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20, peak
+        expected_stat, expected_dof = g2_reference(codes, cards, list(range(2, len(cards))))
+        assert out.dof == expected_dof == 2 * 3**n_z
+        assert out.statistic == pytest.approx(expected_stat, abs=1e-9)
 
 
 class TestNullCalibration:

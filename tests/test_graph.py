@@ -312,6 +312,24 @@ class TestHammingSkeleton:
             assert hamming_skeleton(a, c) <= hamming_skeleton(a, b) + hamming_skeleton(b, c)
 
 
+class TestUnshieldedTriples:
+    def test_matches_brute_force_on_random_skeletons(self):
+        rng = random.Random(29)
+        for trial in range(60):
+            m = rng.randint(1, 12)
+            names = [f"N{i:02d}" for i in range(m)]
+            rng.shuffle(names)  # name order differs from node order
+            density = rng.choice([0.1, 0.3, 0.6, 0.9])
+            skel = Skeleton(names, [p for p in combinations(names, 2) if rng.random() < density])
+            expected = sorted(
+                (a, k, b)
+                for a, b in combinations(sorted(names), 2)
+                for k in names
+                if not skel.has_edge(a, b) and skel.has_edge(a, k) and skel.has_edge(k, b)
+            )
+            assert skel.unshielded_triples() == expected, trial
+
+
 class TestGraphTypes:
     def test_dag_rejects_cycles(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from bnsl.structure import (
     learn_skeleton,
     orient_v_structures,
 )
-from bnsl.synth import random_dag, random_discrete_bn, random_discrete_network
+from bnsl.synth import gaussian_sem_dataset, random_dag, random_discrete_bn, random_discrete_network
 
 COLLIDER = Dag(["A", "B", "C"], [("A", "C"), ("B", "C")])
 CHAIN = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")])
@@ -181,6 +181,23 @@ class TestWorkerInvariance:
             ex = ParallelExecutor(3, schedule)
             outputs.append((learn_cpdag(data, cfg, ex), ex.total_tests()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("test, algorithm", [("cor", "si-hiton-pc"), ("mi", "mmpc")])
+    def test_requested_and_executed_counts_invariant(self, test, algorithm):
+        # Every task gets a fresh engine, so its memo never spans tasks and
+        # the executed count does not depend on how tasks meet workers.
+        if test == "cor":
+            data = gaussian_sem_dataset(16, 400, 7, edge_prob=0.2)
+        else:
+            data = sample(random_discrete_network(12, seed=33, edge_prob=0.2, max_in_degree=2), 600, 5)
+        outputs = []
+        for k, schedule in ((1, "static"), (2, "static"), (2, "dynamic")):
+            cfg = GlobalLearnConfig(algorithm=algorithm, test=test, workers=k, schedule=schedule)
+            ex = ParallelExecutor(k, schedule)
+            outputs.append((learn_cpdag(data, cfg, ex), ex.total_tests(), ex.total_executed()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        _, requested, executed = outputs[0]
+        assert 0 < executed < requested
 
 
 class TestBacktrackingModes:
