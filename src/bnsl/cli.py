@@ -188,24 +188,10 @@ def _cmd_sample(args) -> int:
     bn = formats.load_network(args.network)
     data = sample(bn, args.n, _env_seed(args.seed))
     if args.output == "-":
-        import io as _io
-
-        buf = _io.StringIO()
-        _write_rows(data, buf)
-        sys.stdout.write(buf.getvalue())
+        formats.write_dataset(data, sys.stdout)
     else:
         formats.save_dataset(data, args.output)
     return 0
-
-
-def _write_rows(data, buf) -> None:
-    import csv as _csv
-
-    writer = _csv.writer(buf)
-    writer.writerow(data.names)
-    label_maps = [levels for _, levels in data.variables]
-    for row in data.codes:
-        writer.writerow([label_maps[j][row[j]] for j in range(len(row))])
 
 
 def _cmd_bench_order(args) -> int:

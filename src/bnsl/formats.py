@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -110,15 +111,20 @@ def load_dataset(path: str | Path, kind: str = "auto") -> Dataset:
 
 def save_dataset(data: Dataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.names)
-        if isinstance(data, DiscreteDataset):
-            label_maps = [levels for _, levels in data.variables]
-            for row in data.codes:
-                writer.writerow([label_maps[j][row[j]] for j in range(len(row))])
-        else:
-            for row in data.values:
-                writer.writerow([repr(float(v)) for v in row])
+        write_dataset(data, fh)
+
+
+def write_dataset(data: Dataset, fh: TextIO) -> None:
+    """Write ``data`` as dataset CSV to the open text stream ``fh``."""
+    writer = csv.writer(fh)
+    writer.writerow(data.names)
+    if isinstance(data, DiscreteDataset):
+        label_maps = [levels for _, levels in data.variables]
+        for row in data.codes:
+            writer.writerow([label_maps[j][row[j]] for j in range(len(row))])
+    else:
+        for row in data.values:
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def _all_numeric(rows) -> bool:

@@ -1,25 +1,38 @@
-"""Phase-parallel execution over per-node and per-triple tasks.
+"""Phase-parallel execution over per-node and per-pair tasks.
 
 The learning pipeline is synchronised only at phase barriers; within a
-phase, tasks are pure functions of shared read-only inputs and are mapped
-across workers. Results are merged in canonical item order regardless of
-completion order, so output is identical for every worker count and for
-static versus dynamic scheduling; only the per-worker test-count split
-varies.
+phase, tasks are pure functions of shared read-only inputs. A phase runs on
+``k`` lanes, one per worker, and every lane runs the same loop: take the
+next item index, run the task on a fresh engine, keep ``(index, result)``
+and add up the test counts. Only the source of indices differs. A static
+lane walks its contiguous span from :func:`partition`; a dynamic lane takes
+the next index from a shared counter (a ``multiprocessing.Value`` created
+before the fork), so lanes keep pulling items until the phase is drained.
+The parent puts results back by index and builds one :class:`WorkerReport`
+per lane, so output is identical for every worker count and for static
+versus dynamic scheduling; only the per-lane test-count split varies.
 
-Workers are fork()ed processes sharing the parent's dataset copy-on-write:
-the data are never modified by the algorithms, so no locking or copying is
-needed. Where fork is unavailable the executor degrades to sequential
-execution with the same merge semantics.
+Lanes run in fork()ed worker processes of a
+``concurrent.futures.ProcessPoolExecutor``, sharing the parent's dataset
+copy-on-write: the data are never modified by the algorithms, so no
+locking or copying is needed. With one worker, at most one item, or no
+fork, the same lanes run inline in the parent.
+
+Failures end the phase instead of hanging it. A task that raises becomes a
+:class:`PhaseTaskError` naming the phase and the task. A worker process
+that dies (killed, or ``os._exit`` inside a task) breaks the pool, and the
+resulting ``BrokenProcessPool`` becomes a :class:`PhaseTaskError` naming the
+phase.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -86,51 +99,59 @@ _PHASE_CTX: "_PhaseContext | None" = None
 
 @dataclass
 class _PhaseContext:
+    phase: str
     items: tuple
     task_fn: Callable
     engine_factory: Callable
+    spans: tuple[tuple[int, int], ...]
+    next_index: object = None  # shared counter of dynamic lanes; None for static
+
+    def indices(self, lane: int) -> Iterator[int]:
+        """The item indices of ``lane``: its static span, or claims on the
+        shared counter until every item is taken."""
+        if self.next_index is None:
+            yield from range(*self.spans[lane])
+            return
+        while True:
+            with self.next_index.get_lock():
+                i = self.next_index.value
+                self.next_index.value = i + 1
+            if i >= len(self.items):
+                return
+            yield i
 
 
 class PhaseTaskError(RuntimeError):
-    """A phase task failed; the message names the offending task id."""
+    """A phase task failed or its worker died; the message names the phase
+    and, for a failed task, the task's item."""
 
 
-def _call_task(ctx: _PhaseContext, i: int, engine):
-    try:
-        return ctx.task_fn(ctx.items[i], engine)
-    except Exception as exc:
-        raise PhaseTaskError(f"task {ctx.items[i]!r} failed: {exc}") from exc
-
-
-def _run_range(ctx: _PhaseContext, lo: int, hi: int) -> tuple[list, int, int]:
-    """Run items [lo, hi), each on a fresh engine so that a test memo lives
-    for exactly one task; returns the results and the summed requested and
-    executed test counts."""
-    results, count, executed = [], 0, 0
-    for i in range(lo, hi):
+def _run_lane(lane: int, ctx: _PhaseContext | None = None) -> tuple[list, int, int]:
+    """Run one lane's items, each on a fresh engine so that a test memo lives
+    for exactly one task; returns ``[(index, result)]`` and the summed
+    requested and executed test counts. A forked worker passes no ``ctx``
+    and uses the ``_PHASE_CTX`` it inherited."""
+    if ctx is None:
+        ctx = _PHASE_CTX
+    done, count, executed = [], 0, 0
+    for i in ctx.indices(lane):
         engine = ctx.engine_factory()
-        results.append(_call_task(ctx, i, engine))
+        try:
+            done.append((i, ctx.task_fn(ctx.items[i], engine)))
+        except Exception as exc:
+            raise PhaseTaskError(f"phase {ctx.phase!r}: task {ctx.items[i]!r} failed: {exc}") from exc
         count += engine.counter.count
         executed += engine.counter.executed
-    return results, count, executed
-
-
-def _run_span(span: tuple[int, int]) -> tuple[list, int, int]:
-    return _run_range(_PHASE_CTX, *span)
-
-
-def _run_item(i: int) -> tuple[int, object, int, int]:
-    results, count, executed = _run_range(_PHASE_CTX, i, i + 1)
-    return os.getpid(), results[0], count, executed
+    return done, count, executed
 
 
 class ParallelExecutor:
     """Runs phase task batches across ``workers`` execution lanes.
 
     ``schedule`` picks static contiguous partitioning (the default,
-    mirroring the coarse-grained architecture) or a dynamic queue handing
-    one item at a time to idle workers. Telemetry for every phase run is
-    appended to :attr:`telemetry`.
+    mirroring the coarse-grained architecture) or a dynamic queue from
+    which each lane takes one item at a time. Telemetry for every phase run
+    is appended to :attr:`telemetry`.
     """
 
     def __init__(self, workers: int = 1, schedule: str = "static"):
@@ -153,69 +174,40 @@ class ParallelExecutor:
 
         Every task gets a private engine (and therefore a private test
         counter and memo) from ``engine_factory``; counts are summed per
-        worker and merged only at the barrier, i.e. here, after all tasks
+        lane and merged only at the barrier, i.e. here, after all lanes
         completed.
         """
+        global _PHASE_CTX
         start = time.perf_counter()
         items = tuple(items)
+        ctx = _PhaseContext(phase, items, task_fn, engine_factory, partition(items, self.workers).assignment)
         if self.workers == 1 or len(items) <= 1 or not _fork_available():
-            result = self._run_sequential(items, task_fn, engine_factory)
-        elif self.schedule == "static":
-            result = self._run_static(items, task_fn, engine_factory)
+            lanes = [_run_lane(lane, ctx) for lane in range(self.workers)]
         else:
-            result = self._run_dynamic(items, task_fn, engine_factory)
+            fork = multiprocessing.get_context("fork")
+            if self.schedule == "dynamic":
+                ctx.next_index = fork.Value("q", 0)
+            _PHASE_CTX = ctx
+            try:
+                # A fork-context pool starts all its workers at the first
+                # submit, before its manager thread, so each child inherits
+                # _PHASE_CTX and no running thread.
+                with ProcessPoolExecutor(self.workers, mp_context=fork) as pool:
+                    futures = [pool.submit(_run_lane, lane) for lane in range(self.workers)]
+                    lanes = [f.result() for f in futures]
+            except BrokenProcessPool as exc:
+                raise PhaseTaskError(f"phase {phase!r}: a worker process died") from exc
+            finally:
+                _PHASE_CTX = None
+        results = [None] * len(items)
+        reports = []
+        for lane, (done, count, executed) in enumerate(lanes):
+            for i, result in done:
+                results[i] = result
+            reports.append(WorkerReport(lane, tuple(items[i] for i, _ in done), count, executed))
         seconds = time.perf_counter() - start
-        out = PhaseResult(result[0], result[1], seconds)
-        self.telemetry.append(PhaseTelemetry(phase, seconds, out.reports))
-        return out
-
-    def _run_sequential(self, items, task_fn, engine_factory):
-        batch = partition(items, self.workers)
-        ctx = _PhaseContext(items, task_fn, engine_factory)
-        results = []
-        reports = []
-        for w, (lo, hi) in enumerate(batch.assignment):
-            chunk, count, executed = _run_range(ctx, lo, hi)
-            results.extend(chunk)
-            reports.append(WorkerReport(w, items[lo:hi], count, executed))
-        return results, reports
-
-    def _run_static(self, items, task_fn, engine_factory):
-        global _PHASE_CTX
-        batch = partition(items, self.workers)
-        _PHASE_CTX = _PhaseContext(items, task_fn, engine_factory)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=self.workers) as pool:
-                chunk_results = pool.map(_run_span, batch.assignment, chunksize=1)
-        finally:
-            _PHASE_CTX = None
-        results = []
-        reports = []
-        for w, ((lo, hi), (chunk, count, executed)) in enumerate(zip(batch.assignment, chunk_results)):
-            results.extend(chunk)
-            reports.append(WorkerReport(w, items[lo:hi], count, executed))
-        return results, reports
-
-    def _run_dynamic(self, items, task_fn, engine_factory):
-        global _PHASE_CTX
-        _PHASE_CTX = _PhaseContext(items, task_fn, engine_factory)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=self.workers) as pool:
-                per_item = pool.map(_run_item, range(len(items)), chunksize=1)
-        finally:
-            _PHASE_CTX = None
-        results = [r for _, r, _, _ in per_item]
-        by_pid: dict[int, tuple[list, int, int]] = {}
-        for (pid, _, count, executed), item in zip(per_item, items):
-            assigned, total, total_executed = by_pid.get(pid, ([], 0, 0))
-            by_pid[pid] = (assigned + [item], total + count, total_executed + executed)
-        reports = [
-            WorkerReport(w, tuple(assigned), count, executed)
-            for w, (pid, (assigned, count, executed)) in enumerate(sorted(by_pid.items()))
-        ]
-        return results, reports
+        self.telemetry.append(PhaseTelemetry(phase, seconds, reports))
+        return PhaseResult(results, reports, seconds)
 
     def total_tests(self) -> int:
         return sum(t.test_count for t in self.telemetry)

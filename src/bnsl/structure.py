@@ -9,20 +9,23 @@ directly. Either way, neighbour symmetry is enforced by intersection,
 unshielded colliders are oriented from the recorded separating sets, and
 the two orientation-propagation rules run to fixpoint.
 
-Per-node (and per-triple) work is embarrassingly parallel; the coordinator
+Per-node (and per-pair) work is embarrassingly parallel; the coordinator
 synchronises only at the symmetry barriers and for the final propagation.
+Separating sets merge in name order, so mode ``none`` does not depend on
+the column order.
 
 Backtracking modes trade tests for order dependence and therefore require a
-single worker. In ``start-set`` mode, nodes are processed sequentially in
-dataset column order: once an earlier node decided that a later node is (or
-is not) in its blanket or neighbour set, the later node's learner is seeded
-with (or never considers) the earlier node. ``legacy`` mode instead forces
-the decision through hard whitelists and blacklists.
+single worker; each backtracking phase runs through the executor as one
+task whose item is the column-ordered tuple of names. In ``start-set``
+mode, nodes are processed sequentially in dataset column order: once an
+earlier node decided that a later node is (or is not) in its blanket or
+neighbour set, the later node's learner is seeded with (or never
+considers) the earlier node. ``legacy`` mode instead forces the decision
+through hard whitelists and blacklists.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +33,7 @@ from .citests import CiTest, make_engine
 from .data import Dataset
 from .graph import Dag, Pdag, Skeleton, VStructure, _pair, apply_meek_rules
 from .local import LocalLearnConfig, SepsetTable, learn_mb, learn_nbr, subsets_in_order
-from .parallel import ParallelExecutor, PhaseTelemetry, WorkerReport
+from .parallel import ParallelExecutor
 
 ALGORITHMS = ("gs", "inter-iamb", "mmpc", "si-hiton-pc")
 BACKTRACKING_MODES = ("none", "start-set", "legacy")
@@ -121,29 +124,23 @@ def _learn_node_sets(data, names, backend, cfg, executor, engine, learner, phase
         def task(node, worker_engine):
             return learner(data, node, cfg.local(backend), worker_engine)
 
-        phase_result = executor.run_phase(phase, names, task, engine.spawn)
-        results = dict(zip(names, phase_result.results))
+        results = dict(zip(names, executor.run_phase(phase, names, task, engine.spawn).results))
     else:
-        results = {}
-        t0 = time.perf_counter()
-        before = engine.counter.count, engine.counter.executed
-        for j, node in enumerate(names):
-            earlier = names[:j]
-            seeds = frozenset(i for i in earlier if node in results[i][0])
-            excluded = frozenset(i for i in earlier if node not in results[i][0])
-            if cfg.backtracking == "start-set":
-                local = cfg.local(backend, start=seeds, blacklist=excluded)
-            else:
-                local = cfg.local(backend, whitelist=seeds, blacklist=excluded)
-            results[node] = learner(data, node, local, engine)
-        executor.telemetry.append(
-            PhaseTelemetry(
-                phase,
-                time.perf_counter() - t0,
-                [_sequential_report(names, engine, before)],
-            )
-        )
-    for node in names:
+        def task(order, worker_engine):
+            results = {}
+            for j, node in enumerate(order):
+                earlier = order[:j]
+                seeds = frozenset(i for i in earlier if node in results[i][0])
+                excluded = frozenset(i for i in earlier if node not in results[i][0])
+                if cfg.backtracking == "start-set":
+                    local = cfg.local(backend, start=seeds, blacklist=excluded)
+                else:
+                    local = cfg.local(backend, whitelist=seeds, blacklist=excluded)
+                results[node] = learner(data, node, local, worker_engine)
+            return results
+
+        results = executor.run_phase(phase, [tuple(names)], task, engine.spawn).results[0]
+    for node in sorted(names):
         sepsets.merge_first_wins(results[node][1])
     return {node: frozenset(results[node][0]) for node in names}
 
@@ -196,47 +193,34 @@ def _pairwise_within_blankets(data, names, blankets, cfg, executor, engine, seps
                     found[j] = sep
             return kept, found
 
-        phase_result = executor.run_phase("pair-separation", names, task, engine.spawn)
-        results = dict(zip(names, phase_result.results))
-        for node in names:
-            kept, found = results[node]
-            for j, sep in sorted(found.items()):
-                if not sepsets.has(node, j):
-                    sepsets.record(node, j, sep)
-        return {node: frozenset(results[node][0]) for node in names}
+        results = dict(zip(names, executor.run_phase("pair-separation", names, task, engine.spawn).results))
+    else:
+        def task(order, worker_engine):
+            # Pair reuse: the pair (i, j), i before j in column order, is
+            # decided once while processing i.
+            position = {n: pos for pos, n in enumerate(order)}
+            results = {n: (set(), {}) for n in order}
+            for node in order:
+                kept, found = results[node]
+                for j in sorted(blankets[node]):
+                    if position[j] < position[node]:
+                        if node in results[j][0]:
+                            kept.add(j)
+                        continue
+                    sep = decide_pair(node, j, worker_engine)
+                    if sep is False:
+                        kept.add(j)
+                    else:
+                        found[j] = sep
+            return results
 
-    # Sequential with pair reuse: the pair (i, j), i before j in column
-    # order, is decided once while processing i.
-    t0 = time.perf_counter()
-    before = engine.counter.count, engine.counter.executed
-    order = {n: pos for pos, n in enumerate(names)}
-    kept_sets: dict[str, set[str]] = {n: set() for n in names}
-    for node in names:
-        for j in sorted(blankets[node]):
-            if order[j] < order[node]:
-                if node in kept_sets[j]:
-                    kept_sets[node].add(j)
-                continue
-            sep = decide_pair(node, j, engine)
-            if sep is False:
-                kept_sets[node].add(j)
-            else:
-                if not sepsets.has(node, j):
-                    sepsets.record(node, j, sep)
-    executor.telemetry.append(
-        PhaseTelemetry(
-            "pair-separation",
-            time.perf_counter() - t0,
-            [_sequential_report(names, engine, before)],
-        )
-    )
-    return {node: frozenset(kept_sets[node]) for node in names}
-
-
-def _sequential_report(names, engine, before) -> WorkerReport:
-    """The one worker's share of a backtracking phase run on ``engine``."""
-    count, executed = before
-    return WorkerReport(0, tuple(names), engine.counter.count - count, engine.counter.executed - executed)
+        results = executor.run_phase("pair-separation", [tuple(names)], task, engine.spawn).results[0]
+    for node in sorted(names):
+        kept, found = results[node]
+        for j, sep in sorted(found.items()):
+            if not sepsets.has(node, j):
+                sepsets.record(node, j, sep)
+    return {node: frozenset(results[node][0]) for node in names}
 
 
 class VStructureResult(NamedTuple):
@@ -256,10 +240,11 @@ def orient_v_structures(
     """Direct unshielded triples whose collider is outside the separating set.
 
     For each triple i - k - j with i, j non-adjacent, the recorded
-    separating set of (i, j) is consulted; a missing entry is searched on
-    demand over subsets of the two endpoint neighbourhoods (increasing
-    size, first independence wins). The triple becomes a v-structure iff k
-    is not in the set (vacuously so when no set exists).
+    separating set of (i, j) is consulted. Each pair without an entry is
+    searched once, in parallel across pairs, over subsets of the two
+    endpoint neighbourhoods (increasing size, first independence wins), and
+    the outcome is recorded. The triple becomes a v-structure iff k is not
+    in the set (vacuously so when no set exists).
 
     Conflicting orientations are resolved first-wins in canonical triple
     order; a triple that would reverse an existing arc or close a directed
@@ -271,18 +256,14 @@ def orient_v_structures(
         raise ValueError("skeleton nodes are not all present in the dataset")
     names = skel.nodes
     triples = skel.unshielded_triples()
+    missing = sorted({(a, b) for a, _, b in triples if not sepsets.has(a, b)})
 
-    def task(triple, worker_engine):
-        a, k, b = triple
-        if sepsets.has(a, b):
-            sep = sepsets.get(a, b)
-            searched = False
-        else:
-            sep = _on_demand_sepset(skel, a, b, worker_engine, max_condition_size)
-            searched = True
-        return sep, searched
+    def task(pair, worker_engine):
+        return _on_demand_sepset(skel, *pair, worker_engine, max_condition_size)
 
-    phase_result = executor.run_phase("v-structures", triples, task, test.spawn)
+    searched = executor.run_phase("v-structures", missing, task, test.spawn)
+    for (a, b), sep in zip(missing, searched.results):
+        sepsets.record(a, b, sep)
 
     directed: set[tuple[str, str]] = set()
     out: dict[str, set[str]] = {n: set() for n in names}
@@ -301,9 +282,8 @@ def orient_v_structures(
 
     conflicts = 0
     accepted = []
-    for (a, k, b), (sep, searched) in zip(triples, phase_result.results):
-        if searched and not sepsets.has(a, b):
-            sepsets.record(a, b, sep)
+    for a, k, b in triples:
+        sep = sepsets.get(a, b)
         if sep is not None and k in sep:
             continue
         wanted = [(a, k), (b, k)]

@@ -1,10 +1,14 @@
 """Benchmark protocol and CLI tests."""
 
 import json
+import os
 import statistics
+import subprocess
+import sys
 
 import pytest
 
+import bnsl
 from bnsl import bench
 from bnsl.cli import main
 from bnsl.formats import load_pdag, save_dataset, save_graph, save_network
@@ -164,6 +168,18 @@ class TestCli:
         assert pdag1 == pdag2  # worker invariance through the CLI
         lines = [json.loads(l) for l in telemetry.read_text().splitlines()]
         assert all("per_worker_tests" in l for l in lines)
+
+    def test_sample_stdout_matches_file(self, net_path, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        args = ["sample", "--network", str(net_path), "--n", "40", "--seed", "6"]
+        assert main(args + ["--output", str(csv_path)]) == 0
+        src = os.path.dirname(os.path.dirname(bnsl.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "bnsl.cli", *args, "--output", "-"],
+            env=env, capture_output=True, check=True, timeout=60,
+        ).stdout
+        assert out == csv_path.read_bytes()
 
     def test_learn_oracle_requires_truth(self, net_path, tmp_path, capsys):
         csv_path = tmp_path / "d.csv"

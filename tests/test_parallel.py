@@ -1,5 +1,9 @@
 """Executor tests: partitioning, merge determinism, counter conservation."""
 
+import contextlib
+import os
+import signal
+
 import pytest
 
 from bnsl.citests import OracleTest
@@ -49,6 +53,28 @@ def _square_task(item, engine):
     # run one test so counters move
     engine.test("A", "C", frozenset({"B"}))
     return item * item
+
+
+def _die_on_3(item, engine):
+    if item == 3:
+        os._exit(1)  # the worker process vanishes without an exception
+    return item
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test instead of hanging when the body overruns."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRunPhase:
@@ -110,16 +136,36 @@ class TestRunPhase:
         ex.reset_telemetry()
         assert ex.total_tests() == 0
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_task_failure_names_the_task(self, k):
+    @pytest.mark.parametrize(
+        "k, schedule",
+        [(1, "static"), (2, "static"), (2, "dynamic")],
+        ids=["1", "2", "2-dynamic"],
+    )
+    def test_task_failure_names_the_task(self, k, schedule):
         def boom(item, engine):
             if item == 3:
                 raise RuntimeError("boom")
             return item
 
-        ex = ParallelExecutor(k)
+        ex = ParallelExecutor(k, schedule)
         with pytest.raises(PhaseTaskError, match="task 3"):
             ex.run_phase("demo", [1, 2, 3, 4], boom, _engine_factory)
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_dead_worker_raises_naming_the_phase(self, schedule):
+        ex = ParallelExecutor(2, schedule)
+        with _deadline(10), pytest.raises(PhaseTaskError, match="phase 'dying'"):
+            ex.run_phase("dying", [1, 2, 3, 4], _die_on_3, _engine_factory)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_dynamic_lanes_cover_items_once(self, k):
+        # More lanes than cores contend for the shared counter; a lost
+        # update would hand one item to two lanes.
+        items = list(range(200))
+        out = ParallelExecutor(k, "dynamic").run_phase("demo", items, _square_task, _engine_factory)
+        assert [r.worker for r in out.reports] == list(range(k))
+        assert sorted(i for r in out.reports for i in r.items) == items
+        assert all(r.test_count == len(r.items) for r in out.reports)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

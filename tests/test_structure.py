@@ -2,7 +2,7 @@
 
 import pytest
 
-from bnsl.citests import MutualInfoTest, OracleTest
+from bnsl.citests import MutualInfoTest, OracleTest, make_engine
 from bnsl.data import reverse_columns
 from bnsl.graph import (
     Dag,
@@ -12,7 +12,7 @@ from bnsl.graph import (
     hamming_skeleton,
     unshielded_colliders,
 )
-from bnsl.local import SepsetTable
+from bnsl.local import SepsetTable, learn_nbr
 from bnsl.network import sample
 from bnsl.parallel import ParallelExecutor
 from bnsl.structure import (
@@ -125,6 +125,24 @@ class TestOrientVStructures:
         assert ("C", "B") in result.pdag.directed_arcs  # first triple won
         assert result.conflicts == 1
 
+    def test_missing_pair_searched_once(self):
+        # A 4-cycle without recorded sepsets: each of the two non-adjacent
+        # pairs has two common neighbours, and each is one task, searched
+        # once for both of its triples.
+        dag = Dag(["A", "B", "K1", "K2"], [("A", "K1"), ("A", "K2"), ("K1", "B"), ("K2", "B")])
+        skel = dag.skeleton()
+        assert len(skel.unshielded_triples()) == 4
+        seps = SepsetTable()
+        ex = ParallelExecutor(1)
+        result = orient_v_structures(skel, seps, oracle_setup(dag), OracleTest(dag), ex)
+        [phase] = ex.telemetry
+        assert phase.reports[0].items == (("A", "B"), ("K1", "K2"))
+        # (A, B): {}, {K1}, {K2}, {K1, K2} separates; (K1, K2): {}, {A} separates
+        assert phase.test_count == 6
+        assert seps.get("A", "B") == {"K1", "K2"}
+        assert seps.get("K1", "K2") == {"A"}
+        assert result.pdag.directed_arcs == {("K1", "B"), ("K2", "B")}
+
     def test_inconsistent_inputs_rejected(self):
         skel = Skeleton(["A", "Z"], [])
         data = oracle_setup(CHAIN)
@@ -153,6 +171,12 @@ class TestLearnCpdag:
             data = oracle_setup(dag)
             cfg = GlobalLearnConfig(algorithm=algorithm, test="oracle")
             assert learn_cpdag(data, cfg, truth=dag) == dag_to_cpdag(dag), seed
+
+
+    def test_gaussian_cpdag_invariant_under_column_reversal(self):
+        data = gaussian_sem_dataset(80, 500, 2)
+        cfg = GlobalLearnConfig(algorithm="si-hiton-pc", test="cor")
+        assert learn_cpdag(data, cfg) == learn_cpdag(reverse_columns(data), cfg)
 
 
 class TestWorkerInvariance:
@@ -248,6 +272,33 @@ class TestBacktrackingModes:
             ex_back,
         )
         assert ex_back.total_tests() <= ex_none.total_tests()
+
+    def test_start_set_phases_run_through_the_executor(self):
+        bn = random_discrete_network(14, seed=21, edge_prob=0.2, max_in_degree=2)
+        data = sample(bn, 600, 3)
+        cfg = GlobalLearnConfig(algorithm="si-hiton-pc", test="mi", backtracking="start-set")
+        ex = ParallelExecutor(1)
+        learn_skeleton(data, cfg, ex)
+        [phase] = ex.telemetry
+        assert phase.phase == "neighbours"
+        assert [r.items for r in phase.reports] == [(tuple(data.names),)]
+        # The same sequential loop by hand on one engine.
+        engine = make_engine("mi", data, cfg.alpha)
+        names = list(data.names)
+        found = {}
+        for j, node in enumerate(names):
+            seeds = frozenset(i for i in names[:j] if node in found[i])
+            excluded = frozenset(names[:j]) - seeds
+            found[node] = learn_nbr(data, node, cfg.local("si-hiton-pc", start=seeds, blacklist=excluded), engine)[0]
+        assert ex.total_tests() == engine.counter.count > 0
+
+    def test_blanket_backtracking_reports_both_phases(self):
+        bn = random_discrete_network(14, seed=21, edge_prob=0.2, max_in_degree=2)
+        data = sample(bn, 600, 3)
+        ex = ParallelExecutor(1)
+        learn_skeleton(data, GlobalLearnConfig(algorithm="gs", test="mi", backtracking="start-set"), ex)
+        assert [t.phase for t in ex.telemetry] == ["markov-blankets", "pair-separation"]
+        assert all(len(t.reports) == 1 and t.test_count > 0 for t in ex.telemetry)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_column_order_invariance_mode_none(self, algorithm):
