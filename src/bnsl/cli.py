@@ -163,7 +163,6 @@ def _cmd_learn_local(args) -> int:
     engine = make_engine(test, data, args.alpha, truth=truth)
     cfg = LocalLearnConfig(
         backend=args.backend,
-        alpha=args.alpha,
         start=frozenset(args.start),
         whitelist=frozenset(args.whitelist),
         blacklist=frozenset(args.blacklist),

@@ -111,22 +111,10 @@ class Dag:
         for p, c in self.arcs:
             self._parents[c].add(p)
             self._children[p].add(c)
-        self._topo = self._topological_order()
-
-    def _topological_order(self) -> tuple[str, ...]:
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        queue = deque(n for n in self.nodes if indeg[n] == 0)
-        order = []
-        while queue:
-            n = queue.popleft()
-            order.append(n)
-            for c in sorted(self._children[n]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
+        order = _kahn(self.nodes, self._children)
         if len(order) != len(self.nodes):
             raise ValueError("graph contains a directed cycle")
-        return tuple(order)
+        self._topo = tuple(order)
 
     @property
     def topological_order(self) -> tuple[str, ...]:
@@ -343,17 +331,42 @@ def has_strictly_directed_path(pdag: Pdag, start: str, end: str) -> bool:
     for n in (start, end):
         if n not in pdag._out:
             raise ValueError(f"unknown node: {n!r}")
+    return _reaches(pdag._out, start, end)
+
+
+def _reaches(out: dict[str, set[str]], src: str, dst: str) -> bool:
+    """True iff a path of at least one arc of ``out`` leads from ``src`` to
+    ``dst``; ``out`` maps each node to its children."""
     seen = set()
-    stack = list(pdag._out[start])
+    stack = list(out[src])
     while stack:
         v = stack.pop()
-        if v == end:
+        if v == dst:
             return True
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(pdag._out[v])
+        if v not in seen:
+            seen.add(v)
+            stack.extend(out[v])
     return False
+
+
+def _kahn(nodes: Iterable[str], out: dict[str, set[str]]) -> list[str]:
+    """Kahn's algorithm over the arcs in ``out``: roots in ``nodes`` order,
+    children in name order. The order is shorter than ``nodes`` iff the
+    arcs contain a directed cycle."""
+    indeg = dict.fromkeys(nodes, 0)
+    for n in indeg:
+        for c in out[n]:
+            indeg[c] += 1
+    queue = deque(n for n, d in indeg.items() if d == 0)
+    order = []
+    while queue:
+        n = queue.popleft()
+        order.append(n)
+        for c in sorted(out[n]):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                queue.append(c)
+    return order
 
 
 def apply_meek_rules(pdag: Pdag) -> Pdag:
@@ -382,18 +395,6 @@ def apply_meek_rules(pdag: Pdag) -> Pdag:
         adj[a].add(b)
         adj[b].add(a)
 
-    def reaches(src: str, dst: str) -> bool:
-        seen = set()
-        stack = list(out[src])
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            if v not in seen:
-                seen.add(v)
-                stack.extend(out[v])
-        return False
-
     def orient(p: str, c: str) -> None:
         undirected.discard(_pair(p, c))
         directed.add((p, c))
@@ -405,39 +406,22 @@ def apply_meek_rules(pdag: Pdag) -> Pdag:
         changed = False
         # Rule (a): strictly directed path between adjacent nodes.
         for a, b in sorted(undirected):
-            if reaches(a, b):
+            if _reaches(out, a, b):
                 orient(a, b)
                 changed = True
-            elif reaches(b, a):
+            elif _reaches(out, b, a):
                 orient(b, a)
                 changed = True
         # Rule (b): i -> k, k - j, i and j non-adjacent.
         for a, b in sorted(undirected):
             for k, j in ((a, b), (b, a)):
                 if any(i for i in in_[k] if j not in adj[i] and i != j):
-                    if not reaches(j, k):
+                    if not _reaches(out, j, k):
                         orient(k, j)
                         changed = True
                     break
-        _assert_acyclic_directed(pdag.nodes, out)
+        assert len(_kahn(pdag.nodes, out)) == len(pdag.nodes), "orientation sweep introduced a directed cycle"
     return Pdag(pdag.nodes, directed, undirected)
-
-
-def _assert_acyclic_directed(nodes: tuple[str, ...], out: dict[str, set[str]]) -> None:
-    indeg = {n: 0 for n in nodes}
-    for n in nodes:
-        for c in out[n]:
-            indeg[c] += 1
-    queue = deque(n for n in nodes if indeg[n] == 0)
-    seen = 0
-    while queue:
-        n = queue.popleft()
-        seen += 1
-        for c in out[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    assert seen == len(nodes), "orientation sweep introduced a directed cycle"
 
 
 def dag_to_cpdag(dag: Dag) -> Pdag:

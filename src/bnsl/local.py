@@ -8,14 +8,18 @@ subset can separate.
 All heuristic choices are deterministic: candidates are scanned in name
 order, association ranking breaks ties by statistic magnitude then name,
 and separating subsets are enumerated by increasing size and name-
-lexicographically within a size. Whitelisted nodes are forced members and
-never tested for removal; blacklisted nodes are never tested at all; start
-nodes seed the candidate set but remain removable.
+lexicographically within a size. :func:`first_separator` is the single
+search for the first separating subset: SI-HITON-PC's forward and backward
+steps and the pipeline's pair-separation and v-structure phases all use it.
+Whitelisted nodes are forced members and never tested for removal;
+blacklisted nodes are never tested at all; start nodes seed the candidate
+set but remain removable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -31,7 +35,6 @@ class LocalLearnConfig:
     """Settings for one local learning call."""
 
     backend: str
-    alpha: float = 0.01
     start: frozenset[str] = frozenset()
     whitelist: frozenset[str] = frozenset()
     blacklist: frozenset[str] = frozenset()
@@ -96,22 +99,15 @@ def subsets_in_order(pool: Iterable[str], cap: int | None = None) -> Iterator[fr
             yield frozenset(combo)
 
 
-class _Recorder:
-    """Remembers the most recent independence witness per partner node."""
-
-    def __init__(self, target: str):
-        self.target = target
-        self.witness: dict[str, frozenset[str]] = {}
-
-    def note(self, v: str, sepset: frozenset[str]) -> None:
-        self.witness[v] = sepset
-
-    def fragment(self, members: frozenset[str]) -> SepsetTable:
-        table = SepsetTable()
-        for v, sepset in self.witness.items():
-            if v not in members:
-                table.record(self.target, v, sepset)
-        return table
+def first_separator(
+    test: CiTest, x: str, y: str, pool: Iterable[str], cap: int | None = None
+) -> frozenset[str] | None:
+    """The first subset of ``pool``, in :func:`subsets_in_order` order, given
+    which ``x`` and ``y`` test independent, or ``None`` when none does."""
+    for s in subsets_in_order(pool, cap):
+        if test.test(x, y, s).independent:
+            return s
+    return None
 
 
 def learn_mb(
@@ -122,17 +118,7 @@ def learn_mb(
     Returns the candidate blanket and the separating sets recorded for
     excluded candidates.
     """
-    cfg.validate(target)
-    if cfg.backend not in MB_BACKENDS:
-        raise ValueError(f"backend {cfg.backend!r} does not learn Markov blankets")
-    names = _resolve_names(data, target, cfg)
-    recorder = _Recorder(target)
-    if cfg.backend == "gs":
-        members = _grow_shrink(names, target, cfg, test, recorder)
-    else:
-        members = _iamb(names, target, cfg, test, recorder, interleave=cfg.backend == "inter-iamb")
-    members = frozenset(members)
-    return members, recorder.fragment(members)
+    return _learn(_MB_STEPS, "Markov blankets", data, target, cfg, test)
 
 
 def learn_nbr(
@@ -148,17 +134,24 @@ def learn_nbr(
     blanket. Returns the candidate neighbourhood and, for every rejected
     candidate, the separating set that excluded it.
     """
+    return _learn(_NBR_STEPS, "neighbourhoods", data, target, cfg, test, mb)
+
+
+def _learn(steps, kind, data, target, cfg, test, within=None):
+    """Run the backend ``steps[cfg.backend]`` for ``target``. The backend
+    notes in ``witness`` the latest separating set of each candidate it
+    rejected; those left out of the result form the sepset fragment."""
     cfg.validate(target)
-    if cfg.backend not in NBR_BACKENDS:
-        raise ValueError(f"backend {cfg.backend!r} does not learn neighbourhoods")
-    names = _resolve_names(data, target, cfg, within=mb)
-    recorder = _Recorder(target)
-    if cfg.backend == "mmpc":
-        members = _mmpc(names, target, cfg, test, recorder)
-    else:
-        members = _si_hiton_pc(names, target, cfg, test, recorder)
-    members = frozenset(members)
-    return members, recorder.fragment(members)
+    if cfg.backend not in steps:
+        raise ValueError(f"backend {cfg.backend!r} does not learn {kind}")
+    names = _resolve_names(data, target, cfg, within)
+    witness: dict[str, frozenset[str]] = {}
+    members = frozenset(steps[cfg.backend](names, target, cfg, test, witness))
+    fragment = SepsetTable()
+    for v, sepset in witness.items():
+        if v not in members:
+            fragment.record(target, v, sepset)
+    return members, fragment
 
 
 def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> list[str]:
@@ -174,7 +167,7 @@ def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> lis
     return sorted(pool)
 
 
-def _grow_shrink(names, target, cfg, test, recorder) -> set[str]:
+def _grow_shrink(names, target, cfg, test, witness) -> set[str]:
     cmb = set(cfg.whitelist) | set(cfg.start)
     changed = True
     while changed:
@@ -185,15 +178,15 @@ def _grow_shrink(names, target, cfg, test, recorder) -> set[str]:
             cond = frozenset(cmb)
             out = test.test(target, v, cond)
             if out.independent:
-                recorder.note(v, cond)
+                witness[v] = cond
             else:
                 cmb.add(v)
                 changed = True
-    _shrink(cmb, target, cfg, test, recorder)
+    _shrink(cmb, target, cfg, test, witness)
     return cmb
 
 
-def _iamb(names, target, cfg, test, recorder, interleave: bool) -> set[str]:
+def _iamb(names, target, cfg, test, witness, interleave: bool) -> set[str]:
     cmb = set(cfg.whitelist) | set(cfg.start)
     seen_states = {frozenset(cmb)}
     while True:
@@ -206,7 +199,7 @@ def _iamb(names, target, cfg, test, recorder, interleave: bool) -> set[str]:
                 continue
             out = test.test(target, v, cond)
             if out.independent:
-                recorder.note(v, cond)
+                witness[v] = cond
             key = out.ranking_key(v)
             if best_key is None or key < best_key:
                 best_key, best_v, best_out = key, v, out
@@ -214,16 +207,16 @@ def _iamb(names, target, cfg, test, recorder, interleave: bool) -> set[str]:
             break
         cmb.add(best_v)
         if interleave:
-            _shrink(cmb, target, cfg, test, recorder)
+            _shrink(cmb, target, cfg, test, witness)
         state = frozenset(cmb)
         if state in seen_states:
             break  # oscillation guard on inconsistent test answers
         seen_states.add(state)
-    _shrink(cmb, target, cfg, test, recorder)
+    _shrink(cmb, target, cfg, test, witness)
     return cmb
 
 
-def _shrink(cmb: set[str], target, cfg, test, recorder) -> None:
+def _shrink(cmb: set[str], target, cfg, test, witness) -> None:
     """Remove members independent of the target given the rest, to fixpoint."""
     changed = True
     while changed:
@@ -235,11 +228,11 @@ def _shrink(cmb: set[str], target, cfg, test, recorder) -> None:
             out = test.test(target, v, rest)
             if out.independent:
                 cmb.discard(v)
-                recorder.note(v, rest)
+                witness[v] = rest
                 changed = True
 
 
-def _mmpc(names, target, cfg, test, recorder) -> set[str]:
+def _mmpc(names, target, cfg, test, witness) -> set[str]:
     cpc = set(cfg.whitelist) | set(cfg.start)
     candidates = [v for v in names if v not in cpc]
     while candidates:
@@ -255,7 +248,7 @@ def _mmpc(names, target, cfg, test, recorder) -> set[str]:
                 if max_out is None or out.p_value > max_out.p_value:
                     max_out, max_subset = out, s
             if max_out.independent:
-                recorder.note(v, max_subset)
+                witness[v] = max_subset
             key = max_out.ranking_key(v)
             if best_key is None or key < best_key:
                 best_key, best_v, best_out = key, v, max_out
@@ -263,11 +256,11 @@ def _mmpc(names, target, cfg, test, recorder) -> set[str]:
             break
         cpc.add(best_v)
         candidates.remove(best_v)
-    _backward(cpc, target, cfg, test, recorder)
+    _backward(cpc, target, cfg, test, witness)
     return cpc
 
 
-def _si_hiton_pc(names, target, cfg, test, recorder) -> set[str]:
+def _si_hiton_pc(names, target, cfg, test, witness) -> set[str]:
     pc = set(cfg.whitelist) | set(cfg.start)
     ranked = []
     for v in names:
@@ -275,29 +268,33 @@ def _si_hiton_pc(names, target, cfg, test, recorder) -> set[str]:
             continue
         out = test.test(target, v, frozenset())
         if out.independent:
-            recorder.note(v, frozenset())
+            witness[v] = frozenset()
         ranked.append((out.ranking_key(v), v))
     ranked.sort()
     for _, v in ranked:
-        pc.add(v)
-        for s in subsets_in_order(pc - {v}, cfg.max_condition_size):
-            out = test.test(target, v, s)
-            if out.independent:
-                pc.discard(v)
-                recorder.note(v, s)
-                break
-    _backward(pc, target, cfg, test, recorder)
+        sep = first_separator(test, target, v, pc, cfg.max_condition_size)
+        if sep is None:
+            pc.add(v)
+        else:
+            witness[v] = sep
+    _backward(pc, target, cfg, test, witness)
     return pc
 
 
-def _backward(pc: set[str], target, cfg, test, recorder) -> None:
+def _backward(pc: set[str], target, cfg, test, witness) -> None:
     """One elimination pass: drop members some remaining subset separates."""
     for v in sorted(pc):
         if v in cfg.whitelist:
             continue
-        for s in subsets_in_order(pc - {v}, cfg.max_condition_size):
-            out = test.test(target, v, s)
-            if out.independent:
-                pc.discard(v)
-                recorder.note(v, s)
-                break
+        sep = first_separator(test, target, v, pc - {v}, cfg.max_condition_size)
+        if sep is not None:
+            pc.discard(v)
+            witness[v] = sep
+
+
+_MB_STEPS = {
+    "gs": _grow_shrink,
+    "iamb": partial(_iamb, interleave=False),
+    "inter-iamb": partial(_iamb, interleave=True),
+}
+_NBR_STEPS = {"mmpc": _mmpc, "si-hiton-pc": _si_hiton_pc}

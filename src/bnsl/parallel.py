@@ -2,7 +2,8 @@
 
 The learning pipeline is synchronised only at phase barriers; within a
 phase, tasks are pure functions of shared read-only inputs. A phase runs on
-``k`` lanes, one per worker, and every lane runs the same loop: take the
+``k`` lanes, one per worker but no more than it has items (and at least
+one), so no idle lane is forked. Every lane runs the same loop: take the
 next item index, run the task on a fresh engine, keep ``(index, result)``
 and add up the test counts. Only the source of indices differs. A static
 lane walks its contiguous span from :func:`partition`; a dynamic lane takes
@@ -15,8 +16,8 @@ versus dynamic scheduling; only the per-lane test-count split varies.
 Lanes run in fork()ed worker processes of a
 ``concurrent.futures.ProcessPoolExecutor``, sharing the parent's dataset
 copy-on-write: the data are never modified by the algorithms, so no
-locking or copying is needed. With one worker, at most one item, or no
-fork, the same lanes run inline in the parent.
+locking or copying is needed. With one lane or no fork, the same lanes
+run inline in the parent.
 
 Failures end the phase instead of hanging it. A task that raises becomes a
 :class:`PhaseTaskError` naming the phase and the task. A worker process
@@ -180,9 +181,10 @@ class ParallelExecutor:
         global _PHASE_CTX
         start = time.perf_counter()
         items = tuple(items)
-        ctx = _PhaseContext(phase, items, task_fn, engine_factory, partition(items, self.workers).assignment)
-        if self.workers == 1 or len(items) <= 1 or not _fork_available():
-            lanes = [_run_lane(lane, ctx) for lane in range(self.workers)]
+        k = max(1, min(self.workers, len(items)))
+        ctx = _PhaseContext(phase, items, task_fn, engine_factory, partition(items, k).assignment)
+        if k == 1 or not _fork_available():
+            lanes = [_run_lane(lane, ctx) for lane in range(k)]
         else:
             fork = multiprocessing.get_context("fork")
             if self.schedule == "dynamic":
@@ -192,8 +194,8 @@ class ParallelExecutor:
                 # A fork-context pool starts all its workers at the first
                 # submit, before its manager thread, so each child inherits
                 # _PHASE_CTX and no running thread.
-                with ProcessPoolExecutor(self.workers, mp_context=fork) as pool:
-                    futures = [pool.submit(_run_lane, lane) for lane in range(self.workers)]
+                with ProcessPoolExecutor(k, mp_context=fork) as pool:
+                    futures = [pool.submit(_run_lane, lane) for lane in range(k)]
                     lanes = [f.result() for f in futures]
             except BrokenProcessPool as exc:
                 raise PhaseTaskError(f"phase {phase!r}: a worker process died") from exc

@@ -9,19 +9,21 @@ directly. Either way, neighbour symmetry is enforced by intersection,
 unshielded colliders are oriented from the recorded separating sets, and
 the two orientation-propagation rules run to fixpoint.
 
-Per-node (and per-pair) work is embarrassingly parallel; the coordinator
-synchronises only at the symmetry barriers and for the final propagation.
-Separating sets merge in name order, so mode ``none`` does not depend on
-the column order.
+Each skeleton phase runs one node step, ``step(node, earlier, engine) ->
+(members, sepset fragment)``, for every node, and merges the fragments in
+name order. The backtracking mode only decides what ``earlier`` holds. In
+mode ``none`` it is empty: the steps are independent, run in parallel
+across nodes, and the result does not depend on the column order; the
+coordinator synchronises only at the symmetry barriers and for the final
+propagation.
 
-Backtracking modes trade tests for order dependence and therefore require a
-single worker; each backtracking phase runs through the executor as one
-task whose item is the column-ordered tuple of names. In ``start-set``
-mode, nodes are processed sequentially in dataset column order: once an
-earlier node decided that a later node is (or is not) in its blanket or
-neighbour set, the later node's learner is seeded with (or never
-considers) the earlier node. ``legacy`` mode instead forces the decision
-through hard whitelists and blacklists.
+Backtracking trades tests for order dependence and therefore requires a
+single worker: the phase runs through the executor as one task over the
+column-ordered names, and ``earlier`` maps each node already processed to
+the members it chose. A node that an earlier node chose is seeded into the
+learner (``start-set``) or forced in (``legacy``, through the whitelist);
+an earlier node that did not choose it is blacklisted. In pair separation,
+a pair whose other endpoint came earlier is not searched again.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from typing import NamedTuple
 
 from .citests import CiTest, make_engine
 from .data import Dataset
-from .graph import Dag, Pdag, Skeleton, VStructure, _pair, apply_meek_rules
-from .local import LocalLearnConfig, SepsetTable, learn_mb, learn_nbr, subsets_in_order
+from .graph import Dag, Pdag, Skeleton, VStructure, _pair, _reaches, apply_meek_rules
+from .local import MB_BACKENDS, LocalLearnConfig, SepsetTable, first_separator, learn_mb, learn_nbr
 from .parallel import ParallelExecutor
 
 ALGORITHMS = ("gs", "inter-iamb", "mmpc", "si-hiton-pc")
 BACKTRACKING_MODES = ("none", "start-set", "legacy")
-MB_ALGORITHMS = {"gs": "gs", "inter-iamb": "inter-iamb"}
 
 __all__ = [
     "ALGORITHMS",
@@ -80,7 +81,6 @@ class GlobalLearnConfig:
     def local(self, backend: str, start=frozenset(), whitelist=frozenset(), blacklist=frozenset()) -> LocalLearnConfig:
         return LocalLearnConfig(
             backend=backend,
-            alpha=self.alpha,
             start=frozenset(start),
             whitelist=frozenset(whitelist),
             blacklist=frozenset(blacklist),
@@ -105,44 +105,74 @@ def learn_skeleton(
     names = list(data.names)
     sepsets = SepsetTable()
 
-    if cfg.algorithm in MB_ALGORITHMS:
-        backend = MB_ALGORITHMS[cfg.algorithm]
-        candidates = _learn_node_sets(data, names, backend, cfg, executor, engine, learn_mb, "markov-blankets", sepsets)
-        blankets = _symmetrize(names, candidates)
-        nbr_candidates = _pairwise_within_blankets(data, names, blankets, cfg, executor, engine, sepsets)
-    else:
-        nbr_candidates = _learn_node_sets(data, names, cfg.algorithm, cfg, executor, engine, learn_nbr, "neighbours", sepsets)
+    learner = learn_mb if cfg.algorithm in MB_BACKENDS else learn_nbr
 
-    neighbours = _symmetrize(names, nbr_candidates)
+    def node_step(node, earlier, worker_engine):
+        return learner(data, node, _seeded(cfg, node, earlier), worker_engine)
+
+    def pair_step(node, earlier, worker_engine):
+        # A pair (node, j) with j earlier was decided while processing j,
+        # and j is a seed of node iff it kept the pair adjacent.
+        local = _seeded(cfg, node, earlier)
+        kept = set(local.start | local.whitelist)
+        found = SepsetTable()
+        for j in sorted(blankets[node]):
+            if j in earlier:
+                continue
+            pool = _pair_pool(blankets, node, j)
+            sep = first_separator(worker_engine, node, j, pool, cfg.max_condition_size)
+            if sep is None:
+                kept.add(j)
+            else:
+                found.record(node, j, sep)
+        return kept, found
+
+    if learner is learn_mb:
+        blankets = _node_phase("markov-blankets", names, node_step, cfg, executor, engine, sepsets)
+        neighbours = _node_phase("pair-separation", names, pair_step, cfg, executor, engine, sepsets)
+    else:
+        neighbours = _node_phase("neighbours", names, node_step, cfg, executor, engine, sepsets)
     edges = [(i, j) for i in names for j in sorted(neighbours[i]) if i < j]
     return Skeleton(names, edges), sepsets
 
 
-def _learn_node_sets(data, names, backend, cfg, executor, engine, learner, phase, sepsets):
-    """Phase 1 or 3: one candidate set per node, parallel or backtracking."""
+def _node_phase(phase, names, step, cfg, executor, engine, sepsets):
+    """Run ``step(node, earlier, engine) -> (members, fragment)`` for every
+    node, merge the fragments first-wins in name order and return the
+    symmetrised member sets.
+
+    Mode ``none`` maps the nodes in parallel with ``earlier = {}``.
+    Backtracking runs one task over the column-ordered names and folds each
+    node's members into ``earlier`` before the next node's step.
+    """
     if cfg.backtracking == "none":
         def task(node, worker_engine):
-            return learner(data, node, cfg.local(backend), worker_engine)
+            return step(node, {}, worker_engine)
 
         results = dict(zip(names, executor.run_phase(phase, names, task, engine.spawn).results))
     else:
         def task(order, worker_engine):
-            results = {}
-            for j, node in enumerate(order):
-                earlier = order[:j]
-                seeds = frozenset(i for i in earlier if node in results[i][0])
-                excluded = frozenset(i for i in earlier if node not in results[i][0])
-                if cfg.backtracking == "start-set":
-                    local = cfg.local(backend, start=seeds, blacklist=excluded)
-                else:
-                    local = cfg.local(backend, whitelist=seeds, blacklist=excluded)
-                results[node] = learner(data, node, local, worker_engine)
+            earlier, results = {}, {}
+            for node in order:
+                results[node] = step(node, earlier, worker_engine)
+                earlier[node] = results[node][0]
             return results
 
         results = executor.run_phase(phase, [tuple(names)], task, engine.spawn).results[0]
     for node in sorted(names):
         sepsets.merge_first_wins(results[node][1])
-    return {node: frozenset(results[node][0]) for node in names}
+    return _symmetrize(names, {node: results[node][0] for node in names})
+
+
+def _seeded(cfg, node, earlier) -> LocalLearnConfig:
+    """The local config of ``node`` given the earlier nodes' members: the
+    nodes that chose ``node`` are seeds (``start``, or ``whitelist`` in
+    legacy mode) and the rest are blacklisted."""
+    chose = frozenset(i for i, members in earlier.items() if node in members)
+    others = frozenset(earlier) - chose
+    if cfg.backtracking == "legacy":
+        return cfg.local(cfg.algorithm, whitelist=chose, blacklist=others)
+    return cfg.local(cfg.algorithm, start=chose, blacklist=others)
 
 
 def _symmetrize(names, candidate_sets):
@@ -164,63 +194,6 @@ def _pair_pool(blankets, i, j):
     if len(pool_i) != len(pool_j):
         return pool_i if len(pool_i) < len(pool_j) else pool_j
     return pool_i if i < j else pool_j
-
-
-def _pairwise_within_blankets(data, names, blankets, cfg, executor, engine, sepsets):
-    """Phase 3 for blanket-based algorithms: adjacency of in-blanket pairs.
-
-    A pair is adjacent when no subset of the pair's search pool separates
-    it. Both endpoints run the identical search, so the outcome is
-    symmetric by construction; backtracking skips the second evaluation.
-    """
-
-    def decide_pair(i, j, worker_engine):
-        for s in subsets_in_order(_pair_pool(blankets, i, j), cfg.max_condition_size):
-            out = worker_engine.test(i, j, s)
-            if out.independent:
-                return s
-        return False  # adjacent: no separating subset found
-
-    if cfg.backtracking == "none":
-        def task(node, worker_engine):
-            kept = set()
-            found = {}
-            for j in sorted(blankets[node]):
-                sep = decide_pair(node, j, worker_engine)
-                if sep is False:
-                    kept.add(j)
-                else:
-                    found[j] = sep
-            return kept, found
-
-        results = dict(zip(names, executor.run_phase("pair-separation", names, task, engine.spawn).results))
-    else:
-        def task(order, worker_engine):
-            # Pair reuse: the pair (i, j), i before j in column order, is
-            # decided once while processing i.
-            position = {n: pos for pos, n in enumerate(order)}
-            results = {n: (set(), {}) for n in order}
-            for node in order:
-                kept, found = results[node]
-                for j in sorted(blankets[node]):
-                    if position[j] < position[node]:
-                        if node in results[j][0]:
-                            kept.add(j)
-                        continue
-                    sep = decide_pair(node, j, worker_engine)
-                    if sep is False:
-                        kept.add(j)
-                    else:
-                        found[j] = sep
-            return results
-
-        results = executor.run_phase("pair-separation", [tuple(names)], task, engine.spawn).results[0]
-    for node in sorted(names):
-        kept, found = results[node]
-        for j, sep in sorted(found.items()):
-            if not sepsets.has(node, j):
-                sepsets.record(node, j, sep)
-    return {node: frozenset(results[node][0]) for node in names}
 
 
 class VStructureResult(NamedTuple):
@@ -267,19 +240,6 @@ def orient_v_structures(
 
     directed: set[tuple[str, str]] = set()
     out: dict[str, set[str]] = {n: set() for n in names}
-
-    def creates_cycle(p, c):
-        seen = set()
-        stack = list(out[c])
-        while stack:
-            v = stack.pop()
-            if v == p:
-                return True
-            if v not in seen:
-                seen.add(v)
-                stack.extend(out[v])
-        return False
-
     conflicts = 0
     accepted = []
     for a, k, b in triples:
@@ -290,7 +250,7 @@ def orient_v_structures(
         if any((c, p) in directed for p, c in wanted):
             conflicts += 1
             continue
-        if any((p, c) not in directed and creates_cycle(p, c) for p, c in wanted):
+        if any((p, c) not in directed and _reaches(out, c, p) for p, c in wanted):
             conflicts += 1
             continue
         for p, c in wanted:
@@ -308,10 +268,9 @@ def orient_v_structures(
 def _on_demand_sepset(skel, a, b, engine, cap):
     """Search N(a) \\ {b} then N(b) \\ {a} for a separating set."""
     for pool in (skel.neighbours(a) - {b}, skel.neighbours(b) - {a}):
-        for s in subsets_in_order(pool, cap):
-            out = engine.test(a, b, s)
-            if out.independent:
-                return s
+        sep = first_separator(engine, a, b, pool, cap)
+        if sep is not None:
+            return sep
     return None
 
 

@@ -21,6 +21,7 @@ from bnsl.local import (
     NBR_BACKENDS,
     LocalLearnConfig,
     SepsetTable,
+    first_separator,
     learn_mb,
     learn_nbr,
     subsets_in_order,
@@ -310,3 +311,34 @@ class TestSepsets:
         assert got == expected
         capped = list(subsets_in_order(["A", "B", "C"], cap=1))
         assert capped == expected[:4]
+
+
+class TestFirstSeparator:
+    # X -> M1 -> M2 -> Y: each of M1 and M2 alone separates X from Y; A is
+    # isolated and separates nothing.
+    CHAIN4 = Dag(["X", "M1", "M2", "Y", "A"], [("X", "M1"), ("M1", "M2"), ("M2", "Y")])
+
+    def test_first_by_size_then_name(self):
+        engine = OracleTest(self.CHAIN4)
+        # Tried: {}, {A}, {M1}; {A, M1} would come first in plain
+        # lexicographic order, and {M2} after {M1} by name.
+        assert first_separator(engine, "X", "Y", ["M2", "M1", "A"]) == frozenset({"M1"})
+        assert engine.counter.count == 3
+
+    def test_none_when_nothing_separates(self):
+        engine = OracleTest(COLLIDER)
+        assert first_separator(engine, "A", "C", ["B"]) is None
+        assert engine.counter.count == 2
+
+    def test_empty_set_first(self):
+        engine = OracleTest(COLLIDER)
+        assert first_separator(engine, "A", "B", ["C"]) == frozenset()
+        assert engine.counter.count == 1
+
+    def test_cap_zero_tries_only_the_empty_set(self):
+        engine = OracleTest(self.CHAIN4)
+        assert first_separator(engine, "X", "Y", ["M1", "M2"], cap=0) is None
+        assert engine.counter.count == 1
+        engine = OracleTest(self.CHAIN4)
+        assert first_separator(engine, "X", "Y", ["M1", "M2", "A"], cap=1) == frozenset({"M1"})
+        assert engine.counter.count == 3

@@ -121,6 +121,12 @@ class TestRunPhase:
         assert out.results == [1, 4]
         assert sum(r.test_count for r in out.reports) == 2
 
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_no_idle_lanes(self, schedule):
+        out = ParallelExecutor(6, schedule).run_phase("demo", [1, 2], _square_task, _engine_factory)
+        assert out.results == [1, 4]
+        assert len(out.reports) == 2
+
     def test_empty_items(self):
         ex = ParallelExecutor(4)
         out = ex.run_phase("demo", [], _square_task, _engine_factory)

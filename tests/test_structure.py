@@ -273,6 +273,21 @@ class TestBacktrackingModes:
         )
         assert ex_back.total_tests() <= ex_none.total_tests()
 
+    @pytest.mark.parametrize("algorithm", ["gs", "inter-iamb"])
+    def test_backtracking_decides_each_pair_once(self, algorithm):
+        # Mode none searches every in-blanket pair from both endpoints; the
+        # backtracking modes skip the endpoint that comes second.
+        for seed in range(8):
+            dag = random_dag(9, 900 + seed, edge_prob=0.3, max_in_degree=3)
+            data = oracle_setup(dag)
+            counts = {}
+            for mode in ("none", "start-set", "legacy"):
+                ex = ParallelExecutor(1)
+                cfg = GlobalLearnConfig(algorithm=algorithm, test="oracle", backtracking=mode)
+                learn_skeleton(data, cfg, ex, truth=dag)
+                [counts[mode]] = [t.test_count for t in ex.telemetry if t.phase == "pair-separation"]
+            assert counts["none"] == 2 * counts["start-set"] == 2 * counts["legacy"] > 0, (seed, counts)
+
     def test_start_set_phases_run_through_the_executor(self):
         bn = random_discrete_network(14, seed=21, edge_prob=0.2, max_in_degree=2)
         data = sample(bn, 600, 3)
