@@ -17,6 +17,16 @@ requested (memo hits included; this is the learner's cost in tests, and
 the logical count merged at the phase barriers), and ``executed``, the
 kernel evaluations. Both are invariant in the worker count and schedule.
 
+:meth:`CiEngine.test_many` answers one target against many candidates
+given one conditioning set, and counts exactly as the same ``test`` calls
+would. By default it loops the single-test kernel. The ``mi`` engine codes
+the strata and the (stratum, target) cells once per call and counts a
+chunk of candidates with one ``bincount``; each outcome is bit-identical
+to :func:`mi_test`'s, and ``BATCH_CELLS`` bounds a chunk's memory. The
+``cor`` engine reads z = {} batches from its marginal table. The learners
+batch the scans whose tests share a target and z and are all requested:
+IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's z = {} ranking.
+
 Degenerate cases are resolved conservatively: a test with zero degrees of
 freedom (or a t test with a non-positive sample-size margin) returns
 independence with p = 1, since a vacuous test carries no evidence of
@@ -38,6 +48,9 @@ from .data import correlation_matrix  # noqa: F401 - re-exported for callers of 
 from .graph import Dag, d_separated
 
 RIDGE = 1e-12
+# Cap on one batched G^2 chunk: candidates x max(n, cells per candidate).
+# It bounds the chunk's arrays (512 KB per int64 array) for any candidate count.
+BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,10 +114,9 @@ def _resolve(data: Dataset, x: str, y: str, z, alpha: float) -> tuple[list[int],
 def _g2(columns: np.ndarray, cards, idx: list[int], a: int, b: int, alpha: float) -> TestOutcome:
     """G^2 kernel over contiguous code columns; arguments from :func:`_resolve`.
 
-    Strata are coded in name order of z, and whenever their running count
-    exceeds n they are re-coded to the combinations actually observed, in
-    the same order; so memory stays O(n |x| |y|), the codes cannot
-    overflow, and the nonzero cells are summed in the same order either way.
+    Strata come from :func:`_strata`, so memory stays O(n |x| |y|) and the
+    nonzero cells are summed in the same order whether or not they were
+    re-coded.
     """
     ix, iy = idx[a], idx[b]
     izs = idx[:a] + idx[a + 1:b] + idx[b + 1:]
@@ -115,13 +127,7 @@ def _g2(columns: np.ndarray, cards, idx: list[int], a: int, b: int, alpha: float
     if dof <= 0:
         return TestOutcome(0.0, 0, 1.0, independent=True, degenerate=True)
 
-    n = columns.shape[1]
-    strata, k = None, 1
-    for j in izs:
-        strata = columns[j] if strata is None else strata * cards[j] + columns[j]
-        k *= cards[j]
-        if k > n:
-            strata, k = _observed(strata, k)
+    strata, k = _strata(columns, cards, izs)
     flat = columns[ix] * cy if strata is None else (strata * cx + columns[ix]) * cy
     flat += columns[iy]
     cube = np.bincount(flat, minlength=k * cx * cy).reshape(k, cx, cy)
@@ -137,12 +143,97 @@ def _g2(columns: np.ndarray, cards, idx: list[int], a: int, b: int, alpha: float
     return TestOutcome(statistic, dof, p_value, independent=p_value > alpha)
 
 
+def _strata(columns: np.ndarray, cards, izs: list[int]) -> tuple[np.ndarray | None, int]:
+    """Stratum codes of the z columns ``izs`` (in name order) and their
+    count ``k``; ``None`` and 1 for an empty z.
+
+    Whenever the running count exceeds n the codes are re-coded to the
+    combinations actually observed, in the same order, so ``k`` never
+    exceeds n once it has and the codes cannot overflow.
+    """
+    n = columns.shape[1]
+    strata, k = None, 1
+    for j in izs:
+        strata = columns[j] if strata is None else strata * cards[j] + columns[j]
+        k *= cards[j]
+        if k > n:
+            strata, k = _observed(strata, k)
+    return strata, k
+
+
 def _observed(codes: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """Re-code ``codes`` in [0, k) to ranks among the values present."""
     seen = np.zeros(k, dtype=bool)
     seen[codes] = True
     rank = np.cumsum(seen) - 1
     return rank[codes], int(rank[-1]) + 1
+
+
+def _g2_many(columns: np.ndarray, cards, it: int, izs: list[int], cands, alpha: float) -> list[TestOutcome]:
+    """:func:`_g2` of column ``it`` against each candidate given the z
+    columns ``izs`` (name order); ``cands`` holds ``(column, before)``
+    pairs, ``before`` when the candidate's name sorts before the target's.
+
+    The strata and the (stratum, target) codes are built once, and each
+    chunk of candidates is counted by one ``bincount`` into square cubes
+    padded to the widest variable. A cube's two inner axes are (candidate,
+    target) for a candidate named before the target and (target, candidate)
+    otherwise, as :func:`_g2` lays them out. Padded cells stay empty, so
+    every candidate's margins and nonzero cells, in order, are
+    :func:`_g2`'s, and its terms are summed on their own: each outcome is
+    bit-identical.
+    """
+    ct = cards[it]
+    zdof = math.prod(cards[j] for j in izs)
+    outcomes: list[TestOutcome | None] = [None] * len(cands)
+    live = []
+    for pos, (ic, before) in enumerate(cands):
+        dof = (ct - 1) * (cards[ic] - 1) * zdof
+        if dof <= 0:
+            outcomes[pos] = TestOutcome(0.0, 0, 1.0, independent=True, degenerate=True)
+        else:
+            live.append((not before, pos, ic, dof))
+    if not live:
+        return outcomes
+    live.sort()  # candidates named before the target first
+
+    n = columns.shape[1]
+    strata, k = _strata(columns, cards, izs)
+    m = max(ct, *(cards[ic] for _, _, ic, _ in live))
+    cells = k * m * m
+    # A candidate's cell is code * m + head before the target, code + tail after.
+    head = columns[it] if strata is None else strata * (m * m) + columns[it]
+    tail = (columns[it] if strata is None else strata * m + columns[it]) * m
+    step = max(1, BATCH_CELLS // max(n, cells))
+    for lo in range(0, len(live), step):
+        chunk = live[lo:lo + step]
+        split = sum(not after for after, *_ in chunk)
+        flat = columns[[ic for _, _, ic, _ in chunk]]
+        flat[:split] *= m
+        flat[:split] += head
+        flat[split:] += tail
+        flat += np.arange(0, len(chunk) * cells, cells)[:, None]
+        cube = np.bincount(flat.ravel(), minlength=len(chunk) * cells).reshape(len(chunk), k, m, m)
+        del flat
+        stats = _g2_statistics(cube)
+        dofs = [dof for *_, dof in chunk]
+        for (_, pos, _, dof), statistic, p_value in zip(chunk, stats, special.chdtrc(dofs, stats).tolist()):
+            outcomes[pos] = TestOutcome(statistic, dof, p_value, independent=p_value > alpha)
+    return outcomes
+
+
+def _g2_statistics(cube: np.ndarray) -> list[float]:
+    """The G^2 statistic of each cube ``cube[c]``, with :func:`_g2`'s
+    elementwise terms in :func:`_g2`'s order, each cube's summed alone."""
+    rows = sum(cube[..., j:j + 1] for j in range(cube.shape[3]))
+    cols = sum(cube[:, :, i:i + 1] for i in range(cube.shape[2]))
+    totals = sum(rows[:, :, i:i + 1] for i in range(cube.shape[2]))
+    seen = cube > 0
+    counts = cube[seen]
+    terms = counts * np.log((cube * totals)[seen] / (rows * cols)[seen])
+    ends = np.cumsum(np.count_nonzero(seen.reshape(len(cube), -1), axis=1)).tolist()
+    add = np.add.reduce
+    return [max(2.0 * float(add(terms[lo:hi])), 0.0) for lo, hi in zip([0, *ends], ends)]
 
 
 def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, alpha: float) -> TestOutcome:
@@ -254,7 +345,9 @@ class CiEngine:
 
     Subclasses implement ``_kernel(x, y, z)``, which checks its arguments
     and computes the outcome; invalid arguments raise on every call,
-    because only outcomes enter the memo.
+    because only outcomes enter the memo. A subclass may also override
+    ``_kernel_many(target, candidates, z)``, which computes the outcomes
+    :meth:`test_many` does not find in the memo, under the same checks.
     """
 
     name = ""
@@ -273,8 +366,27 @@ class CiEngine:
         self.counter.count += 1
         return outcome
 
+    def test_many(self, target: str, candidates: list[str], z) -> list[TestOutcome]:
+        """``test(target, v, z)`` for each ``v`` in ``candidates``, in order.
+
+        Counts as ``len(candidates)`` calls of :meth:`test`: duplicates and
+        memo hits are requested, and each distinct pair not in the memo is
+        executed once. Invalid arguments raise before anything is counted.
+        """
+        z = frozenset(z)
+        keys = [(target, v, z) if target < v else (v, target, z) for v in candidates]
+        fresh = {key: v for v, key in zip(candidates, keys) if key not in self._memo}
+        if fresh:
+            self._memo.update(zip(fresh, self._kernel_many(target, list(fresh.values()), z)))
+            self.counter.executed += len(fresh)
+        self.counter.count += len(candidates)
+        return [self._memo[key] for key in keys]
+
     def _kernel(self, x: str, y: str, z: frozenset) -> TestOutcome:
         raise NotImplementedError
+
+    def _kernel_many(self, target: str, candidates: list[str], z: frozenset) -> list[TestOutcome]:
+        return [self._kernel(*sorted((target, v)), z) for v in candidates]
 
     def spawn(self):
         """Engine over the same data and precomputed tables, with a zeroed
@@ -299,6 +411,14 @@ class MutualInfoTest(CiEngine):
 
     def _kernel(self, x, y, z):
         return mi_test(self.data, x, y, z, self.alpha)
+
+    def _kernel_many(self, target, candidates, z):
+        data = self.data
+        for v in candidates:
+            _resolve(data, target, v, z, self.alpha)
+        izs = [data.column_index(v) for v in sorted(z)]
+        cands = [(data.column_index(v), v < target) for v in candidates]
+        return _g2_many(data.code_columns, data.cardinalities, data.column_index(target), izs, cands, self.alpha)
 
 
 class PartialCorrelationTest(CiEngine):
@@ -327,6 +447,15 @@ class PartialCorrelationTest(CiEngine):
             p_value = self._p0.item(*idx)
             return TestOutcome(self._t0.item(*idx), self._dof0, p_value, independent=p_value > self.alpha)
         return _partial_t(self.corr, self.data.n, idx, a, b, self.alpha)
+
+    def _kernel_many(self, target, candidates, z):
+        if z or self._dof0 <= 0:
+            return super()._kernel_many(target, candidates, z)
+        for v in candidates:
+            _resolve(self.data, target, v, z, self.alpha)
+        row, cols = self.data.column_index(target), list(map(self.data.column_index, candidates))
+        t, p = self._t0[row, cols].tolist(), self._p0[row, cols].tolist()
+        return [TestOutcome(ti, self._dof0, pi, independent=pi > self.alpha) for ti, pi in zip(t, p)]
 
 
 class OracleTest(CiEngine):

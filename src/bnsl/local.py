@@ -14,6 +14,14 @@ steps and the pipeline's pair-separation and v-structure phases all use it.
 Whitelisted nodes are forced members and never tested for removal;
 blacklisted nodes are never tested at all; start nodes seed the candidate
 set but remain removable.
+
+A scan that tests every remaining candidate against the target given one
+conditioning set asks the engine for the whole batch (``test_many``):
+IAMB's grow scan, MMPC's scan of each subset, SI-HITON-PC's z = {}
+ranking. Engines that only implement ``test`` get one call per candidate.
+GS's grow scan, :func:`_shrink` and :func:`first_separator` stay one test
+at a time: each outcome changes the next conditioning set or ends the
+search, so batching them would run tests the learner never requests.
 """
 
 from __future__ import annotations
@@ -110,6 +118,16 @@ def first_separator(
     return None
 
 
+def _test_all(test: CiTest, target: str, candidates: list[str], z: frozenset[str]) -> list:
+    """``test.test(target, v, z)`` for each candidate ``v``: one batched
+    ``test_many`` call on engines that have it, one ``test`` call each on
+    engines (proxies, fakes) that only implement ``test``."""
+    many = getattr(test, "test_many", None)
+    if many is not None:
+        return many(target, candidates, z)
+    return [test.test(target, v, z) for v in candidates]
+
+
 def learn_mb(
     data, target: str, cfg: LocalLearnConfig, test: CiTest
 ) -> tuple[frozenset[str], SepsetTable]:
@@ -194,10 +212,8 @@ def _iamb(names, target, cfg, test, witness, interleave: bool) -> set[str]:
         best_v = None
         best_out = None
         cond = frozenset(cmb)
-        for v in names:
-            if v in cmb:
-                continue
-            out = test.test(target, v, cond)
+        candidates = [v for v in names if v not in cmb]
+        for v, out in zip(candidates, _test_all(test, target, candidates, cond)):
             if out.independent:
                 witness[v] = cond
             key = out.ranking_key(v)
@@ -236,22 +252,23 @@ def _mmpc(names, target, cfg, test, witness) -> set[str]:
     cpc = set(cfg.whitelist) | set(cfg.start)
     candidates = [v for v in names if v not in cpc]
     while candidates:
+        # Minimum association over separating subsets = maximum p-value; the
+        # first subset in order wins ties.
+        max_out: dict[str, tuple] = {}
+        for s in subsets_in_order(cpc, cfg.max_condition_size):
+            for v, out in zip(candidates, _test_all(test, target, candidates, s)):
+                if v not in max_out or out.p_value > max_out[v][0].p_value:
+                    max_out[v] = out, s
         best_key = None
         best_v = None
         best_out = None
         for v in candidates:
-            # Minimum association over separating subsets = maximum p-value.
-            max_out = None
-            max_subset = None
-            for s in subsets_in_order(cpc, cfg.max_condition_size):
-                out = test.test(target, v, s)
-                if max_out is None or out.p_value > max_out.p_value:
-                    max_out, max_subset = out, s
-            if max_out.independent:
-                witness[v] = max_subset
-            key = max_out.ranking_key(v)
+            out, subset = max_out[v]
+            if out.independent:
+                witness[v] = subset
+            key = out.ranking_key(v)
             if best_key is None or key < best_key:
-                best_key, best_v, best_out = key, v, max_out
+                best_key, best_v, best_out = key, v, out
         if best_out.independent:
             break
         cpc.add(best_v)
@@ -263,10 +280,8 @@ def _mmpc(names, target, cfg, test, witness) -> set[str]:
 def _si_hiton_pc(names, target, cfg, test, witness) -> set[str]:
     pc = set(cfg.whitelist) | set(cfg.start)
     ranked = []
-    for v in names:
-        if v in pc:
-            continue
-        out = test.test(target, v, frozenset())
+    candidates = [v for v in names if v not in pc]
+    for v, out in zip(candidates, _test_all(test, target, candidates, frozenset())):
         if out.independent:
             witness[v] = frozenset()
         ranked.append((out.ranking_key(v), v))

@@ -78,9 +78,12 @@ class GlobalLearnConfig:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
 
-    def local(self, backend: str, start=frozenset(), whitelist=frozenset(), blacklist=frozenset()) -> LocalLearnConfig:
+    def local(
+        self, backend: str | None = None, start=frozenset(), whitelist=frozenset(), blacklist=frozenset()
+    ) -> LocalLearnConfig:
+        """The per-node config; ``backend`` defaults to the algorithm."""
         return LocalLearnConfig(
-            backend=backend,
+            backend=self.algorithm if backend is None else backend,
             start=frozenset(start),
             whitelist=frozenset(whitelist),
             blacklist=frozenset(blacklist),
@@ -171,8 +174,8 @@ def _seeded(cfg, node, earlier) -> LocalLearnConfig:
     chose = frozenset(i for i, members in earlier.items() if node in members)
     others = frozenset(earlier) - chose
     if cfg.backtracking == "legacy":
-        return cfg.local(cfg.algorithm, whitelist=chose, blacklist=others)
-    return cfg.local(cfg.algorithm, start=chose, blacklist=others)
+        return cfg.local(whitelist=chose, blacklist=others)
+    return cfg.local(start=chose, blacklist=others)
 
 
 def _symmetrize(names, candidate_sets):

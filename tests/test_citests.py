@@ -513,3 +513,104 @@ class TestNullCalibration:
                 rejections += 1
         rate = rejections / reps
         assert 0.003 <= rate <= 0.03, rate
+
+
+def mixed_discrete(seed, n=60, m=14):
+    """Discrete data under shuffled names with 1-, 2- and 3-level columns;
+    column 1 copies column 2 on most rows so some tests reject."""
+    rng = np.random.default_rng(seed)
+    cards = [1, 2, 3] + [int(c) for c in rng.integers(2, 4, m - 3)]
+    codes = np.column_stack([rng.integers(0, c, n) for c in cards])
+    codes[:, 1] = np.where(rng.random(n) < 0.7, codes[:, 2] % 2, codes[:, 1])
+    names = [f"D{j:02d}" for j in rng.permutation(m)]
+    return DiscreteDataset([(nm, [str(v) for v in range(c)]) for nm, c in zip(names, cards)], codes)
+
+
+class TestManyCandidates:
+    @pytest.mark.parametrize("cap", [citests.BATCH_CELLS, 300])
+    def test_mi_outcomes_equal_mi_test_field_for_field(self, monkeypatch, cap):
+        # cap = 300 cuts every side into chunks of one to five candidates.
+        monkeypatch.setattr(citests, "BATCH_CELLS", cap)
+        data = mixed_discrete(51)
+        names = sorted(data.names)
+        ternary = sorted(v for v in names if len(data.levels(v)) == 3)
+        target = names[len(names) // 2]
+        for size in range(6):
+            # Five ternary z variables give 243 > n = 60 strata: a re-code.
+            z = frozenset([v for v in ternary if v != target][:size])
+            candidates = [v for v in names if v != target and v not in z]
+            assert min(candidates) < target < max(candidates)
+            engine = MutualInfoTest(data, 0.05)
+            for v, out in zip(candidates, engine.test_many(target, candidates, z)):
+                assert bits(out) == bits(mi_test(data, target, v, z, 0.05)), (target, v, sorted(z))
+            assert (engine.counter.count, engine.counter.executed) == (len(candidates), len(candidates))
+        degenerate = data.names[0]
+        out = MutualInfoTest(data, 0.05).test_many(target, [degenerate], ())[0]
+        assert out.degenerate and bits(out) == bits(mi_test(data, target, degenerate, (), 0.05))
+
+    def test_duplicates_and_memo_hits_count_as_repeated_tests(self):
+        data = mixed_discrete(52)
+        names = sorted(data.names)
+        target, a, b, c = names[5], names[2], names[9], names[12]
+        z = (names[0],)
+        engine = MutualInfoTest(data, 0.05)
+        first = engine.test(b, target, z)
+        outs = engine.test_many(target, [a, b, a, c, b], z)
+        assert outs[1] is first and outs[0] is outs[2] and outs[4] is first
+        assert (engine.counter.count, engine.counter.executed) == (6, 3)
+        assert engine.test(target, c, z) is outs[3]
+        assert engine.test_many(target, [], z) == []
+        assert (engine.counter.count, engine.counter.executed) == (7, 3)
+
+    def test_cor_table_path_and_fallback_equal_cor_test(self):
+        data = asymmetric_continuous(53)
+        names = sorted(data.names)
+        target = names[11]
+        for z in [(), (names[3],), (names[3], names[20])]:
+            candidates = [v for v in names if v != target and v not in z]
+            engine = PartialCorrelationTest(data, 0.01)
+            for v, out in zip(candidates, engine.test_many(target, candidates, z)):
+                assert bits(out) == bits(cor_test(data, target, v, z, 0.01)), (target, v, z)
+            assert engine.counter.executed == len(candidates)
+        collinear = PartialCorrelationTest(data, 0.01).test_many(data.names[4], [data.names[5]], ())[0]
+        assert math.isinf(collinear.statistic)
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        discrete = dataset_from_table([[5, 1], [2, 7]])
+        continuous = ContinuousDataset(["X", "Y"], np.random.default_rng(0).standard_normal((20, 2)))
+        engines = [
+            MutualInfoTest(discrete, 0.01),
+            PartialCorrelationTest(continuous, 0.01),
+            OracleTest(Dag(["X", "Y"], [("X", "Y")])),
+        ]
+        bad = [("X", ["X"], ()), ("X", ["Q"], ()), ("Q", ["Y"], ()), ("X", ["Y"], ("Y",)),
+               ("X", ["Y"], ("X",)), ("X", ["Y"], ("Q",)), ("X", ["Y", "X"], ())]
+        for engine in engines:
+            engine.test_many("X", ["Y"], ())
+            for _ in range(2):
+                for target, candidates, z in bad:
+                    with pytest.raises(ValueError):
+                        engine.test_many(target, candidates, z)
+            assert (engine.counter.count, engine.counter.executed) == (1, 1)
+        for engine in (MutualInfoTest(discrete, 1.5), PartialCorrelationTest(continuous, 0.0)):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    engine.test_many("X", ["Y"], ())
+
+    def test_memory_is_bounded_whatever_the_candidate_count(self):
+        # One chunk of 100 candidates at n = 20,000 would need 16 MB per
+        # int64 array (a 60 MB peak); BATCH_CELLS caps the chunk instead.
+        rng = np.random.default_rng(54)
+        n, m = 20_000, 107
+        names = [f"V{j:03d}" for j in range(m)]
+        data = DiscreteDataset([(nm, ["0", "1", "2"]) for nm in names], rng.integers(0, 3, (n, m)))
+        data.code_columns
+        engine = MutualInfoTest(data, 0.01)
+        tracemalloc.start()
+        try:
+            outs = engine.test_many(names[0], names[7:], names[1:7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(outs) == 100 and all(out.dof == 4 * 3**6 for out in outs)
+        assert peak < 4 * 2**20, peak

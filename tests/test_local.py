@@ -120,6 +120,15 @@ class TestLearnNbr:
         members, _ = learn_nbr(data, "C", cfg, engine)
         assert members == {"A", "B"}
 
+    def test_mmpc_keeps_the_first_subset_among_equal_p_values(self):
+        # D is independent of A given both {} and {B}, at p = 1 each time;
+        # the first subset in order is the one recorded.
+        dag = Dag(["A", "B", "D"], [("A", "B")])
+        cfg = LocalLearnConfig("mmpc", start=frozenset({"B"}))
+        members, seps = learn_nbr(oracle_data(dag), "A", cfg, OracleTest(dag))
+        assert members == {"B"}
+        assert seps.get("A", "D") == frozenset()
+
     @pytest.mark.parametrize("backend", NBR_BACKENDS)
     def test_superset_per_node_exact_after_symmetry(self, backend):
         for seed in range(25):

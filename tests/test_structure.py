@@ -2,7 +2,7 @@
 
 import pytest
 
-from bnsl.citests import MutualInfoTest, OracleTest, make_engine
+from bnsl.citests import CiEngine, MutualInfoTest, OracleTest, make_engine
 from bnsl.data import reverse_columns
 from bnsl.graph import (
     Dag,
@@ -324,6 +324,65 @@ class TestBacktrackingModes:
             skel, _ = learn_skeleton(data, cfg)
             rskel, _ = learn_skeleton(reverse_columns(data), cfg)
             assert hamming_skeleton(skel, rskel) == 0
+
+
+class OnlyTestEngine:
+    """Engine proxy exposing only ``test``, ``spawn`` and ``counter``, as a
+    tracing proxy does, so the learners test one candidate per call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def counter(self):
+        return self.inner.counter
+
+    def test(self, x, y, z):
+        return self.inner.test(x, y, z)
+
+    def spawn(self):
+        return OnlyTestEngine(self.inner.spawn())
+
+
+class ProxyExecutor(ParallelExecutor):
+    def run_phase(self, phase, items, task_fn, engine_factory):
+        return super().run_phase(phase, items, task_fn, lambda: OnlyTestEngine(engine_factory()))
+
+
+class TestBatchedScans:
+    @pytest.mark.parametrize("backtracking", ["none", "start-set"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_engine_without_test_many_gives_the_same_run(self, monkeypatch, algorithm, backtracking):
+        batches = []
+        test_many = CiEngine.test_many
+
+        def spy(self, target, candidates, z):
+            batches.append(len(candidates))
+            return test_many(self, target, candidates, z)
+
+        monkeypatch.setattr(CiEngine, "test_many", spy)
+        dag = random_dag(9, 950, edge_prob=0.3, max_in_degree=3)
+        cases = [
+            (sample(random_discrete_network(12, seed=34, edge_prob=0.2, max_in_degree=2), 600, 6), "mi", None),
+            (oracle_setup(dag), "oracle", dag),
+        ]
+        for data, test, truth in cases:
+            cfg = GlobalLearnConfig(algorithm=algorithm, test=test, backtracking=backtracking)
+            runs = []
+            for ex in (ParallelExecutor(1), ProxyExecutor(1)):
+                batches.clear()
+                pdag = learn_cpdag(data, cfg, ex, truth=truth)
+                runs.append((pdag, ex.total_tests(), ex.total_executed(), len(batches)))
+            plain, proxied = runs
+            assert plain[:3] == proxied[:3], test
+            # GS scans one candidate at a time: its grow step changes z.
+            assert proxied[3] == 0 and (plain[3] > 0) == (algorithm != "gs"), test
+
+    def test_local_config_backend_defaults_to_the_algorithm(self):
+        cfg = GlobalLearnConfig(algorithm="mmpc", max_condition_size=2)
+        assert cfg.local(start={"A"}) == cfg.local("mmpc", start={"A"})
+        assert cfg.local().backend == "mmpc" and cfg.local("gs").backend == "gs"
+        assert cfg.local().max_condition_size == 2
 
 
 class TestMeekOnLearnedGraphs:
