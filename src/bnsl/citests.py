@@ -3,10 +3,20 @@
 Three statistics share one engine: the discrete mutual-information test
 (G^2, asymptotically chi-squared), the exact Student's t test for partial
 correlation, and a d-separation oracle for validating learners on known
-graphs. :class:`CiEngine` holds what they share - the argument checks, the
-memo, the counter and ``spawn`` - and each subclass only binds a kernel.
-The standalone :func:`mi_test` and :func:`cor_test` check their arguments
-and call the same index-based kernels.
+graphs. :class:`CiEngine` holds what they share - the memo, the counter
+and ``spawn`` - and each subclass only binds a kernel. The standalone
+:func:`mi_test` and :func:`cor_test` call the same kernels.
+
+Callers name variables; the kernels take column ids. Names are checked and
+translated at one boundary, on every call: :func:`_resolve` for one test
+(``mi_test``, ``cor_test`` and each engine's ``test``) and
+:func:`_resolve_many` for a batch (``test_many``), which checks the
+target, z and alpha once and each candidate with one lookup. The
+translation reads the dataset's name-rank table (see :mod:`bnsl.data`): one
+dict lookup per name gives its rank, the ranks are sorted as integers, and
+each rank maps to its column. Rank order is name order, so the kernels
+receive the columns of {x, y} union z in name order, exactly as a sort of
+the names would give them, and every statistic is unchanged.
 
 Each engine keeps a memo of the outcomes it computed, keyed on the
 unordered pair and the conditioning set. Every kernel is symmetric in
@@ -16,6 +26,8 @@ for one task only. Its counter records two numbers: ``count``, the tests
 requested (memo hits included; this is the learner's cost in tests, and
 the logical count merged at the phase barriers), and ``executed``, the
 kernel evaluations. Both are invariant in the worker count and schedule.
+An outcome is a slotted, mutable dataclass: building one is on every
+test's path, and nothing mutates or hashes it.
 
 :meth:`CiEngine.test_many` answers one target against many candidates
 given one conditioning set, and counts exactly as the same ``test`` calls
@@ -23,9 +35,10 @@ would. By default it loops the single-test kernel. The ``mi`` engine codes
 the strata and the (stratum, target) cells once per call and counts a
 chunk of candidates with one ``bincount``; each outcome is bit-identical
 to :func:`mi_test`'s, and ``BATCH_CELLS`` bounds a chunk's memory. The
-``cor`` engine reads z = {} batches from its marginal table. The learners
-batch the scans whose tests share a target and z and are all requested:
-IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's z = {} ranking.
+``cor`` engine reads z = {} tests from the dataset's marginal t/p table.
+The learners batch the scans whose tests share a target and z and are all
+requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
+z = {} ranking.
 
 Degenerate cases are resolved conservatively: a test with zero degrees of
 freedom (or a t test with a non-positive sample-size margin) returns
@@ -53,7 +66,7 @@ RIDGE = 1e-12
 BATCH_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TestOutcome:
     """Result of one conditional independence test."""
 
@@ -94,20 +107,61 @@ class TestCounter:
 def _resolve(data: Dataset, x: str, y: str, z, alpha: float) -> tuple[list[int], int, int]:
     """Check a test's arguments and put them in canonical order.
 
-    Returns the column indices of {x, y} union z sorted by variable name,
-    then the positions of the name-smaller and the name-larger of x and y
-    in that list. Name order makes every statistic bit-identical under
-    (x, y) swaps and column permutations of the dataset.
+    Returns the column ids of {x, y} union z in name order, then the
+    positions of the name-smaller and the name-larger of x and y in that
+    list. Name order makes every statistic bit-identical under (x, y)
+    swaps and column permutations of the dataset.
     """
-    names = sorted((x, y, *z))
-    idx = list(map(data.column_index, names))
-    if x == y:
+    rank, columns = data.name_ranks
+    try:
+        rx, ry = rank[x], rank[y]
+        ranks = [rank[v] for v in z] if z else []
+    except KeyError as err:
+        raise ValueError(f"unknown variable: {err.args[0]!r}") from None
+    if rx == ry:
         raise ValueError("x and y must differ")
     if x in z or y in z:
         raise ValueError("x and y must not appear in the conditioning set")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    a, b = names.index(x), names.index(y)
+    ranks += rx, ry
+    return _order(columns, ranks, rx, ry)
+
+
+def _resolve_many(data: Dataset, target: str, candidates, z, alpha: float) -> tuple[int, list[int], list[int]]:
+    """Check a batch's arguments as :func:`_resolve` checks each of its
+    tests: the target, z and alpha once, then each candidate with one
+    lookup. Returns the ranks of the target, of z (sorted) and of each
+    candidate."""
+    rank = data.name_ranks[0]
+    try:
+        rt = rank[target]
+        rz = sorted(rank[v] for v in z)
+    except KeyError as err:
+        raise ValueError(f"unknown variable: {err.args[0]!r}") from None
+    if target in z:
+        raise ValueError("x and y must not appear in the conditioning set")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    rcs = []
+    for v in candidates:
+        r = rank.get(v)
+        if r is None:
+            raise ValueError(f"unknown variable: {v!r}")
+        if r == rt:
+            raise ValueError("x and y must differ")
+        if v in z:
+            raise ValueError("x and y must not appear in the conditioning set")
+        rcs.append(r)
+    return rt, rz, rcs
+
+
+def _order(columns, ranks: list[int], rx: int, ry: int) -> tuple[list[int], int, int]:
+    """:func:`_resolve`'s result from the ranks of {x, y} union z, which it
+    sorts in place, and those of x and y."""
+    ranks.sort()
+    a, b = ranks.index(rx), ranks.index(ry)
+    idx = [columns[r] for r in ranks]
     return (idx, a, b) if a < b else (idx, b, a)
 
 
@@ -291,26 +345,6 @@ def _t_outcome(r: float, dof: int, alpha: float, ridged: bool = False) -> TestOu
     return TestOutcome(t, dof, p_value, independent=p_value > alpha, ridged=ridged)
 
 
-def _marginal_table(names, corr: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
-    """``t`` and ``p`` of every z = {} test, as :func:`_t_outcome` computes
-    them, in symmetric matrices indexed by column.
-
-    ``np.corrcoef`` is not exactly symmetric, so each pair reads the entry
-    whose row is the name-smaller variable, as :func:`_resolve` orders it.
-    """
-    m = len(names)
-    rank = np.argsort(np.asarray(names, dtype=object)).argsort()
-    i, j = np.triu_indices(m, 1)
-    r = np.clip(np.where(rank[i] < rank[j], corr[i, j], corr[j, i]), -1.0, 1.0)
-    sure = np.abs(r) >= 1.0 - 1e-12
-    safe = np.where(sure, 0.0, r)
-    t = np.where(sure, np.copysign(np.inf, r), safe * np.sqrt(dof / (1.0 - safe * safe)))
-    p = np.where(sure, 0.0, 2.0 * special.stdtr(dof, -np.abs(t)))
-    tables = np.zeros((2, m, m))
-    tables[:, i, j] = tables[:, j, i] = t, p
-    return tables[0], tables[1]
-
-
 def cor_test(
     data: ContinuousDataset,
     x: str,
@@ -347,7 +381,8 @@ class CiEngine:
     and computes the outcome; invalid arguments raise on every call,
     because only outcomes enter the memo. A subclass may also override
     ``_kernel_many(target, candidates, z)``, which computes the outcomes
-    :meth:`test_many` does not find in the memo, under the same checks.
+    :meth:`test_many` does not find in the memo, under the same checks
+    made once per batch.
     """
 
     name = ""
@@ -407,26 +442,26 @@ class MutualInfoTest(CiEngine):
             raise ValueError("the mutual information test requires discrete data")
         super().__init__(alpha)
         self.data = data
-        data.code_columns  # derive the contiguous columns once, before workers fork
+        data.name_ranks, data.code_columns  # derive once, before workers fork
 
     def _kernel(self, x, y, z):
         return mi_test(self.data, x, y, z, self.alpha)
 
     def _kernel_many(self, target, candidates, z):
         data = self.data
-        for v in candidates:
-            _resolve(data, target, v, z, self.alpha)
-        izs = [data.column_index(v) for v in sorted(z)]
-        cands = [(data.column_index(v), v < target) for v in candidates]
-        return _g2_many(data.code_columns, data.cardinalities, data.column_index(target), izs, cands, self.alpha)
+        rt, rz, rcs = _resolve_many(data, target, candidates, z, self.alpha)
+        columns = data.name_ranks[1]
+        cands = [(columns[r], r < rt) for r in rcs]
+        izs = [columns[r] for r in rz]
+        return _g2_many(data.code_columns, data.cardinalities, columns[rt], izs, cands, self.alpha)
 
 
 class PartialCorrelationTest(CiEngine):
     """Engine for :func:`cor_test` over one continuous dataset.
 
-    The dataset's correlation matrix is shared by every engine over it;
-    a z = {} test is one lookup in a table of every pair's t and p built
-    with the engine and shared by its spawns.
+    The dataset's correlation matrix, and its table of every pair's
+    z = {} t and p, are shared by every engine over it; a z = {} test is
+    one lookup in that table.
     """
 
     name = "cor"
@@ -437,25 +472,28 @@ class PartialCorrelationTest(CiEngine):
         super().__init__(alpha)
         self.data = data
         self.corr = data.correlation
-        self._dof0 = data.n - 2
-        if self._dof0 > 0:
-            self._t0, self._p0 = _marginal_table(data.names, self.corr, self._dof0)
+        self.marginal = data.marginal_table
+        data.name_ranks  # derive once, before workers fork
 
     def _kernel(self, x, y, z):
-        idx, a, b = _resolve(self.data, x, y, z, self.alpha)
-        if len(idx) == 2 and self._dof0 > 0:
-            p_value = self._p0.item(*idx)
-            return TestOutcome(self._t0.item(*idx), self._dof0, p_value, independent=p_value > self.alpha)
+        return self._outcome(*_resolve(self.data, x, y, z, self.alpha))
+
+    def _outcome(self, idx, a, b):
+        if len(idx) == 2 and self.marginal is not None:
+            t, p = self.marginal
+            p_value = p.item(*idx)
+            return TestOutcome(t.item(*idx), self.data.n - 2, p_value, independent=p_value > self.alpha)
         return _partial_t(self.corr, self.data.n, idx, a, b, self.alpha)
 
     def _kernel_many(self, target, candidates, z):
-        if z or self._dof0 <= 0:
-            return super()._kernel_many(target, candidates, z)
-        for v in candidates:
-            _resolve(self.data, target, v, z, self.alpha)
-        row, cols = self.data.column_index(target), list(map(self.data.column_index, candidates))
-        t, p = self._t0[row, cols].tolist(), self._p0[row, cols].tolist()
-        return [TestOutcome(ti, self._dof0, pi, independent=pi > self.alpha) for ti, pi in zip(t, p)]
+        rt, rz, rcs = _resolve_many(self.data, target, candidates, z, self.alpha)
+        columns = self.data.name_ranks[1]
+        if z or self.marginal is None:
+            return [self._outcome(*_order(columns, [*rz, rt, r], rt, r)) for r in rcs]
+        row, cols = columns[rt], [columns[r] for r in rcs]
+        t, p = (table[row, cols].tolist() for table in self.marginal)
+        dof = self.data.n - 2
+        return [TestOutcome(ti, dof, pi, independent=pi > self.alpha) for ti, pi in zip(t, p)]
 
 
 class OracleTest(CiEngine):

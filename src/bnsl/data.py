@@ -2,9 +2,17 @@
 
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
-Views the CI tests need (contiguous code columns, the correlation matrix)
-are derived on first use and kept, so every engine over one dataset shares
-them and construction itself does no extra work.
+Views the CI tests need (the name-rank table, contiguous code columns, the
+correlation matrix and its z = {} t/p table) are derived on first use and
+kept, so every engine over one dataset shares them and construction itself
+does no extra work.
+
+A variable has two integer ids. Its *column* is its position in the
+dataset, which indexes the code columns and the correlation matrix. Its
+*rank* is its position in name order, so sorting ranks sorts names and
+ties still break by name. ``name_ranks`` maps a name to its rank and a
+rank to its column. The CI tests translate names through it, and report
+an unknown name, at their public calls; past those they use columns only.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 
 
 class DiscreteDataset:
@@ -70,6 +79,11 @@ class DiscreteDataset:
         return self.codes[:, self.column_index(name)]
 
     @cached_property
+    def name_ranks(self) -> tuple[dict[str, int], tuple[int, ...]]:
+        """Each name's rank in name order, and each rank's column."""
+        return _name_ranks(self.names)
+
+    @cached_property
     def code_columns(self) -> np.ndarray:
         """``(m, n)`` read-only copy of the codes: row ``j`` is column ``j``,
         contiguous in memory."""
@@ -123,17 +137,55 @@ class ContinuousDataset:
         return self.values[:, self.column_index(name)]
 
     @cached_property
+    def name_ranks(self) -> tuple[dict[str, int], tuple[int, ...]]:
+        """Each name's rank in name order, and each rank's column."""
+        return _name_ranks(self.names)
+
+    @cached_property
     def correlation(self) -> np.ndarray:
         """Read-only Pearson correlation matrix in column order."""
         corr = correlation_matrix(self.values)
         corr.flags.writeable = False
         return corr
 
+    @cached_property
+    def marginal_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``t`` and ``p`` of every z = {} partial-correlation test, on
+        n - 2 degrees of freedom, in read-only symmetric matrices indexed
+        by column; ``None`` when n - 2 <= 0.
+
+        Each entry is what the t kernel computes for its pair. The
+        correlation matrix is not exactly symmetric, so each pair reads the
+        entry whose row is the name-smaller variable, as the kernel does.
+        """
+        dof = self.n - 2
+        if dof <= 0:
+            return None
+        rank = self.name_ranks[0]
+        corr = self.correlation
+        m = len(rank)
+        i, j = np.triu_indices(m, 1)
+        by_column = np.array([rank[name] for name in self.names_list])
+        r = np.clip(np.where(by_column[i] < by_column[j], corr[i, j], corr[j, i]), -1.0, 1.0)
+        sure = np.abs(r) >= 1.0 - 1e-12
+        safe = np.where(sure, 0.0, r)
+        t = np.where(sure, np.copysign(np.inf, r), safe * np.sqrt(dof / (1.0 - safe * safe)))
+        p = np.where(sure, 0.0, 2.0 * special.stdtr(dof, -np.abs(t)))
+        tables = np.zeros((2, m, m))
+        tables[:, i, j] = tables[:, j, i] = t, p
+        tables.flags.writeable = False
+        return tables[0], tables[1]
+
     def __repr__(self):
         return f"ContinuousDataset({self.n} rows, {len(self.names_list)} variables)"
 
 
 Dataset = DiscreteDataset | ContinuousDataset
+
+
+def _name_ranks(names) -> tuple[dict[str, int], tuple[int, ...]]:
+    columns = tuple(sorted(range(len(names)), key=names.__getitem__))
+    return {names[j]: r for r, j in enumerate(columns)}, columns
 
 
 def correlation_matrix(values: np.ndarray) -> np.ndarray:

@@ -614,3 +614,76 @@ class TestManyCandidates:
             tracemalloc.stop()
         assert len(outs) == 100 and all(out.dof == 4 * 3**6 for out in outs)
         assert peak < 4 * 2**20, peak
+
+
+def name_ordered(data):
+    """The same data with its columns reordered into name order, so that a
+    variable's rank in name order is its column."""
+    order = sorted(range(len(data.names)), key=data.names.__getitem__)
+    if isinstance(data, DiscreteDataset):
+        return DiscreteDataset([data.variables[j] for j in order], data.codes[:, order])
+    return ContinuousDataset([data.names[j] for j in order], data.values[:, order])
+
+
+def integral_continuous(seed, n=150, m=12):
+    """Continuous data under shuffled names whose correlation matrix is not
+    exactly symmetric, yet is the same matrix, permuted, in any column
+    order: small integers in rows of +/- pairs have integral means, so
+    every covariance is exact."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-4, 5, (n, m)).astype(float)
+    values[:, 1] += values[:, 0]
+    values[:, 3] += 2.0 * values[:, 2] - values[:, 5]
+    names = [f"C{j:02d}" for j in rng.permutation(m)]
+    return ContinuousDataset(names, np.vstack([values, -values]))
+
+
+class TestColumnPermutation:
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_outcomes_equal_those_on_name_ordered_columns(self, kind):
+        # Every field of every outcome, for single and batched tests, with
+        # |z| from 0 to 4 (z = {} reads cor's marginal table), is bit-equal
+        # to the outcome on the same data with its columns in name order.
+        data = mixed_discrete(61, n=200) if kind == "mi" else integral_continuous(62)
+        ordered = name_ordered(data)
+        assert ordered.names != data.names and sorted(ordered.names) == list(ordered.names)
+        if kind == "cor":
+            perm = [data.names.index(v) for v in ordered.names]
+            assert (data.correlation != data.correlation.T).any()
+            np.testing.assert_array_equal(ordered.correlation, data.correlation[np.ix_(perm, perm)])
+        standalone = mi_test if kind == "mi" else cor_test
+        names = list(ordered.names)
+        rng = np.random.default_rng(63)
+        engine, reference = make_engine(kind, data, 0.05), make_engine(kind, ordered, 0.05)
+        for size in range(5):
+            for _ in range(20):
+                x, y, *z = (str(v) for v in rng.permutation(names)[: 2 + size])
+                want = bits(reference.test(x, y, z))
+                assert bits(engine.test(x, y, z)) == want, (x, y, z)
+                assert bits(engine.test(y, x, frozenset(z))) == want, (y, x, z)
+                assert bits(standalone(data, x, y, z, 0.05)) == want, (x, y, z)
+            for target in (names[2], names[len(names) // 2], names[-3]):
+                z = [str(v) for v in rng.permutation([v for v in names[1:-1] if v != target])[:size]]
+                candidates = [v for v in names if v != target and v not in z]
+                assert min(candidates) < target < max(candidates)
+                got = make_engine(kind, data, 0.05).test_many(target, candidates, z)
+                want = make_engine(kind, ordered, 0.05).test_many(target, candidates, z)
+                assert list(map(bits, got)) == list(map(bits, want)), (target, z)
+
+    def test_cor_engines_share_the_dataset_marginal_table(self):
+        data = asymmetric_continuous(64)
+        first = make_engine("cor", data, 0.01)
+        second = make_engine("cor", data, 0.05)
+        t, p = data.marginal_table
+        assert first.marginal is second.marginal is data.marginal_table
+        assert first.spawn().marginal is first.marginal
+        assert not t.flags.writeable and not p.flags.writeable
+        tiny = ContinuousDataset(["X", "Y"], [[0.0, 1.0], [1.0, 0.5]])
+        assert tiny.marginal_table is None
+        assert make_engine("cor", tiny, 0.01).test("X", "Y", ()).degenerate
+
+    def test_outcome_is_slotted(self):
+        out = mi_test(dataset_from_table([[5, 1], [2, 7]]), "X", "Y", (), 0.01)
+        assert not hasattr(out, "__dict__")
+        assert dataclasses.astuple(out)[3:] == (out.independent, False, False)
+        assert out.ranking_key("Y") == (out.p_value, -abs(out.statistic), "Y")
