@@ -524,6 +524,6 @@ def make_engine(test: str, data: Dataset | None, alpha: float, truth: Dag | None
         return PartialCorrelationTest(data, alpha)
     if test == "oracle":
         if truth is None:
-            raise ValueError("the oracle test requires the true graph")
+            raise ValueError("the oracle test requires truth, the true DAG")
         return OracleTest(truth, alpha)
     raise ValueError(f"unknown test: {test!r}")

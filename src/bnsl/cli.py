@@ -123,8 +123,6 @@ def _cmd_learn(args) -> int:
     data = formats.load_dataset(args.data)
     test = args.test or ("mi" if data.is_discrete else "cor")
     truth = formats.load_dag(args.truth) if args.truth else None
-    if test == "oracle" and truth is None:
-        raise ValueError("--test oracle requires --truth")
     cfg = GlobalLearnConfig(
         algorithm=args.algorithm,
         test=test,
@@ -158,8 +156,6 @@ def _cmd_learn_local(args) -> int:
     data = formats.load_dataset(args.data)
     test = args.test or ("mi" if data.is_discrete else "cor")
     truth = formats.load_dag(args.truth) if args.truth else None
-    if test == "oracle" and truth is None:
-        raise ValueError("--test oracle requires --truth")
     engine = make_engine(test, data, args.alpha, truth=truth)
     cfg = LocalLearnConfig(
         backend=args.backend,

@@ -1,5 +1,19 @@
 """Column-oriented datasets: discrete (categorical) and continuous (real).
 
+Both kinds share one column core, ``_Columns``, and each input check exists
+once:
+
+- ``_Columns``: variable names follow the graph node-name rule
+  (``graph._check_nodes``: distinct, non-empty, after ``str`` coercion),
+  the data array is ``(n, m)`` with one column per name, and there is at
+  least one row;
+- ``DiscreteDataset``: codes are integers inside each variable's levels,
+  and every variable has a level;
+- ``ContinuousDataset``: every value is finite.
+
+The core also owns the name lookups (``column_index``, ``column``) and
+the name-rank table.
+
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
 Views the CI tests need (the name-rank table, contiguous code columns, the
@@ -22,8 +36,53 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
+from .graph import _check_nodes
 
-class DiscreteDataset:
+
+def _frozen(array: np.ndarray, dtype=None) -> np.ndarray:
+    """``array`` as a C-contiguous array of ``dtype``, marked read-only (a
+    copy unless it already is one)."""
+    array = np.ascontiguousarray(array, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+class _Columns:
+    """What both dataset kinds share: the name, shape and row checks, the
+    name lookups and the name-rank table. ``label`` names the data array in
+    errors; the subclass checks the array's values, then keeps its
+    read-only copy as ``_cells``."""
+
+    def __init__(self, names, cells: np.ndarray, label: str):
+        self.names = _check_nodes(str(name) for name in names)
+        if cells.ndim != 2 or cells.shape[1] != len(self.names):
+            raise ValueError(f"{label} must be (n, m) with one column per variable")
+        if cells.shape[0] < 1:
+            raise ValueError("dataset must contain at least one row")
+        self.n = cells.shape[0]
+        self._index = {name: j for j, name in enumerate(self.names)}
+
+    def column_index(self, name: str) -> int:
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValueError(f"unknown variable: {name!r}") from None
+
+    def column(self, name: str) -> np.ndarray:
+        return self._cells[:, self.column_index(name)]
+
+    @cached_property
+    def name_ranks(self) -> tuple[dict[str, int], tuple[int, ...]]:
+        """Each name's rank in name order, and each rank's column."""
+        names = self.names
+        columns = tuple(sorted(range(len(names)), key=names.__getitem__))
+        return {names[j]: r for r, j in enumerate(columns)}, columns
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n} rows, {len(self.names)} variables)"
+
+
+class DiscreteDataset(_Columns):
     """Categorical observations stored as per-variable level indices.
 
     ``variables`` is an ordered list of ``(name, levels)`` pairs where
@@ -35,14 +94,8 @@ class DiscreteDataset:
 
     def __init__(self, variables: list[tuple[str, list[str]]], codes: np.ndarray):
         self.variables = [(str(name), [str(l) for l in levels]) for name, levels in variables]
-        names = [name for name, _ in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
         codes = np.asarray(codes)
-        if codes.ndim != 2 or codes.shape[1] != len(self.variables):
-            raise ValueError("codes must be (n, m) with one column per variable")
-        if codes.shape[0] < 1:
-            raise ValueError("dataset must contain at least one row")
+        super().__init__([name for name, _ in self.variables], codes, "codes")
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError("codes must be integers")
         for j, (name, levels) in enumerate(self.variables):
@@ -51,17 +104,7 @@ class DiscreteDataset:
             col = codes[:, j]
             if col.min() < 0 or col.max() >= len(levels):
                 raise ValueError(f"out-of-range level index in column {name!r}")
-        self.codes = np.ascontiguousarray(codes, dtype=np.int64)
-        self.codes.flags.writeable = False
-        self._index = {name: j for j, name in enumerate(names)}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.variables)
-
-    @property
-    def n(self) -> int:
-        return self.codes.shape[0]
+        self.codes = self._cells = _frozen(codes, np.int64)
 
     def levels(self, name: str) -> list[str]:
         return self.variables[self.column_index(name)][1]
@@ -69,84 +112,33 @@ class DiscreteDataset:
     def cardinality(self, name: str) -> int:
         return len(self.levels(name))
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown variable: {name!r}") from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.codes[:, self.column_index(name)]
-
-    @cached_property
-    def name_ranks(self) -> tuple[dict[str, int], tuple[int, ...]]:
-        """Each name's rank in name order, and each rank's column."""
-        return _name_ranks(self.names)
-
     @cached_property
     def code_columns(self) -> np.ndarray:
         """``(m, n)`` read-only copy of the codes: row ``j`` is column ``j``,
         contiguous in memory."""
-        cols = np.ascontiguousarray(self.codes.T)
-        cols.flags.writeable = False
-        return cols
+        return _frozen(self.codes.T)
 
     @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(levels) for _, levels in self.variables)
 
-    def __repr__(self):
-        return f"DiscreteDataset({self.n} rows, {len(self.variables)} variables)"
 
-
-class ContinuousDataset:
+class ContinuousDataset(_Columns):
     """Real-valued observations; all cells finite, no missing values."""
 
     is_discrete = False
 
     def __init__(self, names: list[str], values: np.ndarray):
-        self.names_list = [str(n) for n in names]
-        if len(set(self.names_list)) != len(self.names_list):
-            raise ValueError("duplicate variable names")
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != len(self.names_list):
-            raise ValueError("values must be (n, m) with one column per variable")
-        if values.shape[0] < 1:
-            raise ValueError("dataset must contain at least one row")
+        super().__init__(names, values, "values")
         if not np.all(np.isfinite(values)):
             raise ValueError("dataset contains non-finite values")
-        self.values = np.ascontiguousarray(values)
-        self.values.flags.writeable = False
-        self._index = {name: j for j, name in enumerate(self.names_list)}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.names_list)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown variable: {name!r}") from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.column_index(name)]
-
-    @cached_property
-    def name_ranks(self) -> tuple[dict[str, int], tuple[int, ...]]:
-        """Each name's rank in name order, and each rank's column."""
-        return _name_ranks(self.names)
+        self.values = self._cells = _frozen(values)
 
     @cached_property
     def correlation(self) -> np.ndarray:
         """Read-only Pearson correlation matrix in column order."""
-        corr = correlation_matrix(self.values)
-        corr.flags.writeable = False
-        return corr
+        return _frozen(correlation_matrix(self.values))
 
     @cached_property
     def marginal_table(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -165,7 +157,7 @@ class ContinuousDataset:
         corr = self.correlation
         m = len(rank)
         i, j = np.triu_indices(m, 1)
-        by_column = np.array([rank[name] for name in self.names_list])
+        by_column = np.array([rank[name] for name in self.names])
         r = np.clip(np.where(by_column[i] < by_column[j], corr[i, j], corr[j, i]), -1.0, 1.0)
         sure = np.abs(r) >= 1.0 - 1e-12
         safe = np.where(sure, 0.0, r)
@@ -176,16 +168,8 @@ class ContinuousDataset:
         tables.flags.writeable = False
         return tables[0], tables[1]
 
-    def __repr__(self):
-        return f"ContinuousDataset({self.n} rows, {len(self.names_list)} variables)"
-
 
 Dataset = DiscreteDataset | ContinuousDataset
-
-
-def _name_ranks(names) -> tuple[dict[str, int], tuple[int, ...]]:
-    columns = tuple(sorted(range(len(names)), key=names.__getitem__))
-    return {names[j]: r for r, j in enumerate(columns)}, columns
 
 
 def correlation_matrix(values: np.ndarray) -> np.ndarray:
@@ -210,5 +194,5 @@ def reverse_columns(data: Dataset) -> Dataset:
     if isinstance(data, DiscreteDataset):
         return DiscreteDataset(list(reversed(data.variables)), data.codes[:, ::-1])
     if isinstance(data, ContinuousDataset):
-        return ContinuousDataset(list(reversed(data.names_list)), data.values[:, ::-1])
+        return ContinuousDataset(list(reversed(data.names)), data.values[:, ::-1])
     raise TypeError(f"not a dataset: {type(data).__name__}")

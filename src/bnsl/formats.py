@@ -137,22 +137,19 @@ def _all_numeric(rows) -> bool:
     return True
 
 
-def save_graph(graph: Dag | Pdag | Skeleton, path: str | Path) -> None:
+def save_graph(graph: Pdag, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(graph_to_dict(graph), fh, indent=1)
         fh.write("\n")
 
 
-def graph_to_dict(graph: Dag | Pdag | Skeleton) -> dict:
-    if isinstance(graph, Dag):
-        edges = [{"from": p, "to": c, "directed": True} for p, c in sorted(graph.arcs)]
-    elif isinstance(graph, Pdag):
-        edges = [{"from": p, "to": c, "directed": True} for p, c in sorted(graph.directed_arcs)]
-        edges += [{"from": a, "to": b, "directed": False} for a, b in sorted(graph.undirected_edges)]
-    elif isinstance(graph, Skeleton):
-        edges = [{"from": a, "to": b, "directed": False} for a, b in sorted(graph.edges)]
-    else:
+def graph_to_dict(graph: Pdag) -> dict:
+    """Graph JSON of any graph (a ``Dag`` or ``Skeleton`` is a ``Pdag``):
+    sorted arcs, then sorted undirected edges."""
+    if not isinstance(graph, Pdag):
         raise TypeError(f"not a graph: {type(graph).__name__}")
+    edges = [{"from": p, "to": c, "directed": True} for p, c in sorted(graph.directed_arcs)]
+    edges += [{"from": a, "to": b, "directed": False} for a, b in sorted(graph.undirected_edges)]
     return {"nodes": list(graph.nodes), "edges": edges}
 
 

@@ -1,8 +1,25 @@
 """Graph representations and graph-theoretic primitives.
 
-Directed acyclic graphs, partially directed graphs and undirected skeletons
-over named variables, plus d-separation, Markov blankets, equivalence-class
+One validated core, :class:`Pdag`, holds directed arcs and undirected edges
+over named variables. A DAG is a PDAG with no undirected edges and a
+skeleton is one with no arcs (Chickering 1995), so :class:`Dag` and
+:class:`Skeleton` subclass it and only add names for the side they use.
+The module also provides d-separation, Markov blankets, equivalence-class
 (CPDAG) conversion and the skeleton Hamming distance.
+
+Each input check exists once:
+
+- :func:`_check_nodes`: node names are distinct non-empty strings (the
+  datasets apply the same rule to their variable names);
+- :func:`_check_edges`: both endpoints of every arc and edge are nodes,
+  and differ;
+- ``Pdag.__init__``: a pair of nodes carries at most one edge;
+- :func:`_lookup`: every accessor and query rejects an unknown node by
+  name;
+- ``Dag.__init__``: the arcs contain no directed cycle.
+
+Graphs compare equal only within one class: a ``Dag`` never equals the
+``Pdag`` of its arcs, nor a ``Skeleton`` the ``Pdag`` of its edges.
 
 Node order inside a graph follows the order in which nodes were supplied
 (normally the dataset column order). All algorithmic tie-breaking elsewhere
@@ -33,123 +50,47 @@ def _check_nodes(nodes: Iterable[str]) -> tuple[str, ...]:
     return nodes
 
 
-class Skeleton:
-    """Undirected graph: the arcs of a DAG with directions dropped."""
-
-    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        self.nodes = _check_nodes(nodes)
-        node_set = set(self.nodes)
-        canon = set()
-        for a, b in edges:
-            if a not in node_set:
-                raise ValueError(f"unknown node: {a!r}")
-            if b not in node_set:
-                raise ValueError(f"unknown node: {b!r}")
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            canon.add(_pair(a, b))
-        self.edges: frozenset[tuple[str, str]] = frozenset(canon)
-        self._adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            self._adj[a].add(b)
-            self._adj[b].add(a)
-
-    def neighbours(self, x: str) -> frozenset[str]:
-        if x not in self._adj:
-            raise ValueError(f"unknown node: {x!r}")
-        return frozenset(self._adj[x])
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return _pair(a, b) in self.edges
-
-    def unshielded_triples(self) -> list[tuple[str, str, str]]:
-        """Sorted triples ``(a, k, b)``, a < b, with a - k - b and a, b
-        non-adjacent; built from each middle node's neighbour pairs, so the
-        cost is O(sum of squared degrees)."""
-        triples = []
-        for k, adj in self._adj.items():
-            nbrs = sorted(adj)
-            for i, a in enumerate(nbrs):
-                triples.extend((a, k, b) for b in nbrs[i + 1:] if b not in self._adj[a])
-        triples.sort()
-        return triples
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Skeleton):
-            return NotImplemented
-        return set(self.nodes) == set(other.nodes) and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((frozenset(self.nodes), self.edges))
-
-    def __repr__(self):
-        return f"Skeleton({len(self.nodes)} nodes, {len(self.edges)} edges)"
+def _check_edges(nodes: tuple[str, ...], pairs: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
+    """The ordered pairs in ``pairs``; each endpoint must be a node, and
+    the two must differ."""
+    node_set = set(nodes)
+    checked = set()
+    for a, b in pairs:
+        for n in (a, b):
+            if n not in node_set:
+                raise ValueError(f"unknown node: {n!r}")
+        if a == b:
+            raise ValueError(f"self-loop on {a!r}")
+        checked.add((a, b))
+    return checked
 
 
-class Dag:
-    """Directed acyclic graph over named nodes.
+def _lookup(side: dict[str, set[str]], x: str) -> frozenset[str]:
+    """``side[x]``, or a ``ValueError`` naming ``x`` if it is not a node."""
+    if x not in side:
+        raise ValueError(f"unknown node: {x!r}")
+    return frozenset(side[x])
 
-    Arcs are (parent, child) pairs. Construction validates acyclicity and
-    rejects self-loops and unknown endpoints.
-    """
 
-    def __init__(self, nodes: Iterable[str], arcs: Iterable[tuple[str, str]] = ()):
-        self.nodes = _check_nodes(nodes)
-        node_set = set(self.nodes)
-        arc_set = set()
-        for p, c in arcs:
-            if p not in node_set:
-                raise ValueError(f"unknown node: {p!r}")
-            if c not in node_set:
-                raise ValueError(f"unknown node: {c!r}")
-            if p == c:
-                raise ValueError(f"self-loop on {p!r}")
-            arc_set.add((p, c))
-        self.arcs: frozenset[tuple[str, str]] = frozenset(arc_set)
-        self._parents: dict[str, set[str]] = {n: set() for n in self.nodes}
-        self._children: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for p, c in self.arcs:
-            self._parents[c].add(p)
-            self._children[p].add(c)
-        order = _kahn(self.nodes, self._children)
-        if len(order) != len(self.nodes):
-            raise ValueError("graph contains a directed cycle")
-        self._topo = tuple(order)
+_NO_NODES: frozenset[str] = frozenset()
 
-    @property
-    def topological_order(self) -> tuple[str, ...]:
-        return self._topo
 
-    def parents(self, x: str) -> frozenset[str]:
-        if x not in self._parents:
-            raise ValueError(f"unknown node: {x!r}")
-        return frozenset(self._parents[x])
-
-    def children(self, x: str) -> frozenset[str]:
-        if x not in self._children:
-            raise ValueError(f"unknown node: {x!r}")
-        return frozenset(self._children[x])
-
-    def skeleton(self) -> Skeleton:
-        return Skeleton(self.nodes, self.arcs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dag):
-            return NotImplemented
-        return set(self.nodes) == set(other.nodes) and self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash((frozenset(self.nodes), self.arcs))
-
-    def __repr__(self):
-        return f"Dag({len(self.nodes)} nodes, {len(self.arcs)} arcs)"
+def _adjacency(nodes: tuple[str, ...], pairs) -> dict[str, set[str] | frozenset[str]]:
+    """Each node's set of ``b`` over its pairs ``(node, b)``. Nodes without
+    a pair share one empty frozenset, so a side a graph does not use (a
+    Dag's undirected one, a Skeleton's directed ones) costs one dict."""
+    heads: dict[str, set[str]] = {}
+    for a, b in pairs:
+        heads.setdefault(a, set()).add(b)
+    return {n: heads.get(n, _NO_NODES) for n in nodes}
 
 
 class Pdag:
     """Partially directed graph: directed arcs plus undirected edges.
 
     The two edge sets are disjoint as unordered pairs and each pair of nodes
-    carries at most one edge.
+    carries at most one edge. ``_out``/``_in`` map each node to its
+    successors/predecessors and ``_und`` to its undirected neighbours.
     """
 
     def __init__(
@@ -159,21 +100,8 @@ class Pdag:
         undirected: Iterable[tuple[str, str]] = (),
     ):
         self.nodes = _check_nodes(nodes)
-        node_set = set(self.nodes)
-        dir_set = set()
-        for p, c in directed:
-            if p not in node_set or c not in node_set:
-                raise ValueError(f"unknown node in arc ({p!r}, {c!r})")
-            if p == c:
-                raise ValueError(f"self-loop on {p!r}")
-            dir_set.add((p, c))
-        und_set = set()
-        for a, b in undirected:
-            if a not in node_set or b not in node_set:
-                raise ValueError(f"unknown node in edge ({a!r}, {b!r})")
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            und_set.add(_pair(a, b))
+        dir_set = _check_edges(self.nodes, directed)
+        und_set = {_pair(a, b) for a, b in _check_edges(self.nodes, undirected)}
         dir_pairs = {_pair(p, c) for p, c in dir_set}
         if len(dir_pairs) != len(dir_set):
             raise ValueError("a pair carries arcs in both directions")
@@ -181,30 +109,18 @@ class Pdag:
             raise ValueError("a pair is both directed and undirected")
         self.directed_arcs: frozenset[tuple[str, str]] = frozenset(dir_set)
         self.undirected_edges: frozenset[tuple[str, str]] = frozenset(und_set)
-        self._out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        self._in: dict[str, set[str]] = {n: set() for n in self.nodes}
-        self._und: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for p, c in self.directed_arcs:
-            self._out[p].add(c)
-            self._in[c].add(p)
-        for a, b in self.undirected_edges:
-            self._und[a].add(b)
-            self._und[b].add(a)
+        self._out = _adjacency(self.nodes, self.directed_arcs)
+        self._in = _adjacency(self.nodes, [(c, p) for p, c in self.directed_arcs])
+        self._und = _adjacency(self.nodes, [e for a, b in self.undirected_edges for e in ((a, b), (b, a))])
 
     def successors(self, x: str) -> frozenset[str]:
-        if x not in self._out:
-            raise ValueError(f"unknown node: {x!r}")
-        return frozenset(self._out[x])
+        return _lookup(self._out, x)
 
     def predecessors(self, x: str) -> frozenset[str]:
-        if x not in self._in:
-            raise ValueError(f"unknown node: {x!r}")
-        return frozenset(self._in[x])
+        return _lookup(self._in, x)
 
     def undirected_neighbours(self, x: str) -> frozenset[str]:
-        if x not in self._und:
-            raise ValueError(f"unknown node: {x!r}")
-        return frozenset(self._und[x])
+        return _lookup(self._und, x)
 
     def adjacent(self, a: str, b: str) -> bool:
         return (
@@ -214,12 +130,12 @@ class Pdag:
         )
 
     def skeleton(self) -> Skeleton:
-        pairs = [_pair(p, c) for p, c in self.directed_arcs]
-        pairs.extend(self.undirected_edges)
-        return Skeleton(self.nodes, pairs)
+        return Skeleton(self.nodes, self.directed_arcs | self.undirected_edges)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Pdag):
+        # A Dag, a Skeleton and a Pdag never compare equal, even over the
+        # same edges.
+        if type(other) is not type(self):
             return NotImplemented
         return (
             set(self.nodes) == set(other.nodes)
@@ -232,9 +148,57 @@ class Pdag:
 
     def __repr__(self):
         return (
-            f"Pdag({len(self.nodes)} nodes, {len(self.directed_arcs)} directed, "
+            f"{type(self).__name__}({len(self.nodes)} nodes, {len(self.directed_arcs)} directed, "
             f"{len(self.undirected_edges)} undirected)"
         )
+
+
+class Dag(Pdag):
+    """Directed acyclic graph over named nodes: a PDAG without undirected
+    edges.
+
+    Arcs are (parent, child) pairs. ``arcs``, ``parents``/``_parents`` and
+    ``children``/``_children`` name the core's directed side. Construction
+    also rejects a directed cycle.
+    """
+
+    def __init__(self, nodes: Iterable[str], arcs: Iterable[tuple[str, str]] = ()):
+        super().__init__(nodes, arcs)
+        self.arcs = self.directed_arcs
+        self._parents, self._children = self._in, self._out
+        order = _kahn(self.nodes, self._out)
+        if len(order) != len(self.nodes):
+            raise ValueError("graph contains a directed cycle")
+        self.topological_order = tuple(order)
+
+    parents = Pdag.predecessors
+    children = Pdag.successors
+
+
+class Skeleton(Pdag):
+    """Undirected graph, such as the arcs of a DAG with directions dropped:
+    a PDAG without arcs. ``edges``, ``neighbours`` and ``_adj`` name the
+    core's undirected side."""
+
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
+        super().__init__(nodes, (), edges)
+        self.edges = self.undirected_edges
+        self._adj = self._und
+
+    neighbours = Pdag.undirected_neighbours
+    has_edge = Pdag.adjacent
+
+    def unshielded_triples(self) -> list[tuple[str, str, str]]:
+        """Sorted triples ``(a, k, b)``, a < b, with a - k - b and a, b
+        non-adjacent; built from each middle node's neighbour pairs, so the
+        cost is O(sum of squared degrees)."""
+        triples = []
+        for k, adj in self._adj.items():
+            nbrs = sorted(adj)
+            for i, a in enumerate(nbrs):
+                triples.extend((a, k, b) for b in nbrs[i + 1:] if b not in self._adj[a])
+        triples.sort()
+        return triples
 
 
 @dataclass(frozen=True, order=True)
@@ -262,8 +226,7 @@ def d_separated(dag: Dag, x: str, y: str, z: Iterable[str]) -> bool:
     """
     z = set(z)
     for n in (x, y, *z):
-        if n not in dag._parents:
-            raise ValueError(f"unknown node: {n!r}")
+        _lookup(dag._in, n)
     if x == y:
         raise ValueError("x and y must differ")
     if x in z or y in z:
@@ -329,8 +292,7 @@ def has_strictly_directed_path(pdag: Pdag, start: str, end: str) -> bool:
     Paths have at least one arc; undirected edges are never traversed.
     """
     for n in (start, end):
-        if n not in pdag._out:
-            raise ValueError(f"unknown node: {n!r}")
+        _lookup(pdag._out, n)
     return _reaches(pdag._out, start, end)
 
 
@@ -383,17 +345,9 @@ def apply_meek_rules(pdag: Pdag) -> Pdag:
     """
     directed = set(pdag.directed_arcs)
     undirected = set(pdag.undirected_edges)
-    out: dict[str, set[str]] = {n: set() for n in pdag.nodes}
-    in_: dict[str, set[str]] = {n: set() for n in pdag.nodes}
-    adj: dict[str, set[str]] = {n: set() for n in pdag.nodes}
-    for p, c in directed:
-        out[p].add(c)
-        in_[c].add(p)
-        adj[p].add(c)
-        adj[c].add(p)
-    for a, b in undirected:
-        adj[a].add(b)
-        adj[b].add(a)
+    out = {n: set(c) for n, c in pdag._out.items()}
+    in_ = {n: set(p) for n, p in pdag._in.items()}
+    adj = {n: pdag._out[n] | pdag._in[n] | pdag._und[n] for n in pdag.nodes}
 
     def orient(p: str, c: str) -> None:
         undirected.discard(_pair(p, c))
@@ -435,11 +389,7 @@ def dag_to_cpdag(dag: Dag) -> Pdag:
     for v in vstructs:
         directed.add((v.left, v.collider))
         directed.add((v.right, v.collider))
-    dir_pairs = {_pair(p, c) for p, c in directed}
-    undirected = [
-        _pair(p, c) for p, c in dag.arcs if _pair(p, c) not in dir_pairs
-    ]
-    return apply_meek_rules(Pdag(dag.nodes, directed, undirected))
+    return apply_meek_rules(Pdag(dag.nodes, directed, dag.arcs - directed))
 
 
 def hamming_skeleton(a: Skeleton, b: Skeleton) -> int:

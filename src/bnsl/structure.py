@@ -69,14 +69,14 @@ class GlobalLearnConfig:
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
         if self.backtracking not in BACKTRACKING_MODES:
             raise ValueError(f"unknown backtracking mode: {self.backtracking!r}")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
+        ParallelExecutor(self.workers, self.schedule)  # raises on a bad worker count or schedule
         if self.backtracking != "none" and self.workers != 1:
             raise ValueError(
                 "backtracking is inherently sequential and requires workers = 1"
             )
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
+        self.local().validate(target="")  # empty sets: checks the shared fields
 
     def local(
         self, backend: str | None = None, start=frozenset(), whitelist=frozenset(), blacklist=frozenset()

@@ -249,3 +249,22 @@ class TestCli:
         assert code == 0
         rows = bench.read_csv(out)
         assert {r["workers"] for r in rows} == {"1", "2"}
+
+
+class TestCliConfigErrors:
+    @pytest.fixture()
+    def csv_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_dataset(sample(NET, 100, 3), path)
+        return path
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_learn_negative_condition_cap_exits_2(self, csv_path, workers, capsys):
+        code = main([
+            "learn", "--data", str(csv_path), "--algorithm", "gs",
+            "--workers", workers, "--max-condition-size", "-1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bnsl: error:") and "max_condition_size" in err
+        assert "Traceback" not in err

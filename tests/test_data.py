@@ -77,3 +77,40 @@ def test_reverse_is_involution():
         rr = reverse_columns(reverse_columns(d))
         assert rr.names == d.names
         assert np.array_equal(rr.values, d.values)
+
+
+@pytest.mark.parametrize("names", [["", "b", "c"], ["a", "", "c"]])
+def test_empty_variable_name_rejected(names):
+    with pytest.raises(ValueError, match="invalid node name"):
+        ContinuousDataset(names, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="invalid node name"):
+        DiscreteDataset([(name, ["x"]) for name in names], np.zeros((2, 3), dtype=int))
+
+
+def test_load_dataset_rejects_empty_header_cell(tmp_path):
+    from bnsl.formats import load_dataset
+
+    path = tmp_path / "d.csv"
+    for kind, rows in (("continuous", "1,2,3\n4,5,6\n"), ("discrete", "x,y,z\nx,z,y\n")):
+        path.write_text("a,,c\n" + rows)
+        with pytest.raises(ValueError, match="invalid node name"):
+            load_dataset(path)
+        with pytest.raises(ValueError, match="invalid node name"):
+            load_dataset(path, kind)
+
+
+def test_both_kinds_share_the_column_core():
+    values = np.arange(6.0).reshape(3, 2)
+    c = ContinuousDataset([1, "b"], values)
+    d = DiscreteDataset([(1, ["x"]), ("b", ["x"])], np.zeros((3, 2), dtype=int))
+    for data in (c, d):
+        assert data.names == ("1", "b") and data.n == 3
+        assert data.column_index("b") == 1
+        assert data.name_ranks == ({"1": 0, "b": 1}, (0, 1))
+        with pytest.raises(ValueError, match="Q"):
+            data.column("Q")
+        with pytest.raises(ValueError, match="Q"):
+            data.column_index("Q")
+    assert not c.column("b").flags.writeable
+    assert repr(c) == "ContinuousDataset(3 rows, 2 variables)"
+    assert repr(d) == "DiscreteDataset(3 rows, 2 variables)"

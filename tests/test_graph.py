@@ -360,3 +360,75 @@ class TestGraphTypes:
             VStructure("B", "C", "A")
         with pytest.raises(ValueError):
             VStructure("A", "C", "A")
+
+
+class TestOneCore:
+    """Dag and Skeleton are Pdag special cases; these pin what they keep
+    from the separate classes they replaced."""
+
+    def test_classes_never_compare_equal(self):
+        nodes = ["A", "B", "C"]
+        arcs = [("A", "B"), ("B", "C")]
+        assert Pdag(nodes, arcs) != Dag(nodes, arcs)
+        assert Dag(nodes, arcs) != Pdag(nodes, arcs)
+        assert Skeleton(nodes, arcs) != Pdag(nodes, (), arcs)
+        assert Pdag(nodes, (), arcs) != Skeleton(nodes, arcs)
+        assert Dag(nodes, arcs) == Dag(list(reversed(nodes)), arcs)
+        assert Skeleton(nodes, arcs) == Skeleton(nodes, [(b, a) for a, b in arcs])
+        assert len({Dag(nodes, arcs), Dag(nodes, arcs), Skeleton(nodes, arcs)}) == 2
+
+    def test_graph_to_dict_of_each_class(self):
+        from bnsl.formats import graph_to_dict
+
+        assert graph_to_dict(Dag(["B", "A", "C"], [("B", "C"), ("A", "B")])) == {
+            "nodes": ["B", "A", "C"],
+            "edges": [
+                {"from": "A", "to": "B", "directed": True},
+                {"from": "B", "to": "C", "directed": True},
+            ],
+        }
+        assert graph_to_dict(Pdag(["C", "B", "A"], [("B", "A")], [("C", "B")])) == {
+            "nodes": ["C", "B", "A"],
+            "edges": [
+                {"from": "B", "to": "A", "directed": True},
+                {"from": "B", "to": "C", "directed": False},
+            ],
+        }
+        assert graph_to_dict(Skeleton(["A", "B", "C"], [("C", "A"), ("B", "A")])) == {
+            "nodes": ["A", "B", "C"],
+            "edges": [
+                {"from": "A", "to": "B", "directed": False},
+                {"from": "A", "to": "C", "directed": False},
+            ],
+        }
+        with pytest.raises(TypeError):
+            graph_to_dict({"nodes": []})
+
+    def test_two_cycle_dag_rejected(self):
+        with pytest.raises(ValueError):
+            Dag(["A", "B"], [("A", "B"), ("B", "A")])
+
+    def test_unknown_node_named_by_every_accessor(self):
+        dag = Dag(["A", "B"], [("A", "B")])
+        skel = Skeleton(["A", "B"], [("A", "B")])
+        pdag = Pdag(["A", "B", "C"], [("A", "B")], [("B", "C")])
+        accessors = [dag.parents, dag.children, skel.neighbours]
+        for graph in (dag, skel, pdag):
+            accessors += [graph.successors, graph.predecessors, graph.undirected_neighbours]
+        for accessor in accessors:
+            with pytest.raises(ValueError, match="Qx"):
+                accessor("Qx")
+        for bad in (lambda: Dag(["A"], [("A", "Qx")]), lambda: Skeleton(["A"], [("Qx", "A")]),
+                    lambda: Pdag(["A"], (), [("A", "Qx")])):
+            with pytest.raises(ValueError, match="Qx"):
+                bad()
+
+    def test_subclasses_alias_the_core(self):
+        dag = Dag(["A", "B", "C"], [("A", "C"), ("B", "C")])
+        assert dag.arcs is dag.directed_arcs and dag.undirected_edges == frozenset()
+        assert dag._parents is dag._in and dag._children is dag._out
+        assert dag.parents("C") == dag.predecessors("C") == {"A", "B"}
+        skel = dag.skeleton()
+        assert skel.edges is skel.undirected_edges and skel.directed_arcs == frozenset()
+        assert skel._adj is skel._und and skel.neighbours("C") == {"A", "B"}
+        assert skel == Pdag(dag.nodes, (), dag.arcs).skeleton()

@@ -403,3 +403,48 @@ class TestMeekOnLearnedGraphs:
             cfg = GlobalLearnConfig(algorithm="mmpc", test="mi", alpha=0.05)
             pdag = learn_cpdag(data, cfg)
             Dag(pdag.nodes, pdag.directed_arcs)  # raises on a cycle
+
+
+class TestConfigChecks:
+    def test_negative_condition_cap_rejected_before_any_phase(self):
+        cfg = GlobalLearnConfig(algorithm="si-hiton-pc", test="oracle", max_condition_size=-1)
+        with pytest.raises(ValueError, match="max_condition_size"):
+            cfg.validate()
+        for k in (1, 2):
+            ex = ParallelExecutor(k)
+            cfg = GlobalLearnConfig(algorithm="gs", test="oracle", workers=k, max_condition_size=-1)
+            with pytest.raises(ValueError, match="max_condition_size"):
+                learn_cpdag(oracle_setup(COLLIDER), cfg, ex, truth=COLLIDER)
+            assert ex.telemetry == []
+
+    def test_unknown_schedule_rejected_with_an_explicit_executor(self):
+        cfg = GlobalLearnConfig(algorithm="gs", test="oracle", schedule="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            cfg.validate()
+        ex = ParallelExecutor(1)
+        with pytest.raises(ValueError, match="bogus"):
+            learn_cpdag(oracle_setup(COLLIDER), cfg, ex, truth=COLLIDER)
+        assert ex.telemetry == []
+
+
+class TestOnDemandVStructuresInParallel:
+    def test_empty_sepset_table_same_at_every_k_and_schedule(self):
+        # Orienting a learned skeleton from no recorded sepsets sends every
+        # unshielded pair through the on-demand search phase.
+        data = gaussian_sem_dataset(16, 400, 7, edge_prob=0.2)
+        skel, _ = learn_skeleton(data, GlobalLearnConfig(algorithm="si-hiton-pc", test="cor"))
+        missing = sorted({(a, b) for a, _, b in skel.unshielded_triples()})
+        assert len(missing) > 2
+        outputs = []
+        for k, schedule in ((1, "static"), (2, "static"), (2, "dynamic")):
+            seps = SepsetTable()
+            ex = ParallelExecutor(k, schedule)
+            result = orient_v_structures(skel, seps, data, make_engine("cor", data, 0.01), ex)
+            [phase] = ex.telemetry
+            searched = [pair for report in phase.reports for pair in report.items]
+            assert sorted(searched) == missing and len(searched) == len(set(searched))
+            assert [pair for pair, _ in seps.items()] == missing
+            outputs.append((result.pdag, result.v_structures, result.conflicts, list(seps.items()),
+                            phase.test_count, phase.executed))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][1] and 0 < outputs[0][5] <= outputs[0][4]
