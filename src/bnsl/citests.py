@@ -110,9 +110,11 @@ def _resolve(data: Dataset, x: str, y: str, z, alpha: float) -> tuple[list[int],
     Returns the column ids of {x, y} union z in name order, then the
     positions of the name-smaller and the name-larger of x and y in that
     list. Name order makes every statistic bit-identical under (x, y)
-    swaps and column permutations of the dataset.
+    swaps and column permutations of the dataset. z is a set: a repeated
+    name counts once, as in the engines' memo key.
     """
     rank, columns = data.name_ranks
+    z = frozenset(z)
     try:
         rx, ry = rank[x], rank[y]
         ranks = [rank[v] for v in z] if z else []
@@ -270,7 +272,8 @@ def _g2_many(columns: np.ndarray, cards, it: int, izs: list[int], cands, alpha: 
         cube = np.bincount(flat.ravel(), minlength=len(chunk) * cells).reshape(len(chunk), k, m, m)
         del flat
         stats = _g2_statistics(cube)
-        dofs = [dof for *_, dof in chunk]
+        # float64: a dof past 2^63 would make an object array the ufunc rejects.
+        dofs = np.array([dof for *_, dof in chunk], dtype=np.float64)
         for (_, pos, _, dof), statistic, p_value in zip(chunk, stats, special.chdtrc(dofs, stats).tolist()):
             outcomes[pos] = TestOutcome(statistic, dof, p_value, independent=p_value > alpha)
     return outcomes

@@ -3,25 +3,34 @@
 Markov blanket backends (``gs``, ``iamb``, ``inter-iamb``) grow a candidate
 set and shrink away false positives; neighbourhood backends (``mmpc``,
 ``si-hiton-pc``) search for separating subsets and keep only candidates no
-subset can separate.
+subset can separate. Each is a forward phase, then an elimination phase;
+GS grows in its own loop (each dependent candidate changes the next
+conditioning set), and the rest share two loops:
+
+- :func:`_forward`, max-min forward selection: scan the candidates given
+  each of some conditioning sets and add the one most associated at its
+  weakest. IAMB scans given the current blanket (Inter-IAMB also shrinks
+  after each addition), MMPC given each subset of it up to
+  ``max_condition_size``. SI-HITON-PC ranks by one scan given z = {}.
+- :func:`_eliminate`, one name-ordered elimination pass. Every blanket
+  backend ends with :func:`_shrink`, which repeats it to a fixpoint testing
+  each member given the rest; every neighbourhood backend with
+  :func:`_backward`, which runs it once with :func:`first_separator`. The
+  pipeline's pair separation runs it once with each pair's own pool.
 
 All heuristic choices are deterministic: candidates are scanned in name
 order, association ranking breaks ties by statistic magnitude then name,
 and separating subsets are enumerated by increasing size and name-
 lexicographically within a size. :func:`first_separator` is the single
-search for the first separating subset: SI-HITON-PC's forward and backward
-steps and the pipeline's pair-separation and v-structure phases all use it.
-Whitelisted nodes are forced members and never tested for removal;
-blacklisted nodes are never tested at all; start nodes seed the candidate
-set but remain removable.
+search for the first separating subset. Whitelisted nodes are forced
+members and never tested for removal; blacklisted nodes are never tested
+at all; start nodes seed the candidate set but remain removable.
 
-A scan that tests every remaining candidate against the target given one
-conditioning set asks the engine for the whole batch (``test_many``):
-IAMB's grow scan, MMPC's scan of each subset, SI-HITON-PC's z = {}
-ranking. Engines that only implement ``test`` get one call per candidate.
-GS's grow scan, :func:`_shrink` and :func:`first_separator` stay one test
-at a time: each outcome changes the next conditioning set or ends the
-search, so batching them would run tests the learner never requests.
+A scan asks the engine for each conditioning set's whole batch
+(``test_many``); engines that only implement ``test`` get one call per
+candidate. GS's grow scan, :func:`_shrink` and :func:`first_separator`
+stay one test at a time: each outcome changes the next conditioning set or
+ends the search, so batching them would run tests never requested.
 """
 
 from __future__ import annotations
@@ -118,16 +127,6 @@ def first_separator(
     return None
 
 
-def _test_all(test: CiTest, target: str, candidates: list[str], z: frozenset[str]) -> list:
-    """``test.test(target, v, z)`` for each candidate ``v``: one batched
-    ``test_many`` call on engines that have it, one ``test`` call each on
-    engines (proxies, fakes) that only implement ``test``."""
-    many = getattr(test, "test_many", None)
-    if many is not None:
-        return many(target, candidates, z)
-    return [test.test(target, v, z) for v in candidates]
-
-
 def learn_mb(
     data, target: str, cfg: LocalLearnConfig, test: CiTest
 ) -> tuple[frozenset[str], SepsetTable]:
@@ -136,15 +135,11 @@ def learn_mb(
     Returns the candidate blanket and the separating sets recorded for
     excluded candidates.
     """
-    return _learn(_MB_STEPS, "Markov blankets", data, target, cfg, test)
+    return _learn(_MB_STEPS, _shrink, "Markov blankets", data, target, cfg, test)
 
 
 def learn_nbr(
-    data,
-    target: str,
-    cfg: LocalLearnConfig,
-    test: CiTest,
-    mb: Iterable[str] | None = None,
+    data, target: str, cfg: LocalLearnConfig, test: CiTest, mb: Iterable[str] | None = None
 ) -> tuple[frozenset[str], SepsetTable]:
     """Learn the neighbourhood (parents and children) of ``target``.
 
@@ -152,24 +147,31 @@ def learn_nbr(
     blanket. Returns the candidate neighbourhood and, for every rejected
     candidate, the separating set that excluded it.
     """
-    return _learn(_NBR_STEPS, "neighbourhoods", data, target, cfg, test, mb)
+    return _learn(_NBR_STEPS, _backward, "neighbourhoods", data, target, cfg, test, mb)
 
 
-def _learn(steps, kind, data, target, cfg, test, within=None):
-    """Run the backend ``steps[cfg.backend]`` for ``target``. The backend
-    notes in ``witness`` the latest separating set of each candidate it
-    rejected; those left out of the result form the sepset fragment."""
+def _learn(steps, eliminate, kind, data, target, cfg, test, within=None):
+    """Run the forward phase ``steps[cfg.backend]`` for ``target`` on the
+    member set seeded with the whitelist and the start set, then
+    ``eliminate``. Both note in ``witness`` the latest separating set of
+    each candidate they rejected."""
     cfg.validate(target)
     if cfg.backend not in steps:
         raise ValueError(f"backend {cfg.backend!r} does not learn {kind}")
     names = _resolve_names(data, target, cfg, within)
-    witness: dict[str, frozenset[str]] = {}
-    members = frozenset(steps[cfg.backend](names, target, cfg, test, witness))
+    members, witness = set(cfg.whitelist | cfg.start), {}
+    steps[cfg.backend](names, members, target, cfg, test, witness)
+    eliminate(members, target, cfg, test, witness)
+    return frozenset(members), _fragment(target, members, witness)
+
+
+def _fragment(target, members, witness) -> SepsetTable:
+    """The sepset fragment: the witnessed sets of the non-members."""
     fragment = SepsetTable()
     for v, sepset in witness.items():
         if v not in members:
             fragment.record(target, v, sepset)
-    return members, fragment
+    return fragment
 
 
 def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> list[str]:
@@ -185,130 +187,106 @@ def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> lis
     return sorted(pool)
 
 
-def _grow_shrink(names, target, cfg, test, witness) -> set[str]:
-    cmb = set(cfg.whitelist) | set(cfg.start)
+def _grow(names, cmb, target, cfg, test, witness) -> None:
     changed = True
     while changed:
         changed = False
         for v in names:
-            if v in cmb:
-                continue
-            cond = frozenset(cmb)
-            out = test.test(target, v, cond)
-            if out.independent:
-                witness[v] = cond
-            else:
-                cmb.add(v)
-                changed = True
-    _shrink(cmb, target, cfg, test, witness)
-    return cmb
+            if v not in cmb:
+                cond = frozenset(cmb)
+                if test.test(target, v, cond).independent:
+                    witness[v] = cond
+                else:
+                    cmb.add(v)
+                    changed = True
 
 
-def _iamb(names, target, cfg, test, witness, interleave: bool) -> set[str]:
-    cmb = set(cfg.whitelist) | set(cfg.start)
-    seen_states = {frozenset(cmb)}
-    while True:
-        best_key = None
-        best_v = None
-        best_out = None
-        cond = frozenset(cmb)
-        candidates = [v for v in names if v not in cmb]
-        for v, out in zip(candidates, _test_all(test, target, candidates, cond)):
-            if out.independent:
-                witness[v] = cond
-            key = out.ranking_key(v)
-            if best_key is None or key < best_key:
-                best_key, best_v, best_out = key, v, out
-        if best_v is None or best_out.independent:
-            break
-        cmb.add(best_v)
-        if interleave:
-            _shrink(cmb, target, cfg, test, witness)
-        state = frozenset(cmb)
-        if state in seen_states:
-            break  # oscillation guard on inconsistent test answers
-        seen_states.add(state)
-    _shrink(cmb, target, cfg, test, witness)
-    return cmb
+def _iamb(names, cmb, target, cfg, test, witness, interleave: bool) -> None:
+    grown = partial(_shrink, target=target, cfg=cfg, test=test, witness=witness) if interleave else None
+    _forward(names, cmb, target, test, witness, lambda members: [frozenset(members)], grown)
 
 
-def _shrink(cmb: set[str], target, cfg, test, witness) -> None:
-    """Remove members independent of the target given the rest, to fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(cmb):
-            if v in cfg.whitelist or v not in cmb:
-                continue
-            rest = frozenset(cmb - {v})
-            out = test.test(target, v, rest)
-            if out.independent:
-                cmb.discard(v)
-                witness[v] = rest
-                changed = True
+def _mmpc(names, cpc, target, cfg, test, witness) -> None:
+    _forward(names, cpc, target, test, witness, partial(subsets_in_order, cap=cfg.max_condition_size))
 
 
-def _mmpc(names, target, cfg, test, witness) -> set[str]:
-    cpc = set(cfg.whitelist) | set(cfg.start)
-    candidates = [v for v in names if v not in cpc]
-    while candidates:
-        # Minimum association over separating subsets = maximum p-value; the
-        # first subset in order wins ties.
-        max_out: dict[str, tuple] = {}
-        for s in subsets_in_order(cpc, cfg.max_condition_size):
-            for v, out in zip(candidates, _test_all(test, target, candidates, s)):
-                if v not in max_out or out.p_value > max_out[v][0].p_value:
-                    max_out[v] = out, s
-        best_key = None
-        best_v = None
-        best_out = None
-        for v in candidates:
-            out, subset = max_out[v]
-            if out.independent:
-                witness[v] = subset
-            key = out.ranking_key(v)
-            if best_key is None or key < best_key:
-                best_key, best_v, best_out = key, v, out
-        if best_out.independent:
-            break
-        cpc.add(best_v)
-        candidates.remove(best_v)
-    _backward(cpc, target, cfg, test, witness)
-    return cpc
-
-
-def _si_hiton_pc(names, target, cfg, test, witness) -> set[str]:
-    pc = set(cfg.whitelist) | set(cfg.start)
-    ranked = []
+def _si_hiton_pc(names, pc, target, cfg, test, witness) -> None:
     candidates = [v for v in names if v not in pc]
-    for v, out in zip(candidates, _test_all(test, target, candidates, frozenset())):
-        if out.independent:
-            witness[v] = frozenset()
-        ranked.append((out.ranking_key(v), v))
-    ranked.sort()
-    for _, v in ranked:
+    for _, v, _ in sorted(_scan(test, target, candidates, [frozenset()], witness)):
         sep = first_separator(test, target, v, pc, cfg.max_condition_size)
         if sep is None:
             pc.add(v)
         else:
             witness[v] = sep
-    _backward(pc, target, cfg, test, witness)
-    return pc
 
 
-def _backward(pc: set[str], target, cfg, test, witness) -> None:
-    """One elimination pass: drop members some remaining subset separates."""
-    for v in sorted(pc):
-        if v in cfg.whitelist:
-            continue
-        sep = first_separator(test, target, v, pc - {v}, cfg.max_condition_size)
+def _forward(names, members, target, test, witness, sets, grown=None) -> None:
+    """Max-min forward selection: while the candidate most associated at its
+    weakest over ``sets(members)`` tests dependent, add it to ``members`` and
+    call ``grown(members)``. A member set seen before ends the loop: a guard
+    against inconsistent answers when ``grown`` drops members."""
+    seen = {frozenset(members)}
+    while candidates := [v for v in names if v not in members]:
+        _, v, out = min(_scan(test, target, candidates, sets(members), witness))
+        if out.independent:
+            return
+        members.add(v)
+        if grown is not None:
+            grown(members)
+        if (state := frozenset(members)) in seen:
+            return
+        seen.add(state)
+
+
+def _scan(test, target, candidates, sets, witness) -> list:
+    """``(ranking key, name, outcome)`` per candidate, the outcome its weakest
+    over the conditioning ``sets`` (largest p, first set on ties); that set
+    witnesses an independent candidate. Each set is one ``test_many`` batch,
+    or one ``test`` call per candidate on engines that only have ``test``."""
+    many = getattr(test, "test_many", None)
+    weakest = {}
+    for s in sets:
+        outcomes = many(target, candidates, s) if many else [test.test(target, v, s) for v in candidates]
+        for v, out in zip(candidates, outcomes):
+            if v not in weakest or out.p_value > weakest[v][0].p_value:
+                weakest[v] = out, s
+    for v, (out, s) in weakest.items():
+        if out.independent:
+            witness[v] = s
+    return [(out.ranking_key(v), v, out) for v, (out, _) in weakest.items()]
+
+
+def _eliminate(members: set[str], keep, witness, separator) -> bool:
+    """Drop, in name order, each member ``v`` outside ``keep`` that
+    ``separator(v, members - {v})`` separates from the target, witnessed by
+    the set it returns. Returns whether a member was dropped."""
+    dropped = False
+    for v in sorted(members - keep):
+        sep = separator(v, members - {v})
         if sep is not None:
-            pc.discard(v)
+            members.discard(v)
             witness[v] = sep
+            dropped = True
+    return dropped
+
+
+def _shrink(members, target, cfg, test, witness) -> None:
+    """Drop members independent of the target given the rest, to fixpoint."""
+    def given_rest(v, rest):
+        return rest if test.test(target, v, rest := frozenset(rest)).independent else None
+
+    while _eliminate(members, cfg.whitelist, witness, given_rest):
+        pass
+
+
+def _backward(members, target, cfg, test, witness) -> None:
+    """Drop, in one pass, the members some subset of the rest separates."""
+    cap = cfg.max_condition_size
+    _eliminate(members, cfg.whitelist, witness, lambda v, rest: first_separator(test, target, v, rest, cap))
 
 
 _MB_STEPS = {
-    "gs": _grow_shrink,
+    "gs": _grow,
     "iamb": partial(_iamb, interleave=False),
     "inter-iamb": partial(_iamb, interleave=True),
 }

@@ -26,6 +26,9 @@ class DiscreteBn:
         cpts: dict[str, tuple[tuple[str, ...], np.ndarray]],
     ):
         self.dag = dag
+        if set(levels) != set(dag.nodes):
+            missing, extra = sorted(set(dag.nodes) - set(levels)), sorted(set(levels) - set(dag.nodes))
+            raise ValueError(f"levels do not match the graph's nodes: missing {missing}, extra {extra}")
         self.levels = {n: [str(l) for l in levels[n]] for n in dag.nodes}
         self.cpts: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
         for node in dag.nodes:

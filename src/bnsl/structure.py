@@ -35,6 +35,7 @@ from .citests import CiTest, make_engine
 from .data import Dataset
 from .graph import Dag, Pdag, Skeleton, VStructure, _pair, _reaches, apply_meek_rules
 from .local import MB_BACKENDS, LocalLearnConfig, SepsetTable, first_separator, learn_mb, learn_nbr
+from .local import _eliminate, _fragment
 from .parallel import ParallelExecutor
 
 ALGORITHMS = ("gs", "inter-iamb", "mmpc", "si-hiton-pc")
@@ -114,21 +115,16 @@ def learn_skeleton(
         return learner(data, node, _seeded(cfg, node, earlier), worker_engine)
 
     def pair_step(node, earlier, worker_engine):
-        # A pair (node, j) with j earlier was decided while processing j,
-        # and j is a seed of node iff it kept the pair adjacent.
+        # A pair (node, j) with j earlier was decided while processing j: kept
+        # iff j chose node. Only the blanket's other members are searched.
         local = _seeded(cfg, node, earlier)
-        kept = set(local.start | local.whitelist)
-        found = SepsetTable()
-        for j in sorted(blankets[node]):
-            if j in earlier:
-                continue
-            pool = _pair_pool(blankets, node, j)
-            sep = first_separator(worker_engine, node, j, pool, cfg.max_condition_size)
-            if sep is None:
-                kept.add(j)
-            else:
-                found.record(node, j, sep)
-        return kept, found
+        members, witness = set(blankets[node] - local.blacklist), {}
+
+        def separator(j, _):
+            return first_separator(worker_engine, node, j, _pair_pool(blankets, node, j), cfg.max_condition_size)
+
+        _eliminate(members, local.start | local.whitelist, witness, separator)
+        return members, _fragment(node, members, witness)
 
     if learner is learn_mb:
         blankets = _node_phase("markov-blankets", names, node_step, cfg, executor, engine, sepsets)

@@ -464,6 +464,19 @@ class TestMemoisedEngine:
         np.testing.assert_array_equal(data.correlation, citests.correlation_matrix(data.values))
 
 
+def wide_dataset(n, n_z):
+    """A binary and a ternary variable plus ``n_z`` ternary conditioning
+    variables; the ternary one copies the first conditioning variable 60%
+    of the time."""
+    rng = np.random.default_rng(n_z)
+    cards = [2, 3] + [3] * n_z
+    codes = np.column_stack([rng.integers(0, c, n) for c in cards])
+    codes[:, 1] = np.where(rng.random(n) < 0.6, codes[:, 2], codes[:, 1])
+    names = [f"V{j:02d}" for j in range(len(cards))]
+    data = DiscreteDataset([(nm, [str(v) for v in range(c)]) for nm, c in zip(names, cards)], codes)
+    return data, codes, cards, names
+
+
 class TestWideConditioningSets:
     @pytest.mark.parametrize("n, n_z", [(500, 20), (200, 45)])
     def test_bounded_memory_and_reference_statistic(self, n, n_z):
@@ -471,14 +484,7 @@ class TestWideConditioningSets:
         # overflow int64 stratum codes; strata are re-coded to those observed.
         from test_acceptance import g2_reference
 
-        rng = np.random.default_rng(n_z)
-        cards = [2, 3] + [3] * n_z
-        codes = np.column_stack([rng.integers(0, c, n) for c in cards])
-        codes[:, 1] = np.where(rng.random(n) < 0.6, codes[:, 2], codes[:, 1])
-        names = [f"V{j:02d}" for j in range(len(cards))]
-        data = DiscreteDataset(
-            [(nm, [str(v) for v in range(c)]) for nm, c in zip(names, cards)], codes
-        )
+        data, codes, cards, names = wide_dataset(n, n_z)
         tracemalloc.start()
         try:
             out = mi_test(data, "V00", "V01", frozenset(names[2:]), alpha=0.01)
@@ -489,6 +495,26 @@ class TestWideConditioningSets:
         expected_stat, expected_dof = g2_reference(codes, cards, list(range(2, len(cards))))
         assert out.dof == expected_dof == 2 * 3**n_z
         assert out.statistic == pytest.approx(expected_stat, abs=1e-9)
+
+    def test_batch_equals_single_test_past_int64_dof(self):
+        # 2 * 3^45 degrees of freedom do not fit an int64.
+        data, _, _, names = wide_dataset(200, 45)
+        single = mi_test(data, "V00", "V01", frozenset(names[2:]), alpha=0.01)
+        [batched] = MutualInfoTest(data, 0.01).test_many("V00", ["V01"], names[2:])
+        assert single.dof == 2 * 3**45 and isinstance(batched.dof, int)
+        assert batched == single
+
+
+@pytest.mark.parametrize("kind", ["mi", "cor"])
+def test_repeated_conditioning_variable_counts_once(kind):
+    rng = np.random.default_rng(11)
+    if kind == "mi":
+        data = DiscreteDataset([(v, ["0", "1"]) for v in "XYZ"], rng.integers(0, 2, (500, 3)))
+        test = mi_test
+    else:
+        data = ContinuousDataset(list("XYZ"), rng.normal(size=(500, 3)))
+        test = cor_test
+    assert test(data, "X", "Y", ("Z", "Z"), 0.01) == test(data, "X", "Y", ("Z",), 0.01)
 
 
 class TestNullCalibration:

@@ -8,11 +8,13 @@ neighbourhood whose symmetrised version is exact; see the four-node
 counterexample below.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from bnsl import structure
 from bnsl.citests import MutualInfoTest, OracleTest
 from bnsl.data import DiscreteDataset
 from bnsl.graph import Dag, markov_blanket_of
@@ -27,15 +29,18 @@ from bnsl.local import (
     subsets_in_order,
 )
 from bnsl.network import sample
-from bnsl.synth import random_dag, random_discrete_bn
+from bnsl.structure import GlobalLearnConfig
+from bnsl.synth import random_dag, random_discrete_bn, random_discrete_network
 
 
 class RecordingEngine:
-    """Engine proxy that remembers every (x, y, z) query."""
+    """Engine proxy that remembers every (x, y, z) query; spawned engines
+    share the record. It offers only ``test``, as name-only proxies do, so
+    batched scans fall back to one call per candidate."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, calls=None):
         self.inner = inner
-        self.calls = []
+        self.calls = [] if calls is None else calls
 
     @property
     def counter(self):
@@ -50,7 +55,18 @@ class RecordingEngine:
         return self.inner.test(x, y, z)
 
     def spawn(self):
-        return RecordingEngine(self.inner.spawn())
+        return type(self)(self.inner.spawn(), self.calls)
+
+
+class BatchRecordingEngine(RecordingEngine):
+    """:class:`RecordingEngine` that also passes ``test_many`` through and
+    records a batch as one (target, candidates, z) query. A batch of no
+    candidates requests no test and is not recorded."""
+
+    def test_many(self, target, candidates, z):
+        if candidates:
+            self.calls.append((target, tuple(candidates), frozenset(z)))
+        return self.inner.test_many(target, candidates, z)
 
 
 def oracle_data(dag, n=4):
@@ -351,3 +367,70 @@ class TestFirstSeparator:
         engine = OracleTest(self.CHAIN4)
         assert first_separator(engine, "X", "Y", ["M1", "M2", "A"], cap=1) == frozenset({"M1"})
         assert engine.counter.count == 3
+
+
+def _digest(calls, results) -> str:
+    """sha256 of the recorded queries and the learned results, with every
+    set sorted so that the digest does not depend on string hashing."""
+    calls = [(x, y, sorted(z)) for x, y, z in calls]
+    results = [
+        (sorted(members), [(pair, None if s is None else sorted(s)) for pair, s in seps.items()])
+        for members, seps in results
+    ]
+    return hashlib.sha256(repr((calls, results)).encode()).hexdigest()
+
+
+class TestRequestSequence:
+    """The exact tests each learner requests, in order and in batches.
+
+    The digests were recorded from the learners as they stood when this
+    test was written; a refactor that keeps outputs and counts but reorders,
+    re-batches or adds a test changes them.
+    """
+
+    DATA = sample(random_discrete_network(7, 808, edge_prob=0.35, max_levels=3), 400, 808)
+
+    LEARNER_DIGESTS = {
+        ("gs", "batched"): "4ce2979d96a498b98958f6cfd95beb44bfd2e853ee23cac74ac1f270a838906a",
+        ("gs", "single"): "4ce2979d96a498b98958f6cfd95beb44bfd2e853ee23cac74ac1f270a838906a",
+        ("iamb", "batched"): "3dd161774db01a64ad5acb078d54b235033e2bc4b2b97c138c86d52d3b4a190f",
+        ("iamb", "single"): "d71c31b710d391a5249b5708e4c8aa379e89dd5278507c2e0cc1122b7dfae61d",
+        ("inter-iamb", "batched"): "60cb88b2ee6725462162426287b874669e0767690378ce02f1ac2478cb0f1271",
+        ("inter-iamb", "single"): "689dec3c495085713235f7da0731a7a8572ce157a6e3407d56e193ae98a8d401",
+        ("mmpc", "batched"): "6dc095c99aea420bad724fac28e8f44724f8714c4017e1eb35b655e29de13c0c",
+        ("mmpc", "single"): "c6fa12a8bf483a8c03dd7c93533c6f4cb0063005dc0c4b6e06b49e547e8252f5",
+        ("si-hiton-pc", "batched"): "b62cd3b3672a17c45266d72c45417b214cb7e90bdfc965173a2754a7dbb5aae9",
+        ("si-hiton-pc", "single"): "b3d6e106e67d559c4fd3f801ff868fc139aa1b29b24700e3c82f274aae9bea3e",
+    }
+    SKELETON_DIGESTS = {
+        ("gs", "none"): "07b9b1f8c7cb347d650a6b86b17c39aad28ba0c0b5aad005646895362d2fbc54",
+        ("gs", "start-set"): "6be8da145f1b74a359298613fb7c3ef0cbc5db33f8af9d3458cb49e55f724922",
+        ("inter-iamb", "none"): "3816f8df13a7c498317db0038d1dba61523f23b8b4d2e639fb478e3c96f224dc",
+        ("inter-iamb", "start-set"): "e39b77a203d71d51b27826cd9465d4eb4d89e516c16c688dc5e41478896e35a4",
+    }
+
+    @pytest.mark.parametrize("backend, calls", sorted(LEARNER_DIGESTS))
+    def test_learner_requests(self, backend, calls):
+        data = self.DATA
+        learner = learn_mb if backend in MB_BACKENDS else learn_nbr
+        engine = (BatchRecordingEngine if calls == "batched" else RecordingEngine)(MutualInfoTest(data, alpha=0.05))
+        results = []
+        for target in data.names:
+            a, b, c, d = [v for v in data.names if v != target][:4]
+            seeds = [
+                {},
+                {"start": frozenset({a, d})},
+                {"whitelist": frozenset({b}), "blacklist": frozenset({c})},
+            ]
+            for cap in (None, 2):
+                for kw in seeds:
+                    results.append(learner(data, target, LocalLearnConfig(backend, max_condition_size=cap, **kw), engine))
+        assert _digest(engine.calls, results) == self.LEARNER_DIGESTS[(backend, calls)]
+
+    @pytest.mark.parametrize("algorithm, mode", sorted(SKELETON_DIGESTS))
+    def test_pair_separation_requests(self, algorithm, mode, monkeypatch):
+        engine = BatchRecordingEngine(MutualInfoTest(self.DATA, alpha=0.05))
+        monkeypatch.setattr(structure, "make_engine", lambda *args, **kwargs: engine)
+        cfg = GlobalLearnConfig(algorithm=algorithm, alpha=0.05, backtracking=mode)
+        skel, seps = structure.learn_skeleton(self.DATA, cfg)
+        assert _digest(engine.calls, [(skel.edges, seps)]) == self.SKELETON_DIGESTS[(algorithm, mode)]

@@ -121,6 +121,16 @@ class TestCptValidation:
                 {"A": ((), np.array([[0.5, 0.5]])), "B": (("A",), np.array([[0.5, 0.5]]))},
             )
 
+    def test_levels_missing_a_node_rejected(self):
+        bn = chain_bn()
+        with pytest.raises(ValueError, match=r"missing \['B'\]"):
+            DiscreteBn(bn.dag, {"A": bn.levels["A"]}, bn.cpts)
+
+    def test_levels_with_an_extra_node_rejected(self):
+        bn = chain_bn()
+        with pytest.raises(ValueError, match=r"extra \['Z'\]"):
+            DiscreteBn(bn.dag, {**bn.levels, "Z": ["z0", "z1"]}, bn.cpts)
+
 
 class TestSampling:
     def test_degenerate_cpt_is_constant(self):
