@@ -7,16 +7,16 @@ graphs. :class:`CiEngine` holds what they share - the memo, the counter
 and ``spawn`` - and each subclass only binds a kernel. The standalone
 :func:`mi_test` and :func:`cor_test` call the same kernels.
 
-Callers name variables; the kernels take column ids. Names are checked and
-translated at one boundary, on every call: :func:`_resolve` for one test
-(``mi_test``, ``cor_test`` and each engine's ``test``) and
-:func:`_resolve_many` for a batch (``test_many``), which checks the
-target, z and alpha once and each candidate with one lookup. The
-translation reads the dataset's name-rank table (see :mod:`bnsl.data`): one
-dict lookup per name gives its rank, the ranks are sorted as integers, and
-each rank maps to its column. Rank order is name order, so the kernels
-receive the columns of {x, y} union z in name order, exactly as a sort of
-the names would give them, and every statistic is unchanged.
+Callers name variables; the kernels take column ids. One checker,
+:func:`_check`, checks and translates the names at that boundary on every
+call. It takes a batch's shape (a target, its candidates and z), so a
+single test is a batch of one, and a batch checks the target, z and alpha
+once and each candidate with one lookup. The translation reads the
+dataset's name-rank table (see :mod:`bnsl.data`): one dict lookup per name
+gives its rank, the ranks are sorted as integers, and each rank maps to
+its column. Rank order is name order, so the kernels receive the columns
+of {x, y} union z in name order, exactly as a sort of the names would
+give them, and every statistic is unchanged.
 
 Each engine keeps a memo of the outcomes it computed, keyed on the
 unordered pair and the conditioning set. Every kernel is symmetric in
@@ -35,7 +35,8 @@ would. By default it loops the single-test kernel. The ``mi`` engine codes
 the strata and the (stratum, target) cells once per call and counts a
 chunk of candidates with one ``bincount``; each outcome is bit-identical
 to :func:`mi_test`'s, and ``BATCH_CELLS`` bounds a chunk's memory. The
-``cor`` engine reads z = {} tests from the dataset's marginal t/p table.
+``cor`` engine answers a z = {} batch from the target's correlations with
+one vectorised t test, :func:`_t_many`, bit-identical to :func:`cor_test`.
 The learners batch the scans whose tests share a target and z and are all
 requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
 z = {} ranking.
@@ -104,41 +105,17 @@ class TestCounter:
         return f"TestCounter({self.count}, executed={self.executed})"
 
 
-def _resolve(data: Dataset, x: str, y: str, z, alpha: float) -> tuple[list[int], int, int]:
-    """Check a test's arguments and put them in canonical order.
-
-    Returns the column ids of {x, y} union z in name order, then the
-    positions of the name-smaller and the name-larger of x and y in that
-    list. Name order makes every statistic bit-identical under (x, y)
-    swaps and column permutations of the dataset. z is a set: a repeated
-    name counts once, as in the engines' memo key.
-    """
-    rank, columns = data.name_ranks
+def _check(data: Dataset, target: str, candidates, z, alpha: float) -> tuple[int, list[int], list[int]]:
+    """Check the tests of ``target`` against each of ``candidates`` given
+    ``z`` (a single test passes one candidate): the target, z and alpha
+    once, then each candidate with one lookup. Returns the ranks of the
+    target, of z (sorted) and of each candidate. z is a set: a repeated
+    name counts once, as in the engines' memo key."""
+    rank = data.name_ranks[0]
     z = frozenset(z)
     try:
-        rx, ry = rank[x], rank[y]
-        ranks = [rank[v] for v in z] if z else []
-    except KeyError as err:
-        raise ValueError(f"unknown variable: {err.args[0]!r}") from None
-    if rx == ry:
-        raise ValueError("x and y must differ")
-    if x in z or y in z:
-        raise ValueError("x and y must not appear in the conditioning set")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    ranks += rx, ry
-    return _order(columns, ranks, rx, ry)
-
-
-def _resolve_many(data: Dataset, target: str, candidates, z, alpha: float) -> tuple[int, list[int], list[int]]:
-    """Check a batch's arguments as :func:`_resolve` checks each of its
-    tests: the target, z and alpha once, then each candidate with one
-    lookup. Returns the ranks of the target, of z (sorted) and of each
-    candidate."""
-    rank = data.name_ranks[0]
-    try:
         rt = rank[target]
-        rz = sorted(rank[v] for v in z)
+        rz = sorted([rank[v] for v in z])
     except KeyError as err:
         raise ValueError(f"unknown variable: {err.args[0]!r}") from None
     if target in z:
@@ -159,23 +136,22 @@ def _resolve_many(data: Dataset, target: str, candidates, z, alpha: float) -> tu
 
 
 def _order(columns, ranks: list[int], rx: int, ry: int) -> tuple[list[int], int, int]:
-    """:func:`_resolve`'s result from the ranks of {x, y} union z, which it
-    sorts in place, and those of x and y."""
+    """:func:`_partial_t`'s arguments from the ranks of {x, y} union z
+    (sorted here, in place) and of x and y: the columns in name order and
+    the positions of the name-smaller and name-larger of x and y in them."""
     ranks.sort()
     a, b = ranks.index(rx), ranks.index(ry)
     idx = [columns[r] for r in ranks]
     return (idx, a, b) if a < b else (idx, b, a)
 
 
-def _g2(columns: np.ndarray, cards, idx: list[int], a: int, b: int, alpha: float) -> TestOutcome:
-    """G^2 kernel over contiguous code columns; arguments from :func:`_resolve`.
-
-    Strata come from :func:`_strata`, so memory stays O(n |x| |y|) and the
-    nonzero cells are summed in the same order whether or not they were
-    re-coded.
+def _g2(columns: np.ndarray, cards, it: int, izs: list[int], ic: int, before: bool, alpha: float) -> TestOutcome:
+    """G^2 kernel over contiguous code columns, with :func:`_g2_many`'s
+    arguments for one candidate ``(ic, before)``. Strata come from
+    :func:`_strata`, so memory stays O(n |x| |y|) and the nonzero cells are
+    summed in the same order whether or not they were re-coded.
     """
-    ix, iy = idx[a], idx[b]
-    izs = idx[:a] + idx[a + 1:b] + idx[b + 1:]
+    ix, iy = (ic, it) if before else (it, ic)
     cx, cy = cards[ix], cards[iy]
     dof = (cx - 1) * (cy - 1)
     for j in izs:
@@ -301,11 +277,14 @@ def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, a
     freedom use the declared level counts: (|x|-1)(|y|-1) * prod |z_k|;
     empty strata still count toward the dof (pure asymptotic formula).
     """
-    return _g2(data.code_columns, data.cardinalities, *_resolve(data, x, y, z, alpha), alpha)
+    rx, rz, (ry,) = _check(data, x, (y,), z, alpha)
+    columns = data.name_ranks[1]
+    izs = [columns[r] for r in rz]
+    return _g2(data.code_columns, data.cardinalities, columns[rx], izs, columns[ry], ry < rx, alpha)
 
 
 def _partial_t(corr: np.ndarray, n: int, idx: list[int], a: int, b: int, alpha: float) -> TestOutcome:
-    """Partial-correlation t kernel; arguments from :func:`_resolve`.
+    """Partial-correlation t kernel; arguments from :func:`_order`.
 
     Conditioning sets of size 0 and 1 use the closed forms on Python
     floats; larger sets invert the correlation submatrix over the sorted
@@ -348,6 +327,18 @@ def _t_outcome(r: float, dof: int, alpha: float, ridged: bool = False) -> TestOu
     return TestOutcome(t, dof, p_value, independent=p_value > alpha, ridged=ridged)
 
 
+def _t_many(r: np.ndarray, dof: int, alpha: float) -> list[TestOutcome]:
+    """:func:`_t_outcome` of each correlation in ``r``, vectorised with the
+    same elementwise operations, so each outcome is bit-identical."""
+    r = np.clip(r, -1.0, 1.0)
+    sure = np.abs(r) >= 1.0 - 1e-12
+    safe = np.where(sure, 0.0, r)
+    t = np.where(sure, np.copysign(np.inf, r), safe * np.sqrt(dof / (1.0 - safe * safe)))
+    p = np.where(sure, 0.0, 2.0 * special.stdtr(dof, -np.abs(t)))
+    # Positional, not keyword, arguments: they build a batch's outcomes faster.
+    return [TestOutcome(ti, dof, pi, pi > alpha) for ti, pi in zip(t.tolist(), p.tolist())]
+
+
 def cor_test(
     data: ContinuousDataset,
     x: str,
@@ -367,7 +358,8 @@ def cor_test(
     """
     if corr is None:
         corr = data.correlation
-    return _partial_t(corr, data.n, *_resolve(data, x, y, z, alpha), alpha)
+    rx, rz, (ry,) = _check(data, x, (y,), z, alpha)
+    return _partial_t(corr, data.n, *_order(data.name_ranks[1], [*rz, rx, ry], rx, ry), alpha)
 
 
 def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOutcome:
@@ -391,6 +383,8 @@ class CiEngine:
     name = ""
 
     def __init__(self, alpha: float):
+        if not 0 < alpha < 1:
+            raise ValueError("alpha must be in (0, 1)")
         self.alpha = alpha
         self.counter = TestCounter()
         self._memo: dict[tuple, TestOutcome] = {}
@@ -452,7 +446,7 @@ class MutualInfoTest(CiEngine):
 
     def _kernel_many(self, target, candidates, z):
         data = self.data
-        rt, rz, rcs = _resolve_many(data, target, candidates, z, self.alpha)
+        rt, rz, rcs = _check(data, target, candidates, z, self.alpha)
         columns = data.name_ranks[1]
         cands = [(columns[r], r < rt) for r in rcs]
         izs = [columns[r] for r in rz]
@@ -462,9 +456,9 @@ class MutualInfoTest(CiEngine):
 class PartialCorrelationTest(CiEngine):
     """Engine for :func:`cor_test` over one continuous dataset.
 
-    The dataset's correlation matrix, and its table of every pair's
-    z = {} t and p, are shared by every engine over it; a z = {} test is
-    one lookup in that table.
+    The dataset's correlation matrix is shared by every engine over it. A
+    z = {} batch reads the target's correlations from it and tests them
+    together with :func:`_t_many`.
     """
 
     name = "cor"
@@ -475,28 +469,20 @@ class PartialCorrelationTest(CiEngine):
         super().__init__(alpha)
         self.data = data
         self.corr = data.correlation
-        self.marginal = data.marginal_table
         data.name_ranks  # derive once, before workers fork
 
     def _kernel(self, x, y, z):
-        return self._outcome(*_resolve(self.data, x, y, z, self.alpha))
-
-    def _outcome(self, idx, a, b):
-        if len(idx) == 2 and self.marginal is not None:
-            t, p = self.marginal
-            p_value = p.item(*idx)
-            return TestOutcome(t.item(*idx), self.data.n - 2, p_value, independent=p_value > self.alpha)
-        return _partial_t(self.corr, self.data.n, idx, a, b, self.alpha)
+        return cor_test(self.data, x, y, z, self.alpha, self.corr)
 
     def _kernel_many(self, target, candidates, z):
-        rt, rz, rcs = _resolve_many(self.data, target, candidates, z, self.alpha)
-        columns = self.data.name_ranks[1]
-        if z or self.marginal is None:
-            return [self._outcome(*_order(columns, [*rz, rt, r], rt, r)) for r in rcs]
-        row, cols = columns[rt], [columns[r] for r in rcs]
-        t, p = (table[row, cols].tolist() for table in self.marginal)
-        dof = self.data.n - 2
-        return [TestOutcome(ti, dof, pi, independent=pi > self.alpha) for ti, pi in zip(t, p)]
+        rt, rz, rcs = _check(self.data, target, candidates, z, self.alpha)
+        columns, n = self.data.name_ranks[1], self.data.n
+        if z or n <= 2:
+            return [_partial_t(self.corr, n, *_order(columns, [*rz, rt, r], rt, r), self.alpha) for r in rcs]
+        # Each pair's entry has the name-smaller variable's row, as in _partial_t.
+        it, ics = columns[rt], [columns[r] for r in rcs]
+        r = np.where([rc < rt for rc in rcs], self.corr[ics, it], self.corr[it, ics])
+        return _t_many(r, n - 2, self.alpha)
 
 
 class OracleTest(CiEngine):
@@ -516,17 +502,17 @@ CiTest = CiEngine
 
 
 def make_engine(test: str, data: Dataset | None, alpha: float, truth: Dag | None = None) -> CiEngine:
-    """Build a test engine by name: ``mi``, ``cor`` or ``oracle``."""
+    """Build a test engine by name: ``mi``, ``cor`` or ``oracle``; the
+    oracle's ``truth`` must hold every variable of ``data``."""
     if test == "mi":
-        if data is None:
-            raise ValueError("the mi test requires a dataset")
         return MutualInfoTest(data, alpha)
     if test == "cor":
-        if data is None:
-            raise ValueError("the cor test requires a dataset")
         return PartialCorrelationTest(data, alpha)
     if test == "oracle":
         if truth is None:
             raise ValueError("the oracle test requires truth, the true DAG")
+        missing = sorted(set(data.names) - set(truth.nodes)) if data is not None else []
+        if missing:
+            raise ValueError(f"the true DAG lacks dataset variables: {', '.join(map(repr, missing))}")
         return OracleTest(truth, alpha)
     raise ValueError(f"unknown test: {test!r}")

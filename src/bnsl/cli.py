@@ -205,8 +205,6 @@ def _cmd_bench_order(args) -> int:
 
 
 def _cmd_bench_scaling(args) -> int:
-    if args.data is None and args.network is None:
-        raise ValueError("either --data or --network with --n is required")
     spec = bench.ScalingExperimentSpec(
         data=args.data,
         network=args.network,

@@ -16,10 +16,9 @@ the name-rank table.
 
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
-Views the CI tests need (the name-rank table, contiguous code columns, the
-correlation matrix and its z = {} t/p table) are derived on first use and
-kept, so every engine over one dataset shares them and construction itself
-does no extra work.
+Views the CI tests need (the name-rank table, contiguous code columns and
+the correlation matrix) are derived on first use and kept, so every engine
+over one dataset shares them and construction itself does no extra work.
 
 A variable has two integer ids. Its *column* is its position in the
 dataset, which indexes the code columns and the correlation matrix. Its
@@ -34,7 +33,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .graph import _check_nodes
 
@@ -139,34 +137,6 @@ class ContinuousDataset(_Columns):
     def correlation(self) -> np.ndarray:
         """Read-only Pearson correlation matrix in column order."""
         return _frozen(correlation_matrix(self.values))
-
-    @cached_property
-    def marginal_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``t`` and ``p`` of every z = {} partial-correlation test, on
-        n - 2 degrees of freedom, in read-only symmetric matrices indexed
-        by column; ``None`` when n - 2 <= 0.
-
-        Each entry is what the t kernel computes for its pair. The
-        correlation matrix is not exactly symmetric, so each pair reads the
-        entry whose row is the name-smaller variable, as the kernel does.
-        """
-        dof = self.n - 2
-        if dof <= 0:
-            return None
-        rank = self.name_ranks[0]
-        corr = self.correlation
-        m = len(rank)
-        i, j = np.triu_indices(m, 1)
-        by_column = np.array([rank[name] for name in self.names])
-        r = np.clip(np.where(by_column[i] < by_column[j], corr[i, j], corr[j, i]), -1.0, 1.0)
-        sure = np.abs(r) >= 1.0 - 1e-12
-        safe = np.where(sure, 0.0, r)
-        t = np.where(sure, np.copysign(np.inf, r), safe * np.sqrt(dof / (1.0 - safe * safe)))
-        p = np.where(sure, 0.0, 2.0 * special.stdtr(dof, -np.abs(t)))
-        tables = np.zeros((2, m, m))
-        tables[:, i, j] = tables[:, j, i] = t, p
-        tables.flags.writeable = False
-        return tables[0], tables[1]
 
 
 Dataset = DiscreteDataset | ContinuousDataset

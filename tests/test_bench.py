@@ -12,6 +12,7 @@ import bnsl
 from bnsl import bench
 from bnsl.cli import main
 from bnsl.formats import load_pdag, save_dataset, save_graph, save_network
+from bnsl.graph import Dag
 from bnsl.network import nparams, sample
 from bnsl.synth import random_discrete_network
 
@@ -190,6 +191,33 @@ class TestCli:
         assert code == 2
         assert "truth" in capsys.readouterr().err
 
+    def test_oracle_rejects_alpha_outside_the_unit_interval(self, net_path, tmp_path, capsys):
+        csv_path, truth = tmp_path / "d.csv", tmp_path / "t.json"
+        main(["sample", "--network", str(net_path), "--n", "50", "--output", str(csv_path)])
+        save_graph(NET.dag, truth)
+        for test, extra in (("oracle", ["--truth", str(truth)]), ("mi", [])):
+            code = main([
+                "learn-local", "--data", str(csv_path), "--node", NET.dag.nodes[0],
+                "--backend", "gs", "--test", test, "--alpha", "7", *extra,
+            ])
+            assert code == 2
+            assert "bnsl: error: alpha must be in (0, 1)" in capsys.readouterr().err
+
+    def test_learn_oracle_truth_lacking_a_variable_exits_2(self, net_path, tmp_path, capsys):
+        csv_path, truth = tmp_path / "d.csv", tmp_path / "t.json"
+        main(["sample", "--network", str(net_path), "--n", "50", "--output", str(csv_path)])
+        nodes = NET.dag.nodes
+        arcs = [(a, b) for a, b in NET.dag.directed_arcs if nodes[-1] not in (a, b)]
+        save_graph(Dag(nodes[:-1], arcs), truth)
+        code = main([
+            "learn", "--data", str(csv_path), "--algorithm", "gs", "--test", "oracle",
+            "--truth", str(truth),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bnsl: error:") and repr(nodes[-1]) in err
+        assert "Traceback" not in err
+
     def test_learn_local_respects_blacklist(self, net_path, tmp_path, capsys):
         csv_path = tmp_path / "d.csv"
         main(["sample", "--network", str(net_path), "--n", "400", "--seed", "1",
@@ -249,6 +277,14 @@ class TestCli:
         assert code == 0
         rows = bench.read_csv(out)
         assert {r["workers"] for r in rows} == {"1", "2"}
+
+
+    def test_bench_scaling_without_data_or_network_exits_2(self, tmp_path, capsys):
+        code = main(["bench-scaling", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "bnsl: error: either a dataset or a network plus sample size is required\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCliConfigErrors:

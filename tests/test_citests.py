@@ -27,6 +27,7 @@ from bnsl.citests import (
 )
 from bnsl.data import ContinuousDataset, DiscreteDataset
 from bnsl.graph import Dag
+from bnsl.structure import GlobalLearnConfig, learn_cpdag
 from bnsl.synth import random_dag
 
 
@@ -341,6 +342,30 @@ class TestCountersAndEngines:
         with pytest.raises(ValueError):
             make_engine("nope", data, 0.01)
 
+    def test_every_engine_rejects_alpha_outside_the_unit_interval(self):
+        data = dataset_from_table([[5, 5], [5, 5]])
+        cont = ContinuousDataset(["X", "Y"], np.random.default_rng(0).standard_normal((10, 2)))
+        dag = Dag(["X", "Y"], [])
+        for alpha in (0.0, 1.0, 7.0, -0.5, math.nan):
+            for build in (
+                lambda: MutualInfoTest(data, alpha),
+                lambda: PartialCorrelationTest(cont, alpha),
+                lambda: OracleTest(dag, alpha),
+                lambda: make_engine("oracle", data, alpha, truth=dag),
+            ):
+                with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+                    build()
+
+    def test_oracle_truth_must_cover_the_dataset(self):
+        data = DiscreteDataset([(v, ["0", "1"]) for v in "ABCD"], np.zeros((4, 4), dtype=int))
+        truth = Dag(["A", "B", "E"], [("A", "B")])
+        with pytest.raises(ValueError, match="lacks dataset variables: 'C', 'D'"):
+            make_engine("oracle", data, 0.01, truth=truth)
+        # learn_cpdag fails before its first phase, not inside a task
+        with pytest.raises(ValueError, match="lacks dataset variables: 'C', 'D'"):
+            learn_cpdag(data, GlobalLearnConfig(algorithm="gs", test="oracle"), truth=truth)
+        assert isinstance(make_engine("oracle", data, 0.01, truth=Dag([*"ABCDE"], [])), OracleTest)
+
     def test_counter_type(self):
         c = citests.TestCounter()
         c.increment()
@@ -414,10 +439,17 @@ class TestMemoisedEngine:
             assert engine.counter.executed == len(distinct)
 
     def test_marginal_table_matches_cor_test_for_every_pair(self):
+        # Single z = {} tests, and each target's z = {} batch (read from the
+        # target's correlations), equal cor_test bit for bit for every pair.
         data = asymmetric_continuous(41)
         engine = PartialCorrelationTest(data, 0.01)
         for x, y in itertools.permutations(data.names, 2):
             assert bits(engine.test(x, y, ())) == bits(cor_test(data, x, y, (), 0.01)), (x, y)
+        for target in data.names:
+            others = [v for v in data.names if v != target]
+            got = PartialCorrelationTest(data, 0.01).test_many(target, others, ())
+            want = [cor_test(data, target, v, (), 0.01) for v in others]
+            assert list(map(bits, got)) == list(map(bits, want)), target
         names = data.names
         assert math.isinf(engine.test(names[4], names[5], ()).statistic)
         assert engine.test(names[6], names[7], ()).statistic == -math.inf
@@ -449,10 +481,10 @@ class TestMemoisedEngine:
                     with pytest.raises(ValueError):
                         engine.test(x, y, z)
             assert (engine.counter.count, engine.counter.executed) == (1, 1)
-        for engine in (MutualInfoTest(discrete, 1.5), PartialCorrelationTest(continuous, 0.0)):
+        for standalone, data, alpha in ((mi_test, discrete, 1.5), (cor_test, continuous, 0.0)):
             for _ in range(2):
-                with pytest.raises(ValueError):
-                    engine.test("X", "Y", ())
+                with pytest.raises(ValueError, match="alpha"):
+                    standalone(data, "X", "Y", (), alpha)
 
     def test_cor_engines_share_the_dataset_correlation_matrix(self):
         data = asymmetric_continuous(5)
@@ -618,10 +650,9 @@ class TestManyCandidates:
                     with pytest.raises(ValueError):
                         engine.test_many(target, candidates, z)
             assert (engine.counter.count, engine.counter.executed) == (1, 1)
-        for engine in (MutualInfoTest(discrete, 1.5), PartialCorrelationTest(continuous, 0.0)):
-            for _ in range(2):
-                with pytest.raises(ValueError):
-                    engine.test_many("X", ["Y"], ())
+        for alpha in (1.5, 0.0):
+            with pytest.raises(ValueError, match="alpha"):
+                MutualInfoTest(discrete, alpha)
 
     def test_memory_is_bounded_whatever_the_candidate_count(self):
         # One chunk of 100 candidates at n = 20,000 would need 16 MB per
@@ -668,8 +699,9 @@ class TestColumnPermutation:
     @pytest.mark.parametrize("kind", ["mi", "cor"])
     def test_outcomes_equal_those_on_name_ordered_columns(self, kind):
         # Every field of every outcome, for single and batched tests, with
-        # |z| from 0 to 4 (z = {} reads cor's marginal table), is bit-equal
-        # to the outcome on the same data with its columns in name order.
+        # |z| from 0 to 4 (a z = {} cor batch reads the target's correlations),
+        # is bit-equal to the outcome on the same data with its columns in
+        # name order.
         data = mixed_discrete(61, n=200) if kind == "mi" else integral_continuous(62)
         ordered = name_ordered(data)
         assert ordered.names != data.names and sorted(ordered.names) == list(ordered.names)
@@ -696,17 +728,15 @@ class TestColumnPermutation:
                 want = make_engine(kind, ordered, 0.05).test_many(target, candidates, z)
                 assert list(map(bits, got)) == list(map(bits, want)), (target, z)
 
-    def test_cor_engines_share_the_dataset_marginal_table(self):
+    def test_cor_engines_share_the_correlation_and_n2_is_degenerate(self):
         data = asymmetric_continuous(64)
         first = make_engine("cor", data, 0.01)
         second = make_engine("cor", data, 0.05)
-        t, p = data.marginal_table
-        assert first.marginal is second.marginal is data.marginal_table
-        assert first.spawn().marginal is first.marginal
-        assert not t.flags.writeable and not p.flags.writeable
-        tiny = ContinuousDataset(["X", "Y"], [[0.0, 1.0], [1.0, 0.5]])
-        assert tiny.marginal_table is None
-        assert make_engine("cor", tiny, 0.01).test("X", "Y", ()).degenerate
+        assert first.corr is second.corr is first.spawn().corr is data.correlation
+        tiny = ContinuousDataset(["X", "Y", "Z"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.0]])
+        engine = make_engine("cor", tiny, 0.01)
+        for outcome in [engine.test("X", "Y", ()), *engine.test_many("Z", ["X", "Y"], ())]:
+            assert outcome.degenerate and outcome.independent and (outcome.dof, outcome.p_value) == (0, 1.0)
 
     def test_outcome_is_slotted(self):
         out = mi_test(dataset_from_table([[5, 1], [2, 7]]), "X", "Y", (), 0.01)
