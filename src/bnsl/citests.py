@@ -31,15 +31,23 @@ test's path, and nothing mutates or hashes it.
 
 :meth:`CiEngine.test_many` answers one target against many candidates
 given one conditioning set, and counts exactly as the same ``test`` calls
-would. By default it loops the single-test kernel. The ``mi`` engine codes
-the strata and the (stratum, target) cells once per call and counts a
-chunk of candidates with one ``bincount``; each outcome is bit-identical
-to :func:`mi_test`'s, and ``BATCH_CELLS`` bounds a chunk's memory. The
-``cor`` engine answers a z = {} batch from the target's correlations with
-one vectorised t test, :func:`_t_many`, bit-identical to :func:`cor_test`.
+would. By default it loops the single-test kernel. The ``mi`` engine has
+one kernel, :func:`_g2_many`, and :func:`mi_test` is a batch of one: it
+codes the strata once per call, counts a chunk of candidates with one
+``bincount`` (``BATCH_CELLS`` bounds a chunk's memory), and reads each
+statistic off the dataset's ``c * ln c`` table with four gathers and row
+sums. The ``cor`` engine answers a z = {} batch from the target's
+correlations with one vectorised t test, :func:`_t_many`, bit-identical to
+:func:`cor_test`.
 The learners batch the scans whose tests share a target and z and are all
 requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
 z = {} ranking.
+
+Tolerance contract of G^2: its table form rounds differently from a
+per-cell O ln(O / E) sum, within 16 eps n ln n of an exact reference up
+to n = 10^6 (and 1e-9 on the acceptance data). Outcomes stay bit-identical
+for ``mi_test(x, y)`` and ``mi_test(y, x)``, single and batched tests, any
+column order, worker count and schedule.
 
 Degenerate cases are resolved conservatively: a test with zero degrees of
 freedom (or a t test with a non-positive sample-size margin) returns
@@ -145,36 +153,6 @@ def _order(columns, ranks: list[int], rx: int, ry: int) -> tuple[list[int], int,
     return (idx, a, b) if a < b else (idx, b, a)
 
 
-def _g2(columns: np.ndarray, cards, it: int, izs: list[int], ic: int, before: bool, alpha: float) -> TestOutcome:
-    """G^2 kernel over contiguous code columns, with :func:`_g2_many`'s
-    arguments for one candidate ``(ic, before)``. Strata come from
-    :func:`_strata`, so memory stays O(n |x| |y|) and the nonzero cells are
-    summed in the same order whether or not they were re-coded.
-    """
-    ix, iy = (ic, it) if before else (it, ic)
-    cx, cy = cards[ix], cards[iy]
-    dof = (cx - 1) * (cy - 1)
-    for j in izs:
-        dof *= cards[j]
-    if dof <= 0:
-        return TestOutcome(0.0, 0, 1.0, independent=True, degenerate=True)
-
-    strata, k = _strata(columns, cards, izs)
-    flat = columns[ix] * cy if strata is None else (strata * cx + columns[ix]) * cy
-    flat += columns[iy]
-    cube = np.bincount(flat, minlength=k * cx * cy).reshape(k, cx, cy)
-
-    rows = cube.sum(axis=2)
-    cols = cube.sum(axis=1)
-    totals = rows.sum(axis=1)
-    s, i, j = cube.nonzero()
-    counts = cube[s, i, j]
-    terms = counts * np.log(counts * totals[s] / (rows[s, i] * cols[s, j]))
-    statistic = max(2.0 * float(terms.sum()), 0.0)
-    p_value = float(special.chdtrc(dof, statistic))
-    return TestOutcome(statistic, dof, p_value, independent=p_value > alpha)
-
-
 def _strata(columns: np.ndarray, cards, izs: list[int]) -> tuple[np.ndarray | None, int]:
     """Stratum codes of the z columns ``izs`` (in name order) and their
     count ``k``; ``None`` and 1 for an empty z.
@@ -201,72 +179,67 @@ def _observed(codes: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return rank[codes], int(rank[-1]) + 1
 
 
-def _g2_many(columns: np.ndarray, cards, it: int, izs: list[int], cands, alpha: float) -> list[TestOutcome]:
-    """:func:`_g2` of column ``it`` against each candidate given the z
-    columns ``izs`` (name order); ``cands`` holds ``(column, before)``
-    pairs, ``before`` when the candidate's name sorts before the target's.
+def _g2_many(data: DiscreteDataset, rt: int, rz: list[int], rcs: list[int], alpha: float) -> list[TestOutcome]:
+    """G^2 of the variable of rank ``rt`` against each of ranks ``rcs``
+    given the z ranks ``rz``, as :func:`_check` returns them; a single test
+    is a batch of one candidate.
 
-    The strata and the (stratum, target) codes are built once, and each
-    chunk of candidates is counted by one ``bincount`` into square cubes
-    padded to the widest variable. A cube's two inner axes are (candidate,
-    target) for a candidate named before the target and (target, candidate)
-    otherwise, as :func:`_g2` lays them out. Padded cells stay empty, so
-    every candidate's margins and nonzero cells, in order, are
-    :func:`_g2`'s, and its terms are summed on their own: each outcome is
-    bit-identical.
+    G^2 = 2 [sum O ln O - sum R ln R - sum C ln C + sum T ln T] over each
+    stratum's cells O, row and column margins R and C and total T, with
+    every term read from the dataset's ``xlogx`` table. A candidate of w
+    levels is counted into a k x m x m cube, m = max(|target|, w), whose
+    axes are the two variables in name order. The cube, and so the length
+    and order of every sum, depends only on the test, so ``mi_test(x, y)``,
+    ``mi_test(y, x)`` and a batched outcome are bit-identical. Candidates
+    are grouped by m and counted a chunk at a time by one ``bincount``;
+    ``BATCH_CELLS`` bounds a chunk's memory.
     """
-    ct = cards[it]
-    zdof = math.prod(cards[j] for j in izs)
-    outcomes: list[TestOutcome | None] = [None] * len(cands)
-    live = []
-    for pos, (ic, before) in enumerate(cands):
+    columns, cards, xlogx = data.code_columns, data.cardinalities, data.xlogx
+    col = data.name_ranks[1]
+    it, ct = col[rt], cards[col[rt]]
+    zdof = math.prod(cards[col[r]] for r in rz)
+    outcomes: list[TestOutcome | None] = [None] * len(rcs)
+    groups: dict[int, list] = {}
+    for pos, r in enumerate(rcs):
+        ic = col[r]
         dof = (ct - 1) * (cards[ic] - 1) * zdof
         if dof <= 0:
-            outcomes[pos] = TestOutcome(0.0, 0, 1.0, independent=True, degenerate=True)
+            outcomes[pos] = TestOutcome(0.0, 0, 1.0, True, True)
         else:
-            live.append((not before, pos, ic, dof))
-    if not live:
+            groups.setdefault(max(ct, cards[ic]), []).append((pos, ic, r < rt, dof))
+    if not groups:
         return outcomes
-    live.sort()  # candidates named before the target first
 
     n = columns.shape[1]
-    strata, k = _strata(columns, cards, izs)
-    m = max(ct, *(cards[ic] for _, _, ic, _ in live))
-    cells = k * m * m
-    # A candidate's cell is code * m + head before the target, code + tail after.
-    head = columns[it] if strata is None else strata * (m * m) + columns[it]
-    tail = (columns[it] if strata is None else strata * m + columns[it]) * m
-    step = max(1, BATCH_CELLS // max(n, cells))
-    for lo in range(0, len(live), step):
-        chunk = live[lo:lo + step]
-        split = sum(not after for after, *_ in chunk)
-        flat = columns[[ic for _, _, ic, _ in chunk]]
-        flat[:split] *= m
-        flat[:split] += head
-        flat[split:] += tail
-        flat += np.arange(0, len(chunk) * cells, cells)[:, None]
-        cube = np.bincount(flat.ravel(), minlength=len(chunk) * cells).reshape(len(chunk), k, m, m)
-        del flat
-        stats = _g2_statistics(cube)
-        # float64: a dof past 2^63 would make an object array the ufunc rejects.
-        dofs = np.array([dof for *_, dof in chunk], dtype=np.float64)
-        for (_, pos, _, dof), statistic, p_value in zip(chunk, stats, special.chdtrc(dofs, stats).tolist()):
-            outcomes[pos] = TestOutcome(statistic, dof, p_value, independent=p_value > alpha)
+    strata, k = _strata(columns, cards, [col[r] for r in rz])
+    for m, group in groups.items():
+        cells = k * m * m
+        # Cells in (stratum, target, candidate) order; a chunk's cubes follow one another.
+        tail = (columns[it] if strata is None else strata * m + columns[it]) * m
+        step = max(1, BATCH_CELLS // max(n, cells))
+        for lo in range(0, len(group), step):
+            chunk = group[lo:lo + step]
+            c = len(chunk)
+            flat = columns.take([ic for _, ic, _, _ in chunk], axis=0)
+            flat += tail
+            if c > 1:
+                flat += np.arange(0, c * cells, cells)[:, None]
+            cube = np.bincount(flat.ravel(), minlength=c * cells).reshape(c, k, m, m)
+            del flat
+            before = [before for _, _, before, _ in chunk]
+            if any(before):  # name order puts these candidates first: lay them out (candidate, target)
+                cube = np.where(np.array(before)[:, None, None, None], cube.swapaxes(2, 3), cube)
+            rows = cube.sum(axis=3)
+            stats = xlogx.take(cube).reshape(c, -1).sum(axis=1)
+            stats -= xlogx.take(rows).reshape(c, -1).sum(axis=1)
+            stats -= xlogx.take(cube.sum(axis=2)).reshape(c, -1).sum(axis=1)
+            stats += xlogx.take(rows.sum(axis=2)).sum(axis=1)
+            stats = np.maximum(2.0 * stats, 0.0)
+            # float64: a dof past 2^63 would make an object array the ufunc rejects.
+            dofs = np.array([dof for *_, dof in chunk], dtype=np.float64)
+            for (pos, _, _, dof), statistic, p_value in zip(chunk, stats.tolist(), special.chdtrc(dofs, stats).tolist()):
+                outcomes[pos] = TestOutcome(statistic, dof, p_value, p_value > alpha)
     return outcomes
-
-
-def _g2_statistics(cube: np.ndarray) -> list[float]:
-    """The G^2 statistic of each cube ``cube[c]``, with :func:`_g2`'s
-    elementwise terms in :func:`_g2`'s order, each cube's summed alone."""
-    rows = sum(cube[..., j:j + 1] for j in range(cube.shape[3]))
-    cols = sum(cube[:, :, i:i + 1] for i in range(cube.shape[2]))
-    totals = sum(rows[:, :, i:i + 1] for i in range(cube.shape[2]))
-    seen = cube > 0
-    counts = cube[seen]
-    terms = counts * np.log((cube * totals)[seen] / (rows * cols)[seen])
-    ends = np.cumsum(np.count_nonzero(seen.reshape(len(cube), -1), axis=1)).tolist()
-    add = np.add.reduce
-    return [max(2.0 * float(add(terms[lo:hi])), 0.0) for lo, hi in zip([0, *ends], ends)]
 
 
 def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, alpha: float) -> TestOutcome:
@@ -277,10 +250,7 @@ def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, a
     freedom use the declared level counts: (|x|-1)(|y|-1) * prod |z_k|;
     empty strata still count toward the dof (pure asymptotic formula).
     """
-    rx, rz, (ry,) = _check(data, x, (y,), z, alpha)
-    columns = data.name_ranks[1]
-    izs = [columns[r] for r in rz]
-    return _g2(data.code_columns, data.cardinalities, columns[rx], izs, columns[ry], ry < rx, alpha)
+    return _g2_many(data, *_check(data, x, (y,), z, alpha), alpha)[0]
 
 
 def _partial_t(corr: np.ndarray, n: int, idx: list[int], a: int, b: int, alpha: float) -> TestOutcome:
@@ -292,7 +262,7 @@ def _partial_t(corr: np.ndarray, n: int, idx: list[int], a: int, b: int, alpha: 
     """
     dof = n - len(idx)
     if dof <= 0:
-        return TestOutcome(0.0, max(dof, 0), 1.0, independent=True, degenerate=True)
+        return TestOutcome(0.0, max(dof, 0), 1.0, True, True)
     ix, iy = idx[a], idx[b]
     if len(idx) == 2:
         return _t_outcome(corr.item(ix, iy), dof, alpha)
@@ -321,10 +291,11 @@ def _t_outcome(r: float, dof: int, alpha: float, ridged: bool = False) -> TestOu
     r = min(max(r, -1.0), 1.0)
     # Exactly collinear pairs land within rounding error of |r| = 1.
     if abs(r) >= 1.0 - 1e-12:
-        return TestOutcome(math.copysign(math.inf, r), dof, 0.0, independent=False, ridged=ridged)
+        return TestOutcome(math.copysign(math.inf, r), dof, 0.0, False, False, ridged)
     t = r * math.sqrt(dof / (1.0 - r * r))
     p_value = float(2.0 * special.stdtr(dof, -abs(t)))
-    return TestOutcome(t, dof, p_value, independent=p_value > alpha, ridged=ridged)
+    # Positional, not keyword, arguments: they build an outcome faster.
+    return TestOutcome(t, dof, p_value, p_value > alpha, False, ridged)
 
 
 def _t_many(r: np.ndarray, dof: int, alpha: float) -> list[TestOutcome]:
@@ -335,7 +306,6 @@ def _t_many(r: np.ndarray, dof: int, alpha: float) -> list[TestOutcome]:
     safe = np.where(sure, 0.0, r)
     t = np.where(sure, np.copysign(np.inf, r), safe * np.sqrt(dof / (1.0 - safe * safe)))
     p = np.where(sure, 0.0, 2.0 * special.stdtr(dof, -np.abs(t)))
-    # Positional, not keyword, arguments: they build a batch's outcomes faster.
     return [TestOutcome(ti, dof, pi, pi > alpha) for ti, pi in zip(t.tolist(), p.tolist())]
 
 
@@ -365,8 +335,8 @@ def cor_test(
 def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOutcome:
     """Perfect test: independence is d-separation in the true graph."""
     if d_separated(dag, x, y, set(z)):
-        return TestOutcome(0.0, 0, 1.0, independent=True)
-    return TestOutcome(math.inf, 0, 0.0, independent=False)
+        return TestOutcome(0.0, 0, 1.0, True)
+    return TestOutcome(math.inf, 0, 0.0, False)
 
 
 class CiEngine:
@@ -439,18 +409,13 @@ class MutualInfoTest(CiEngine):
             raise ValueError("the mutual information test requires discrete data")
         super().__init__(alpha)
         self.data = data
-        data.name_ranks, data.code_columns  # derive once, before workers fork
+        data.name_ranks, data.code_columns, data.xlogx  # derive once, before workers fork
 
     def _kernel(self, x, y, z):
         return mi_test(self.data, x, y, z, self.alpha)
 
     def _kernel_many(self, target, candidates, z):
-        data = self.data
-        rt, rz, rcs = _check(data, target, candidates, z, self.alpha)
-        columns = data.name_ranks[1]
-        cands = [(columns[r], r < rt) for r in rcs]
-        izs = [columns[r] for r in rz]
-        return _g2_many(data.code_columns, data.cardinalities, columns[rt], izs, cands, self.alpha)
+        return _g2_many(self.data, *_check(self.data, target, candidates, z, self.alpha), self.alpha)
 
 
 class PartialCorrelationTest(CiEngine):

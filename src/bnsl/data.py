@@ -16,9 +16,10 @@ the name-rank table.
 
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
-Views the CI tests need (the name-rank table, contiguous code columns and
-the correlation matrix) are derived on first use and kept, so every engine
-over one dataset shares them and construction itself does no extra work.
+Views the CI tests need (the name-rank table, contiguous code columns, the
+``c * ln c`` table of counts and the correlation matrix) are derived on
+first use and kept, so every engine over one dataset shares them and
+construction itself does no extra work.
 
 A variable has two integer ids. Its *column* is its position in the
 dataset, which indexes the code columns and the correlation matrix. Its
@@ -119,6 +120,13 @@ class DiscreteDataset(_Columns):
     @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(levels) for _, levels in self.variables)
+
+    @cached_property
+    def xlogx(self) -> np.ndarray:
+        """Read-only table of ``c * ln c`` for each count c in [0, n], 0 at
+        c = 0: every logarithm the G^2 test takes."""
+        c = np.arange(1, self.n + 1, dtype=np.float64)
+        return _frozen(np.concatenate(([0.0], c * np.log(c))))
 
 
 class ContinuousDataset(_Columns):

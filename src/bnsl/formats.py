@@ -44,17 +44,15 @@ def load_network(path: str | Path) -> DiscreteBn:
         variables = [(v["name"], list(v["levels"])) for v in doc["variables"]]
         arcs = [tuple(arc) for arc in doc.get("arcs", [])]
         raw_cpts = doc["cpts"]
-    except (KeyError, TypeError) as exc:
+        cpts = {}
+        for name, _ in variables:
+            if name not in raw_cpts:
+                raise ValueError(f"missing CPT for node {name!r} in {path}")
+            entry = raw_cpts[name]
+            cpts[name] = (tuple(entry.get("parents", ())), np.asarray(entry["table"], dtype=float))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed network file {path}: {exc}") from exc
-    dag = Dag([name for name, _ in variables], arcs)
-    levels = dict(variables)
-    cpts = {}
-    for name, _ in variables:
-        if name not in raw_cpts:
-            raise ValueError(f"missing CPT for node {name!r} in {path}")
-        entry = raw_cpts[name]
-        cpts[name] = (tuple(entry.get("parents", ())), np.asarray(entry["table"], dtype=float))
-    return DiscreteBn(dag, levels, cpts)
+    return DiscreteBn(Dag([name for name, _ in variables], arcs), dict(variables), cpts)
 
 
 def save_network(bn: DiscreteBn, path: str | Path) -> None:

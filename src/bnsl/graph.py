@@ -334,14 +334,20 @@ def _kahn(nodes: Iterable[str], out: dict[str, set[str]]) -> list[str]:
 def apply_meek_rules(pdag: Pdag) -> Pdag:
     """Propagate compelled arc directions until no rule applies.
 
-    Two rules, each sweep applying (a) before (b) over name-ordered edges:
-      (a) orient a - b as a -> b when a strictly directed path a ~> b exists;
+    Three rules (Meek 1995), each sweep applying (a), (b), then (c) over
+    name-ordered edges:
+      (a) orient a - b as a -> b when a strictly directed path a ~> b exists
+          (Meek's R2, and longer paths);
       (b) orient k - j as k -> j when some i -> k exists with i, j
-          non-adjacent (orienting j -> k would create a new v-structure).
+          non-adjacent (orienting j -> k would create a new v-structure; R1);
+      (c) orient k - j as k -> j when k - i -> j and k - l -> j exist with
+          i, l non-adjacent (j -> k would force a cycle or a new
+          v-structure at k; R3).
 
-    Rule (b) is skipped when a directed path j ~> k already exists (rule (a)
-    picks the edge up on the next sweep instead), so an acyclic directed part
-    stays acyclic after every sweep.
+    Rules (b) and (c) are skipped when a directed path j ~> k already exists
+    (rule (a) picks the edge up on the next sweep instead), so an acyclic
+    directed part stays acyclic after every sweep. R4 is needed only with
+    background knowledge.
     """
     directed = set(pdag.directed_arcs)
     undirected = set(pdag.undirected_edges)
@@ -373,6 +379,14 @@ def apply_meek_rules(pdag: Pdag) -> Pdag:
                     if not _reaches(out, j, k):
                         orient(k, j)
                         changed = True
+                    break
+        # Rule (c): k - i -> j and k - l -> j, i and l non-adjacent; k - j.
+        for a, b in sorted(undirected):
+            for k, j in ((a, b), (b, a)):
+                mids = [i for i in in_[j] if _pair(i, k) in undirected]
+                if any(l not in adj[i] for i, l in combinations(mids, 2)) and not _reaches(out, j, k):
+                    orient(k, j)
+                    changed = True
                     break
         assert len(_kahn(pdag.nodes, out)) == len(pdag.nodes), "orientation sweep introduced a directed cycle"
     return Pdag(pdag.nodes, directed, undirected)

@@ -7,7 +7,7 @@ searching separating subsets inside the smaller blanket. Neighbourhood
 algorithms (``mmpc``, ``si-hiton-pc``) learn each node's neighbour set
 directly. Either way, neighbour symmetry is enforced by intersection,
 unshielded colliders are oriented from the recorded separating sets, and
-the two orientation-propagation rules run to fixpoint.
+Meek's three orientation-propagation rules run to fixpoint.
 
 Each skeleton phase runs one node step, ``step(node, earlier, engine) ->
 (members, sepset fragment)``, for every node, and merges the fragments in

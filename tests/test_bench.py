@@ -141,6 +141,15 @@ class TestCli:
         assert main(["nparams", "--network", str(net_path)]) == 0
         assert capsys.readouterr().out.strip() == str(nparams(NET))
 
+    @pytest.mark.parametrize("cpt", [[0.5, 0.5], {"parents": []}])
+    def test_nparams_rejects_a_malformed_cpt(self, tmp_path, capsys, cpt):
+        path = tmp_path / "bad.json"
+        doc = {"variables": [{"name": "A", "levels": ["x", "y"]}], "arcs": [], "cpts": {"A": cpt}}
+        path.write_text(json.dumps(doc))
+        assert main(["nparams", "--network", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bnsl: error: malformed network file") and "Traceback" not in err
+
     def test_hamming_identical_graphs(self, net_path, tmp_path, capsys):
         g = tmp_path / "g.json"
         save_graph(NET.dag, g)

@@ -196,6 +196,23 @@ class TestMiTest:
             shuffled, "A", "B", frozenset(), 0.01
         )
 
+    def test_large_n_within_rounding_of_an_fsum_reference(self):
+        # The table form sums terms as large as n ln n, so its error grows
+        # like eps * n * ln n; the contract is 16 times that.
+        from test_acceptance import g2_reference
+
+        n = 10**5
+        rng = np.random.default_rng(12)
+        zs = rng.integers(0, 4, n)
+        xs = np.where(rng.random(n) < 0.1, zs % 3, rng.integers(0, 3, n))
+        ys = np.where(rng.random(n) < 0.1, zs % 2, rng.integers(0, 2, n))
+        codes = np.column_stack([xs, ys, zs])
+        data = DiscreteDataset([("X", list("abc")), ("Y", list("ab")), ("Z", list("abcd"))], codes)
+        expected_stat, expected_dof = g2_reference(codes, [3, 2, 4], [2])
+        out = mi_test(data, "X", "Y", {"Z"}, alpha=0.01)
+        assert out.dof == expected_dof
+        assert abs(out.statistic - expected_stat) <= 16 * np.finfo(float).eps * n * math.log(n)
+
     def test_argument_errors(self):
         data = dataset_from_table([[1, 1], [1, 1]])
         with pytest.raises(ValueError):
@@ -605,6 +622,34 @@ class TestManyCandidates:
         degenerate = data.names[0]
         out = MutualInfoTest(data, 0.05).test_many(target, [degenerate], ())[0]
         assert out.degenerate and bits(out) == bits(mi_test(data, target, degenerate, (), 0.05))
+
+    def test_mi_batch_with_one_wide_variable_equals_mi_test(self):
+        # A test's cube shape depends on the test alone: the binary pairs of
+        # a batch that also holds a 12-level candidate keep their 2 x 2
+        # cubes, so their sums block as a single test's do, bit for bit.
+        rng = np.random.default_rng(55)
+        n, cards = 400, [2, 2, 2, 12, 2, 2, 2, 2]
+        codes = np.column_stack([rng.integers(0, c, n) for c in cards])
+        codes[:, 1] = np.where(rng.random(n) < 0.3, codes[:, 3] % 2, codes[:, 1])
+        names = [f"W{j}" for j in range(len(cards))]
+        data = DiscreteDataset([(nm, [str(v) for v in range(c)]) for nm, c in zip(names, cards)], codes)
+        for target in names:
+            for z in ((), (names[6],), (names[6], names[7])):
+                if target in z:
+                    continue
+                candidates = [v for v in names if v != target and v not in z]
+                outs = MutualInfoTest(data, 0.05).test_many(target, candidates, z)
+                for v, out in zip(candidates, outs):
+                    assert bits(out) == bits(mi_test(data, target, v, z, 0.05)), (target, v, z)
+
+    def test_engines_and_spawns_share_one_xlogx_table(self):
+        data = mixed_discrete(56)
+        first = MutualInfoTest(data, 0.01)
+        assert "xlogx" in vars(data)  # built with the engine, before workers fork
+        table = data.xlogx
+        assert MutualInfoTest(data, 0.05).data.xlogx is first.spawn().data.xlogx is table
+        assert not table.flags.writeable and table.shape == (data.n + 1,)
+        assert table[0] == 0.0 and table[7] == 7 * math.log(7)
 
     def test_duplicates_and_memo_hits_count_as_repeated_tests(self):
         data = mixed_discrete(52)

@@ -58,6 +58,15 @@ class TestNetworkJson:
         with pytest.raises(ValueError):
             load_network(path)
 
+    @pytest.mark.parametrize("cpt", [[0.5, 0.5], {"parents": []}])
+    def test_malformed_cpt_entry(self, tmp_path, cpt):
+        # A CPT that is not an object, or that lacks its table.
+        doc = {"variables": [{"name": "A", "levels": ["x", "y"]}], "arcs": [], "cpts": {"A": cpt}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed network file"):
+            load_network(path)
+
     def test_cpt_row_order_last_parent_fastest(self, tmp_path):
         # P(X | Y, Z): rows ordered (y0,z0), (y0,z1), (y1,z0), (y1,z1)
         doc = {

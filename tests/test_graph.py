@@ -278,6 +278,106 @@ class TestMeekRules:
             assert closure is not None
 
 
+    def test_rule_c_orients_into_a_two_parent_collider(self):
+        # i - j -> k and i - l -> k with j, l non-adjacent: k -> i would
+        # force a cycle or the new collider j -> i <- l, so i -> k.
+        pdag = Pdag(
+            list("ijkl"), directed=[("j", "k"), ("l", "k")], undirected=[("i", "j"), ("i", "l"), ("i", "k")]
+        )
+        result = apply_meek_rules(pdag)
+        assert result.directed_arcs == {("i", "k"), ("j", "k"), ("l", "k")}
+        assert result.undirected_edges == {("i", "j"), ("i", "l")}
+
+
+def acyclic(nodes, arcs):
+    """True iff repeatedly removing the nodes without a remaining parent
+    empties the graph."""
+    remaining = set(nodes)
+    while remaining:
+        roots = {n for n in remaining if not any(c == n and p in remaining for p, c in arcs)}
+        if not roots:
+            return False
+        remaining -= roots
+    return True
+
+
+def cpdag_by_enumeration(nodes, arcs):
+    """The compelled arcs and the reversible edges of the DAG ``arcs``.
+
+    The members of a DAG's equivalence class are the acyclic orientations
+    of its skeleton with its v-structures (Verma & Pearl 1990); an arc is
+    compelled iff every member has it. This enumerates the orientations
+    edge by edge: an arc of one of the DAG's v-structures keeps its
+    direction, and a branch is dropped as soon as it has a v-structure the
+    DAG lacks. Written from the definition alone, it shares no code with
+    ``bnsl.graph``.
+    """
+    edges = sorted(tuple(sorted(arc)) for arc in arcs)
+    adjacent = {frozenset(e) for e in edges}
+    parents = {n: set() for n in nodes}
+
+    def colliders():
+        return {
+            (a, c, b)
+            for c, ps in parents.items()
+            for a, b in combinations(sorted(ps), 2)
+            if frozenset((a, b)) not in adjacent
+        }
+
+    for p, c in arcs:
+        parents[c].add(p)
+    wanted = colliders()
+    kept = {(a, c) for a, c, _ in wanted} | {(b, c) for _, c, b in wanted}
+    for ps in parents.values():
+        ps.clear()
+    members = []
+
+    def extend(i, oriented):
+        if i == len(edges):
+            if acyclic(nodes, oriented):
+                assert colliders() == wanted
+                members.append(set(oriented))
+            return
+        for p, c in (edges[i], edges[i][::-1]):
+            new_collider = any(
+                frozenset((q, p)) not in adjacent and (min(p, q), c, max(p, q)) not in wanted for q in parents[c]
+            )
+            if (c, p) in kept or new_collider:
+                continue
+            parents[c].add(p)
+            extend(i + 1, oriented + [(p, c)])
+            parents[c].discard(p)
+
+    extend(0, [])
+    compelled = set.intersection(*members)
+    return compelled, set(edges) - {tuple(sorted(arc)) for arc in compelled}
+
+
+class TestCpdagAgainstEnumeration:
+    def test_two_parent_collider_compels_the_third_arc(self):
+        # Meek's rule 3: i - j -> k <- l - i with i -> k compelled.
+        dag = Dag(list("ijkl"), [("i", "j"), ("i", "l"), ("i", "k"), ("j", "k"), ("l", "k")])
+        compelled, reversible = cpdag_by_enumeration(dag.nodes, dag.arcs)
+        assert compelled == {("i", "k"), ("j", "k"), ("l", "k")}
+        cpdag = dag_to_cpdag(dag)
+        assert (cpdag.directed_arcs, cpdag.undirected_edges) == (compelled, reversible)
+
+    @pytest.mark.parametrize("m, first_seed, count, edge_prob", [(7, 0, 200, 0.3), (8, 1000, 325, 0.5)])
+    def test_dag_to_cpdag_matches_enumeration(self, m, first_seed, count, edge_prob):
+        # Random DAGs of at most 16 arcs; before rule (c) some 8-node ones
+        # left a compelled arc undirected.
+        seed, checked = first_seed, 0
+        while checked < count:
+            dag = random_dag(m, seed, edge_prob)
+            seed += 1
+            if len(dag.arcs) > 16:
+                continue
+            compelled, reversible = cpdag_by_enumeration(dag.nodes, dag.arcs)
+            cpdag = dag_to_cpdag(dag)
+            assert (cpdag.directed_arcs, cpdag.undirected_edges) == (compelled, reversible), seed - 1
+            checked += 1
+
+
 class TestHammingSkeleton:
     def test_identical_is_zero(self):
         s = Skeleton(["A", "B", "C"], [("A", "B"), ("B", "C")])
