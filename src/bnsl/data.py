@@ -155,8 +155,11 @@ def correlation_matrix(values: np.ndarray) -> np.ndarray:
 
     Constant columns produce undefined correlations; they are replaced with
     zero off the diagonal (and one on it) so learning stays defined on
-    degenerate data.
+    degenerate data. Fewer than two rows define no correlation at all and
+    raise ``ValueError``.
     """
+    if len(values) < 2:
+        raise ValueError(f"a correlation needs at least 2 rows, the data have {len(values)}")
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.corrcoef(values, rowvar=False)
     corr = np.atleast_2d(corr)

@@ -13,25 +13,31 @@ The parent puts results back by index and builds one :class:`WorkerReport`
 per lane, so output is identical for every worker count and for static
 versus dynamic scheduling; only the per-lane test-count split varies.
 
-Lanes run in fork()ed worker processes of a
-``concurrent.futures.ProcessPoolExecutor``, sharing the parent's dataset
-copy-on-write: the data are never modified by the algorithms, so no
-locking or copying is needed. With one lane or no fork, the same lanes
-run inline in the parent.
+Each lane runs in its own ``os.fork()`` child, which inherits the phase
+(items, task and engine factory, so tasks may be closures) and shares the
+parent's dataset copy-on-write: the data are never modified by the
+algorithms, so no locking or copying is needed. The child sends its
+pickled result back over its own pipe and leaves through ``os._exit``.
+With one lane or no fork, the same lanes run inline in the parent.
 
 Failures end the phase instead of hanging it. A task that raises becomes a
-:class:`PhaseTaskError` naming the phase and the task. A worker process
-that dies (killed, or ``os._exit`` inside a task) breaks the pool, and the
-resulting ``BrokenProcessPool`` becomes a :class:`PhaseTaskError` naming the
+:class:`PhaseTaskError` naming the phase and the task; a lane whose pipe
+closes without a result (the child was killed, or called ``os._exit``
+inside a task) becomes a :class:`PhaseTaskError` naming the phase and the
+child's exit status. The first failure kills the other children at once,
+and so does anything that interrupts the parent; no child outlives its
 phase.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pickle
+import selectors
+import signal
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -93,11 +99,6 @@ def partition(items: Sequence, k: int) -> TaskBatch:
     return TaskBatch(items, tuple(spans))
 
 
-# Shared phase context, inherited by forked workers. Set by run_phase in the
-# parent immediately before the pool forks; avoids pickling the dataset.
-_PHASE_CTX: "_PhaseContext | None" = None
-
-
 @dataclass
 class _PhaseContext:
     phase: str
@@ -127,13 +128,10 @@ class PhaseTaskError(RuntimeError):
     and, for a failed task, the task's item."""
 
 
-def _run_lane(lane: int, ctx: _PhaseContext | None = None) -> tuple[list, int, int]:
+def _run_lane(lane: int, ctx: _PhaseContext) -> tuple[list, int, int]:
     """Run one lane's items, each on a fresh engine so that a test memo lives
     for exactly one task; returns ``[(index, result)]`` and the summed
-    requested and executed test counts. A forked worker passes no ``ctx``
-    and uses the ``_PHASE_CTX`` it inherited."""
-    if ctx is None:
-        ctx = _PHASE_CTX
+    requested and executed test counts."""
     done, count, executed = [], 0, 0
     for i in ctx.indices(lane):
         engine = ctx.engine_factory()
@@ -178,7 +176,6 @@ class ParallelExecutor:
         lane and merged only at the barrier, i.e. here, after all lanes
         completed.
         """
-        global _PHASE_CTX
         start = time.perf_counter()
         items = tuple(items)
         k = max(1, min(self.workers, len(items)))
@@ -186,21 +183,9 @@ class ParallelExecutor:
         if k == 1 or not _fork_available():
             lanes = [_run_lane(lane, ctx) for lane in range(k)]
         else:
-            fork = multiprocessing.get_context("fork")
             if self.schedule == "dynamic":
-                ctx.next_index = fork.Value("q", 0)
-            _PHASE_CTX = ctx
-            try:
-                # A fork-context pool starts all its workers at the first
-                # submit, before its manager thread, so each child inherits
-                # _PHASE_CTX and no running thread.
-                with ProcessPoolExecutor(k, mp_context=fork) as pool:
-                    futures = [pool.submit(_run_lane, lane) for lane in range(k)]
-                    lanes = [f.result() for f in futures]
-            except BrokenProcessPool as exc:
-                raise PhaseTaskError(f"phase {phase!r}: a worker process died") from exc
-            finally:
-                _PHASE_CTX = None
+                ctx.next_index = multiprocessing.get_context("fork").Value("q", 0)
+            lanes = _fork_lanes(ctx, k)
         results = [None] * len(items)
         reports = []
         for lane, (done, count, executed) in enumerate(lanes):
@@ -223,6 +208,98 @@ class ParallelExecutor:
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _fork_lanes(ctx: _PhaseContext, k: int) -> list:
+    """Run lanes ``0..k-1`` in one forked child each and return their
+    :func:`_run_lane` results in lane order.
+
+    Each child writes one pickled record to its own pipe: ``("ok", lane
+    result)`` or ``("error", message)``. The parent waits on every pipe at
+    once and reads each to EOF. An error record, or EOF without a record,
+    raises :class:`PhaseTaskError`. Whatever way this returns or raises (an
+    interrupt included), every child still running is killed, and every
+    child is reaped.
+    """
+    children: dict[int, tuple[int, int | None]] = {}  # read end -> (lane, pid until reaped)
+    _flush_stdio()  # or a child's exit would write the parent's buffer again
+    try:
+        for lane in range(k):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _lane_child(lane, ctx, write_end)
+            children[read_end] = (lane, pid)
+            # Closed before the next fork, so no sibling holds this write end
+            # and the pipe reaches EOF as soon as its own child is gone.
+            os.close(write_end)
+        lanes = [None] * k
+        chunks: dict[int, list[bytes]] = {fd: [] for fd in children}
+        with selectors.DefaultSelector() as selector:
+            for fd in children:
+                selector.register(fd, selectors.EVENT_READ)
+            while selector.get_map():
+                for key, _ in selector.select():
+                    data = os.read(key.fd, 1 << 16)
+                    if data:
+                        chunks[key.fd].append(data)
+                        continue
+                    selector.unregister(key.fd)
+                    lane, pid = children[key.fd]
+                    try:
+                        kind, value = pickle.loads(b"".join(chunks[key.fd]))
+                    except (EOFError, pickle.UnpicklingError):  # no record, or a cut one
+                        _, status = os.waitpid(pid, 0)
+                        children[key.fd] = (lane, None)
+                        raise PhaseTaskError(
+                            f"phase {ctx.phase!r}: the worker of lane {lane} died"
+                            f" (exit code {os.waitstatus_to_exitcode(status)})"
+                        ) from None
+                    if kind == "error":
+                        raise PhaseTaskError(value)
+                    lanes[lane] = value
+        return lanes
+    finally:
+        for fd, (_, pid) in children.items():
+            os.close(fd)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _lane_child(lane: int, ctx: _PhaseContext, write_end: int) -> None:
+    """Body of a forked lane: run the lane, write its record, and leave
+    through ``os._exit`` (0 after the write, 1 on any other way out), so
+    the child never returns into the parent's code."""
+    code = 1
+    try:
+        try:
+            record = ("ok", _run_lane(lane, ctx))
+        except PhaseTaskError as exc:
+            record = ("error", str(exc))
+        except Exception as exc:
+            record = ("error", f"phase {ctx.phase!r}: lane {lane} failed: {exc!r}")
+        # Pickled before anything is written, so a result that cannot be
+        # pickled is reported as such, not as a dead worker.
+        try:
+            payload = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            payload = pickle.dumps(("error", f"phase {ctx.phase!r}: lane {lane}'s result cannot be pickled: {exc!r}"))
+        # Flushed before the record: once the parent has it, the child is
+        # done and may be killed.
+        _flush_stdio()
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)

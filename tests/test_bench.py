@@ -313,3 +313,12 @@ class TestCliConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("bnsl: error:") and "max_condition_size" in err
         assert "Traceback" not in err
+
+    def test_learn_cor_on_one_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("a,b,c\n1.5,2.0,0.3\n")
+        code = main(["learn", "--data", str(path), "--algorithm", "si-hiton-pc", "--test", "cor"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bnsl: error:") and "at least 2 rows" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err

@@ -25,7 +25,7 @@ from bnsl.citests import (
     mi_test,
     oracle_test,
 )
-from bnsl.data import ContinuousDataset, DiscreteDataset
+from bnsl.data import ContinuousDataset, DiscreteDataset, correlation_matrix
 from bnsl.graph import Dag
 from bnsl.structure import GlobalLearnConfig, learn_cpdag
 from bnsl.synth import random_dag
@@ -782,6 +782,15 @@ class TestColumnPermutation:
         engine = make_engine("cor", tiny, 0.01)
         for outcome in [engine.test("X", "Y", ()), *engine.test_many("Z", ["X", "Y"], ())]:
             assert outcome.degenerate and outcome.independent and (outcome.dof, outcome.p_value) == (0, 1.0)
+
+    def test_one_row_fails_before_any_test(self):
+        one = ContinuousDataset(["X", "Y", "Z"], [[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            make_engine("cor", one, 0.01)
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            cor_test(one, "X", "Y", (), 0.01)
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            correlation_matrix(np.zeros((1, 3)))
 
     def test_outcome_is_slotted(self):
         out = mi_test(dataset_from_table([[5, 1], [2, 7]]), "X", "Y", (), 0.01)

@@ -1,8 +1,14 @@
 """Executor tests: partitioning, merge determinism, counter conservation."""
 
+import collections
 import contextlib
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +64,13 @@ def _square_task(item, engine):
 def _die_on_3(item, engine):
     if item == 3:
         os._exit(1)  # the worker process vanishes without an exception
+    return item
+
+
+def _fail_or_sleep(item, engine):
+    if item == "fail":
+        raise RuntimeError("boom")
+    time.sleep(30)
     return item
 
 
@@ -162,6 +175,61 @@ class TestRunPhase:
         ex = ParallelExecutor(2, schedule)
         with _deadline(10), pytest.raises(PhaseTaskError, match="phase 'dying'"):
             ex.run_phase("dying", [1, 2, 3, 4], _die_on_3, _engine_factory)
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_unpicklable_result_names_the_phase(self, schedule):
+        ex = ParallelExecutor(2, schedule)
+        with _deadline(10), pytest.raises(PhaseTaskError, match="phase 'demo': lane .* cannot be pickled"):
+            ex.run_phase("demo", [1, 2], lambda item, engine: (lambda: item), _engine_factory)
+
+    @pytest.mark.parametrize("items", [["fail", "sleep"], ["sleep", "fail"]], ids=["fail-first", "fail-last"])
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_first_failure_ends_the_phase_at_once(self, schedule, items):
+        ex = ParallelExecutor(2, schedule)
+        with _deadline(10), pytest.raises(PhaseTaskError, match="task 'fail'"):
+            ex.run_phase("demo", items, _fail_or_sleep, _engine_factory)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_interrupt_kills_and_reaps_every_lane(self, schedule):
+        ex = ParallelExecutor(2, schedule)
+        start = time.perf_counter()
+        with pytest.raises(TimeoutError), _deadline(1):
+            ex.run_phase("demo", ["sleep", "sleep"], _fail_or_sleep, _engine_factory)
+        assert time.perf_counter() - start < 5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_task_output_appears_once(self):
+        # A pipe makes the child's stdout block-buffered once
+        # PYTHONUNBUFFERED is gone: a child that skips its flush loses the
+        # task lines, and one that inherits an unflushed parent buffer
+        # prints the parent's lines twice.
+        script = textwrap.dedent(
+            """
+            from bnsl.citests import OracleTest
+            from bnsl.graph import Dag
+            from bnsl.parallel import ParallelExecutor
+
+            def task(item, engine):
+                print(f"task {item}")
+                return item
+
+            print("before")
+            factory = lambda: OracleTest(Dag(["A"], []))
+            assert ParallelExecutor(2).run_phase("demo", [1, 2, 3, 4], task, factory).results == [1, 2, 3, 4]
+            print("after")
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
+        ).stdout.splitlines()
+        assert collections.Counter(out) == collections.Counter(["before", "after"] + [f"task {i}" for i in range(1, 5)])
+        assert out[0] == "before" and out[-1] == "after"
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_dynamic_lanes_cover_items_once(self, k):
