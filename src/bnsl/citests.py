@@ -7,9 +7,9 @@ graphs. :class:`CiEngine` holds what they share - the memo, the counter
 and ``spawn`` - and each subclass only binds a kernel. The standalone
 :func:`mi_test` and :func:`cor_test` call the same kernels.
 
-Callers name variables; the kernels take column ids. One checker,
-:func:`_check`, checks and translates the names at that boundary on every
-call. It takes a batch's shape (a target, its candidates and z), so a
+Callers name variables; each kernel starts by checking and translating
+the names with one checker, :func:`_check`, and uses column ids past it.
+The checker takes a batch's shape (a target, its candidates and z), so a
 single test is a batch of one, and a batch checks the target, z and alpha
 once and each candidate with one lookup. The translation reads the
 dataset's name-rank table (see :mod:`bnsl.data`): one dict lookup per name
@@ -31,14 +31,16 @@ test's path, and nothing mutates or hashes it.
 
 :meth:`CiEngine.test_many` answers one target against many candidates
 given one conditioning set, and counts exactly as the same ``test`` calls
-would. By default it loops the single-test kernel. The ``mi`` engine has
-one kernel, :func:`_g2_many`, and :func:`mi_test` is a batch of one: it
-codes the strata once per call, counts a chunk of candidates with one
-``bincount`` (``BATCH_CELLS`` bounds a chunk's memory), and reads each
-statistic off the dataset's ``c * ln c`` table with four gathers and row
-sums. The ``cor`` engine answers a z = {} batch from the target's
-correlations with one vectorised t test, :func:`_t_many`, bit-identical to
-:func:`cor_test`.
+would. Each engine binds one kernel hook, ``_kernel_many``, which gets the
+candidates not in the memo; ``test`` passes a miss as a batch of one. Each
+statistic has one kernel, and its standalone test is a batch of one. The
+G^2 kernel, :func:`_g2_many`, codes the strata once per call, counts a
+chunk of candidates with one ``bincount`` (``BATCH_CELLS`` bounds a
+chunk's memory), and reads each statistic off the dataset's ``c * ln c``
+table with four gathers and row sums. The t kernel, :func:`_cor_many`,
+tests a z = {} batch of two or more from the target's correlations with
+one vectorised t test, :func:`_t_many`, bit-identical to the closed form
+of :func:`_partial_t`, which takes every other test.
 The learners batch the scans whose tests share a target and z and are all
 requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
 z = {} ranking.
@@ -143,16 +145,6 @@ def _check(data: Dataset, target: str, candidates, z, alpha: float) -> tuple[int
     return rt, rz, rcs
 
 
-def _order(columns, ranks: list[int], rx: int, ry: int) -> tuple[list[int], int, int]:
-    """:func:`_partial_t`'s arguments from the ranks of {x, y} union z
-    (sorted here, in place) and of x and y: the columns in name order and
-    the positions of the name-smaller and name-larger of x and y in them."""
-    ranks.sort()
-    a, b = ranks.index(rx), ranks.index(ry)
-    idx = [columns[r] for r in ranks]
-    return (idx, a, b) if a < b else (idx, b, a)
-
-
 def _strata(columns: np.ndarray, cards, izs: list[int]) -> tuple[np.ndarray | None, int]:
     """Stratum codes of the z columns ``izs`` (in name order) and their
     count ``k``; ``None`` and 1 for an empty z.
@@ -179,10 +171,9 @@ def _observed(codes: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return rank[codes], int(rank[-1]) + 1
 
 
-def _g2_many(data: DiscreteDataset, rt: int, rz: list[int], rcs: list[int], alpha: float) -> list[TestOutcome]:
-    """G^2 of the variable of rank ``rt`` against each of ranks ``rcs``
-    given the z ranks ``rz``, as :func:`_check` returns them; a single test
-    is a batch of one candidate.
+def _g2_many(data: DiscreteDataset, target: str, candidates, z, alpha: float) -> list[TestOutcome]:
+    """G^2 of ``target`` against each of ``candidates`` given ``z``, after
+    :func:`_check`; a single test is a batch of one candidate.
 
     G^2 = 2 [sum O ln O - sum R ln R - sum C ln C + sum T ln T] over each
     stratum's cells O, row and column margins R and C and total T, with
@@ -194,6 +185,7 @@ def _g2_many(data: DiscreteDataset, rt: int, rz: list[int], rcs: list[int], alph
     are grouped by m and counted a chunk at a time by one ``bincount``;
     ``BATCH_CELLS`` bounds a chunk's memory.
     """
+    rt, rz, rcs = _check(data, target, candidates, z, alpha)
     columns, cards, xlogx = data.code_columns, data.cardinalities, data.xlogx
     col = data.name_ranks[1]
     it, ct = col[rt], cards[col[rt]]
@@ -250,19 +242,25 @@ def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, a
     freedom use the declared level counts: (|x|-1)(|y|-1) * prod |z_k|;
     empty strata still count toward the dof (pure asymptotic formula).
     """
-    return _g2_many(data, *_check(data, x, (y,), z, alpha), alpha)[0]
+    return _g2_many(data, x, (y,), z, alpha)[0]
 
 
-def _partial_t(corr: np.ndarray, n: int, idx: list[int], a: int, b: int, alpha: float) -> TestOutcome:
-    """Partial-correlation t kernel; arguments from :func:`_order`.
+def _partial_t(corr: np.ndarray, n: int, columns, rz: list[int], rx: int, ry: int, alpha: float) -> TestOutcome:
+    """Partial-correlation t kernel of the variables of ranks ``rx`` and
+    ``ry`` given the z ranks ``rz``; ``columns`` maps a rank to its column.
 
+    The correlation submatrix is taken over {x, y} union z in name order.
     Conditioning sets of size 0 and 1 use the closed forms on Python
-    floats; larger sets invert the correlation submatrix over the sorted
-    variables, applying the diagonal ridge if the submatrix is singular.
+    floats; larger sets invert the submatrix, applying the diagonal ridge
+    if it is singular.
     """
-    dof = n - len(idx)
+    ranks = [*rz, rx, ry]
+    ranks.sort()
+    dof = n - len(ranks)
     if dof <= 0:
         return TestOutcome(0.0, max(dof, 0), 1.0, True, True)
+    a, b = (ranks.index(rx), ranks.index(ry)) if rx < ry else (ranks.index(ry), ranks.index(rx))
+    idx = [columns[r] for r in ranks]
     ix, iy = idx[a], idx[b]
     if len(idx) == 2:
         return _t_outcome(corr.item(ix, iy), dof, alpha)
@@ -309,6 +307,23 @@ def _t_many(r: np.ndarray, dof: int, alpha: float) -> list[TestOutcome]:
     return [TestOutcome(ti, dof, pi, pi > alpha) for ti, pi in zip(t.tolist(), p.tolist())]
 
 
+def _cor_many(data: ContinuousDataset, target: str, candidates, z, alpha: float, corr: np.ndarray) -> list[TestOutcome]:
+    """t tests of ``target`` against each of ``candidates`` given ``z``,
+    after :func:`_check`, over the correlation matrix ``corr``; a single
+    test is a batch of one. Only a z = {} batch of two or more (and n > 2)
+    takes :func:`_t_many`."""
+    rt, rz, rcs = _check(data, target, candidates, z, alpha)
+    columns, n = data.name_ranks[1], data.n
+    if len(rcs) == 1:  # no comprehension: it would cost a single test about 10%
+        return [_partial_t(corr, n, columns, rz, rt, rcs[0], alpha)]
+    if rz or n <= 2:
+        return [_partial_t(corr, n, columns, rz, rt, r, alpha) for r in rcs]
+    # Each pair's entry has the name-smaller variable's row, as in _partial_t.
+    it, ics = columns[rt], [columns[r] for r in rcs]
+    r = np.where([rc < rt for rc in rcs], corr[ics, it], corr[it, ics])
+    return _t_many(r, n - 2, alpha)
+
+
 def cor_test(
     data: ContinuousDataset,
     x: str,
@@ -328,8 +343,7 @@ def cor_test(
     """
     if corr is None:
         corr = data.correlation
-    rx, rz, (ry,) = _check(data, x, (y,), z, alpha)
-    return _partial_t(corr, data.n, *_order(data.name_ranks[1], [*rz, rx, ry], rx, ry), alpha)
+    return _cor_many(data, x, (y,), z, alpha, corr)[0]
 
 
 def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOutcome:
@@ -342,12 +356,12 @@ def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOut
 class CiEngine:
     """A test engine: a kernel behind a task-local memo and a counter.
 
-    Subclasses implement ``_kernel(x, y, z)``, which checks its arguments
-    and computes the outcome; invalid arguments raise on every call,
-    because only outcomes enter the memo. A subclass may also override
-    ``_kernel_many(target, candidates, z)``, which computes the outcomes
-    :meth:`test_many` does not find in the memo, under the same checks
-    made once per batch.
+    Subclasses implement one hook, ``_kernel_many(target, candidates, z)``,
+    which checks its arguments once per batch and computes the outcome of
+    ``target`` against each candidate; :meth:`test` calls it with the
+    name-ordered pair of a memo miss as a batch of one, and
+    :meth:`test_many` with the candidates not in the memo. Invalid
+    arguments raise on every call, because only outcomes enter the memo.
     """
 
     name = ""
@@ -363,7 +377,7 @@ class CiEngine:
         key = (x, y, frozenset(z)) if x < y else (y, x, frozenset(z))
         outcome = self._memo.get(key)
         if outcome is None:
-            outcome = self._memo[key] = self._kernel(*key)
+            outcome = self._memo[key] = self._kernel_many(key[0], (key[1],), key[2])[0]
             self.counter.executed += 1
         self.counter.count += 1
         return outcome
@@ -384,11 +398,8 @@ class CiEngine:
         self.counter.count += len(candidates)
         return [self._memo[key] for key in keys]
 
-    def _kernel(self, x: str, y: str, z: frozenset) -> TestOutcome:
+    def _kernel_many(self, target: str, candidates, z: frozenset) -> list[TestOutcome]:
         raise NotImplementedError
-
-    def _kernel_many(self, target: str, candidates: list[str], z: frozenset) -> list[TestOutcome]:
-        return [self._kernel(*sorted((target, v)), z) for v in candidates]
 
     def spawn(self):
         """Engine over the same data and precomputed tables, with a zeroed
@@ -411,19 +422,14 @@ class MutualInfoTest(CiEngine):
         self.data = data
         data.name_ranks, data.code_columns, data.xlogx  # derive once, before workers fork
 
-    def _kernel(self, x, y, z):
-        return mi_test(self.data, x, y, z, self.alpha)
-
     def _kernel_many(self, target, candidates, z):
-        return _g2_many(self.data, *_check(self.data, target, candidates, z, self.alpha), self.alpha)
+        return _g2_many(self.data, target, candidates, z, self.alpha)
 
 
 class PartialCorrelationTest(CiEngine):
     """Engine for :func:`cor_test` over one continuous dataset.
 
-    The dataset's correlation matrix is shared by every engine over it. A
-    z = {} batch reads the target's correlations from it and tests them
-    together with :func:`_t_many`.
+    The dataset's correlation matrix is shared by every engine over it.
     """
 
     name = "cor"
@@ -436,18 +442,8 @@ class PartialCorrelationTest(CiEngine):
         self.corr = data.correlation
         data.name_ranks  # derive once, before workers fork
 
-    def _kernel(self, x, y, z):
-        return cor_test(self.data, x, y, z, self.alpha, self.corr)
-
     def _kernel_many(self, target, candidates, z):
-        rt, rz, rcs = _check(self.data, target, candidates, z, self.alpha)
-        columns, n = self.data.name_ranks[1], self.data.n
-        if z or n <= 2:
-            return [_partial_t(self.corr, n, *_order(columns, [*rz, rt, r], rt, r), self.alpha) for r in rcs]
-        # Each pair's entry has the name-smaller variable's row, as in _partial_t.
-        it, ics = columns[rt], [columns[r] for r in rcs]
-        r = np.where([rc < rt for rc in rcs], self.corr[ics, it], self.corr[it, ics])
-        return _t_many(r, n - 2, self.alpha)
+        return _cor_many(self.data, target, candidates, z, self.alpha, self.corr)
 
 
 class OracleTest(CiEngine):
@@ -459,8 +455,8 @@ class OracleTest(CiEngine):
         super().__init__(alpha)
         self.dag = dag
 
-    def _kernel(self, x, y, z):
-        return oracle_test(self.dag, x, y, z)
+    def _kernel_many(self, target, candidates, z):
+        return [oracle_test(self.dag, *sorted((target, v)), z) for v in candidates]
 
 
 CiTest = CiEngine

@@ -177,10 +177,10 @@ def _fragment(target, members, witness) -> SepsetTable:
 def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> list[str]:
     """Eligible candidate names in canonical (name) order."""
     all_names = set(data.names)
-    for name in (target, *cfg.start, *cfg.whitelist, *cfg.blacklist):
+    pool = all_names if within is None else set(within)
+    for name in (target, *cfg.start, *cfg.whitelist, *cfg.blacklist, *sorted(pool - all_names)):
         if name not in all_names:
             raise ValueError(f"unknown variable: {name!r}")
-    pool = all_names if within is None else set(within) & all_names
     pool = pool - {target} - cfg.blacklist
     # Forced and seeded members take part even when outside the restriction.
     pool |= cfg.start | cfg.whitelist

@@ -83,12 +83,9 @@ def sample(bn: DiscreteBn, n: int, seed: int) -> DiscreteDataset:
     cols: dict[str, np.ndarray] = {}
     for node in bn.dag.topological_order:
         parents, table = bn.cpts[node]
-        if parents:
-            conf = np.zeros(n, dtype=np.int64)
-            for p in parents:
-                conf = conf * len(bn.levels[p]) + cols[p]
-        else:
-            conf = np.zeros(n, dtype=np.int64)
+        conf = np.zeros(n, dtype=np.int64)
+        for p in parents:
+            conf = conf * len(bn.levels[p]) + cols[p]
         cum = np.cumsum(table, axis=1)[conf]
         u = rng.random(n)
         cols[node] = np.minimum(

@@ -26,7 +26,8 @@ closes without a result (the child was killed, or called ``os._exit``
 inside a task) becomes a :class:`PhaseTaskError` naming the phase and the
 child's exit status. The first failure kills the other children at once,
 and so does anything that interrupts the parent; no child outlives its
-phase.
+phase. A parent killed outright cannot kill its children, so a child
+leaves before its next item once it finds itself orphaned.
 """
 
 from __future__ import annotations
@@ -128,12 +129,15 @@ class PhaseTaskError(RuntimeError):
     and, for a failed task, the task's item."""
 
 
-def _run_lane(lane: int, ctx: _PhaseContext) -> tuple[list, int, int]:
+def _run_lane(lane: int, ctx: _PhaseContext, parent: int | None = None) -> tuple[list, int, int]:
     """Run one lane's items, each on a fresh engine so that a test memo lives
     for exactly one task; returns ``[(index, result)]`` and the summed
-    requested and executed test counts."""
+    requested and executed test counts. A forked lane passes its parent's
+    pid, and leaves through ``os._exit`` once that is no longer its parent."""
     done, count, executed = [], 0, 0
     for i in ctx.indices(lane):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         engine = ctx.engine_factory()
         try:
             done.append((i, ctx.task_fn(ctx.items[i], engine)))
@@ -228,6 +232,7 @@ def _fork_lanes(ctx: _PhaseContext, k: int) -> list:
     child is reaped.
     """
     children: dict[int, tuple[int, int | None]] = {}  # read end -> (lane, pid until reaped)
+    parent = os.getpid()
     _flush_stdio()  # or a child's exit would write the parent's buffer again
     try:
         for lane in range(k):
@@ -235,7 +240,7 @@ def _fork_lanes(ctx: _PhaseContext, k: int) -> list:
             pid = os.fork()
             if pid == 0:
                 os.close(read_end)
-                _lane_child(lane, ctx, write_end)
+                _lane_child(lane, ctx, write_end, parent)
             children[read_end] = (lane, pid)
             # Closed before the next fork, so no sibling holds this write end
             # and the pipe reaches EOF as soon as its own child is gone.
@@ -274,14 +279,14 @@ def _fork_lanes(ctx: _PhaseContext, k: int) -> list:
                 os.waitpid(pid, 0)
 
 
-def _lane_child(lane: int, ctx: _PhaseContext, write_end: int) -> None:
+def _lane_child(lane: int, ctx: _PhaseContext, write_end: int, parent: int) -> None:
     """Body of a forked lane: run the lane, write its record, and leave
     through ``os._exit`` (0 after the write, 1 on any other way out), so
     the child never returns into the parent's code."""
     code = 1
     try:
         try:
-            record = ("ok", _run_lane(lane, ctx))
+            record = ("ok", _run_lane(lane, ctx, parent))
         except PhaseTaskError as exc:
             record = ("error", str(exc))
         except Exception as exc:

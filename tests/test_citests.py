@@ -27,7 +27,8 @@ from bnsl.citests import (
 )
 from bnsl.data import ContinuousDataset, DiscreteDataset, correlation_matrix
 from bnsl.graph import Dag
-from bnsl.structure import GlobalLearnConfig, learn_cpdag
+from bnsl.parallel import ParallelExecutor
+from bnsl.structure import ALGORITHMS, GlobalLearnConfig, learn_cpdag
 from bnsl.synth import random_dag
 
 
@@ -716,6 +717,45 @@ class TestManyCandidates:
             tracemalloc.stop()
         assert len(outs) == 100 and all(out.dof == 4 * 3**6 for out in outs)
         assert peak < 4 * 2**20, peak
+
+
+class TestKernelHook:
+    @pytest.mark.parametrize("kind", ["mi", "cor", "oracle"])
+    def test_every_executed_test_goes_through_the_hook(self, monkeypatch, kind):
+        # One seam: the candidates an engine passes to _kernel_many add up
+        # to its executed count, in learns and in any mix of test and
+        # test_many calls (repeats and batches of one included).
+        dag = random_dag(12, 71, edge_prob=0.3)
+        data = {
+            "mi": lambda: mixed_discrete(72, n=200, m=12),
+            "cor": lambda: asymmetric_continuous(73, m=12),
+            "oracle": lambda: DiscreteDataset([(v, ["0", "1"]) for v in dag.nodes], np.zeros((4, 12), dtype=int)),
+        }[kind]()
+        truth = dag if kind == "oracle" else None
+        engine = make_engine(kind, data, 0.05, truth)
+        hook = type(engine)._kernel_many
+        passed = []
+
+        def spy(self, target, candidates, z):
+            passed.append(len(candidates))
+            return hook(self, target, candidates, z)
+
+        monkeypatch.setattr(type(engine), "_kernel_many", spy)
+        for algorithm in ALGORITHMS:
+            passed.clear()
+            executor = ParallelExecutor(1)
+            learn_cpdag(data, GlobalLearnConfig(algorithm, test=kind, alpha=0.05), executor, truth=truth)
+            assert 0 < sum(passed) == executor.total_executed(), algorithm
+        passed.clear()
+        rng = np.random.default_rng(74)
+        names = list(data.names)
+        for x, y, z in random_queries(names, rng, 200, max_z=3):
+            engine.test(x, y, z)
+            others = [v for v in names if v != x and v not in z]
+            batch = [str(v) for v in rng.choice(others, int(rng.integers(1, 4)))]
+            engine.test_many(x, batch + batch[:1], z)
+        assert sum(passed) == engine.counter.executed < engine.counter.count
+        assert 1 in passed and max(passed) > 1
 
 
 def name_ordered(data):

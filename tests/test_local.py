@@ -183,6 +183,10 @@ class TestLearnNbr:
         touched = {v for x, y, z in engine.calls for v in (x, y)} - {target}
         assert touched <= set(mb)
 
+    def test_unknown_mb_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown variable: 'NOPE'"):
+            learn_nbr(oracle_data(CHAIN), "B", LocalLearnConfig("mmpc"), OracleTest(CHAIN), mb=["NOPE", "A"])
+
     def test_wrong_backend_rejected(self):
         data = oracle_data(CHAIN)
         with pytest.raises(ValueError):

@@ -231,6 +231,49 @@ class TestRunPhase:
         assert collections.Counter(out) == collections.Counter(["before", "after"] + [f"task {i}" for i in range(1, 5)])
         assert out[0] == "before" and out[-1] == "after"
 
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_lanes_stop_once_their_parent_is_killed(self, schedule, tmp_path):
+        # SIGKILL leaves the parent no chance to kill its lanes; each lane
+        # must notice that it was orphaned and stop taking items.
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            from bnsl.citests import OracleTest
+            from bnsl.graph import Dag
+            from bnsl.parallel import ParallelExecutor
+
+            def task(item, engine):
+                with open(sys.argv[1], "a") as log:
+                    log.write(f"{os.getpid()}\\n")
+                time.sleep(0.3)
+                return item
+
+            factory = lambda: OracleTest(Dag(["A"], []))
+            ParallelExecutor(2, sys.argv[2]).run_phase("demo", list(range(30)), task, factory)
+            """
+        )
+        log = tmp_path / "lanes.log"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-c", script, str(log), schedule], env=env)
+        try:
+            give_up = time.monotonic() + 30
+            while not (log.exists() and len(log.read_text().splitlines()) >= 2):
+                assert time.monotonic() < give_up, "no task started"
+                time.sleep(0.02)
+        finally:
+            proc.kill()
+            proc.wait()
+        time.sleep(1.5)  # a lane may finish the item it is on
+        settled = log.read_text()
+        time.sleep(1)
+        grown = log.read_text() != settled
+        if grown:  # the orphans are still running: end them
+            for pid in set(map(int, log.read_text().split())):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert not grown, f"the lane log grew from {len(settled.splitlines())} lines after the parent died"
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_dynamic_lanes_cover_items_once(self, k):
         # More lanes than cores contend for the shared counter; a lost
