@@ -40,7 +40,13 @@ chunk's memory), and reads each statistic off the dataset's ``c * ln c``
 table with four gathers and row sums. The t kernel, :func:`_cor_many`,
 tests a z = {} batch of two or more from the target's correlations with
 one vectorised t test, :func:`_t_many`, bit-identical to the closed form
-of :func:`_partial_t`, which takes every other test.
+of :func:`_partial_t`, which takes every other test. Given two or more
+variables, :func:`_partial_t` takes the Schur complement of corr[z, z]
+through its Cholesky factor, in Python floats. A
+:class:`PartialCorrelationTest` caches each conditioning set's factor
+(a :class:`_Factor`, built on its prefix's) and each variable's forward
+solve against it next to the memo, so a task factorises each set once;
+``spawn`` empties the cache with the memo.
 The learners batch the scans whose tests share a target and z and are all
 requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
 z = {} ranking.
@@ -51,11 +57,21 @@ to n = 10^6 (and 1e-9 on the acceptance data). Outcomes stay bit-identical
 for ``mi_test(x, y)`` and ``mi_test(y, x)``, single and batched tests, any
 column order, worker count and schedule.
 
+Tolerance contract of the t test: the factor form rounds differently from
+inverting the correlation submatrix, within 1e-9 of an exact regression
+reference on well-conditioned data (criterion 6; |z| up to 8 in the unit
+tests). Outcomes stay bit-identical for cached and cold calls (the
+standalone :func:`cor_test` builds the same factor cold), ``cor_test(x,
+y)`` and ``cor_test(y, x)``, single and batched tests, any worker count
+and schedule: an outcome depends on (x, y, z) alone.
+
 Degenerate cases are resolved conservatively: a test with zero degrees of
 freedom (or a t test with a non-positive sample-size margin) returns
 independence with p = 1, since a vacuous test carries no evidence of
 dependence. A singular correlation submatrix gets a fixed 1e-12 diagonal
-ridge before inversion and the outcome is flagged.
+ridge before inversion and the outcome is flagged. A t test of a constant
+column (see ``ContinuousDataset.constant_columns``) keeps its statistic
+and p-value and is flagged degenerate.
 """
 
 from __future__ import annotations
@@ -63,15 +79,21 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .data import ContinuousDataset, Dataset, DiscreteDataset
 from .data import correlation_matrix  # noqa: F401 - re-exported for callers of citests
 from .graph import Dag, d_separated
 
 RIDGE = 1e-12
+# A t test given two or more variables falls back to inverting the correlation
+# submatrix when a pivot of corr[z, z]'s Cholesky factor, or the residual
+# variance of x or y given z, is at or below this: a near-collinear set.
+PIVOT_FLOOR = 1e-10
 # Cap on one batched G^2 chunk: candidates x max(n, cells per candidate).
 # It bounds the chunk's arrays (512 KB per int64 array) for any candidate count.
 BATCH_CELLS = 1 << 16
@@ -245,31 +267,55 @@ def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, a
     return _g2_many(data, x, (y,), z, alpha)[0]
 
 
-def _partial_t(corr: np.ndarray, n: int, columns, rz: list[int], rx: int, ry: int, alpha: float) -> TestOutcome:
+def _partial_t(
+    corr: np.ndarray, n: int, columns, rz: list[int], rx: int, ry: int, alpha: float, factors: dict | None = None
+) -> TestOutcome:
     """Partial-correlation t kernel of the variables of ranks ``rx`` and
     ``ry`` given the z ranks ``rz``; ``columns`` maps a rank to its column.
 
-    The correlation submatrix is taken over {x, y} union z in name order.
     Conditioning sets of size 0 and 1 use the closed forms on Python
-    floats; larger sets invert the submatrix, applying the diagonal ridge
-    if it is singular.
+    floats. A larger z uses the Schur complement of corr[z, z] through its
+    :class:`_Factor`: with a = L^-1 r_za and b = L^-1 r_zb, where a is the
+    name-smaller variable, r = (r_ab - a.b) / sqrt((1 - |a|^2)(1 - |b|^2)).
+    ``factors`` caches each z's factor for the calls of one engine; without
+    it the same factor is built cold, so every outcome depends on (x, y, z)
+    alone, bit for bit. Agreement with an exact reference is within 1e-9 on
+    well-conditioned data.
+
+    A pivot of the factor or a residual variance at or below ``PIVOT_FLOOR``
+    (z, or x or y given z, near collinear) falls back to inverting the
+    correlation submatrix over {x, y} union z in name order, with the
+    diagonal ridge if it is singular.
     """
-    ranks = [*rz, rx, ry]
-    ranks.sort()
-    dof = n - len(ranks)
+    dof = n - len(rz) - 2
     if dof <= 0:
         return TestOutcome(0.0, max(dof, 0), 1.0, True, True)
-    a, b = (ranks.index(rx), ranks.index(ry)) if rx < ry else (ranks.index(ry), ranks.index(rx))
-    idx = [columns[r] for r in ranks]
-    ix, iy = idx[a], idx[b]
-    if len(idx) == 2:
+    ix, iy = (columns[rx], columns[ry]) if rx < ry else (columns[ry], columns[rx])
+    if not rz:
         return _t_outcome(corr.item(ix, iy), dof, alpha)
-    if len(idx) == 3:
-        iz = idx[3 - a - b]
+    if len(rz) == 1:
+        iz = columns[rz[0]]
         rxy, rxz, ryz = corr.item(ix, iy), corr.item(ix, iz), corr.item(iy, iz)
         denom = (1.0 - rxz * rxz) * (1.0 - ryz * ryz)
         if denom > 0:
             return _t_outcome((rxy - rxz * ryz) / math.sqrt(denom), dof, alpha)
+    else:
+        if factors is None:
+            factor = _Factor(corr, None, [columns[r] for r in rz])
+        else:
+            key = tuple(rz)
+            factor = factors.get(key) or _factor(corr, columns, key, factors)
+        if factor.pivot is not None:
+            solved = factor.solved
+            a_x, var_x = solved.get(ix) or factor.solve(ix)
+            a_y, var_y = solved.get(iy) or factor.solve(iy)
+            if var_x > PIVOT_FLOOR and var_y > PIVOT_FLOOR:
+                r = (corr.item(ix, iy) - sum(map(mul, a_x, a_y))) / math.sqrt(var_x * var_y)
+                return _t_outcome(r, dof, alpha)
+    ranks = [*rz, rx, ry]
+    ranks.sort()
+    idx = [columns[r] for r in ranks]
+    a, b = idx.index(ix), idx.index(iy)
     sub = corr.take(idx, axis=0).take(idx, axis=1)
     ridged = False
     try:
@@ -284,6 +330,66 @@ def _partial_t(corr: np.ndarray, n: int, columns, rz: list[int], rx: int, ry: in
     return _t_outcome(float(r), dof, alpha, ridged)
 
 
+class _Factor:
+    """The lower Cholesky factor L of ``corr[z, z]`` for a conditioning set
+    z in name order, built on ``prefix``, the cached factor of a leading
+    part of z (or ``None``), with one row per column of ``izs``, the rest.
+
+    Cholesky and forward solves are prefix-consistent: L's leading rows are
+    the prefix's, and so are the leading entries of a = L^-1 r_zv. So a row
+    is a solve of its z column over the rows before it, and a solve extends
+    the nearest one cached on the prefix chain. ``levels`` holds L's rows as
+    (z column, entries left of the diagonal, pivot); ``solved`` keeps each
+    solve as (a, 1 - |a|^2). Every entry is computed by the same operations
+    whichever tests asked for it first. The pivot is ``None`` when one of
+    L's pivots is at or below ``PIVOT_FLOOR``.
+    """
+
+    __slots__ = ("corr", "prefix", "levels", "pivot", "solved")
+
+    def __init__(self, corr: np.ndarray, prefix: _Factor | None, izs: list[int]):
+        self.corr, self.prefix, self.solved = corr, prefix, {}
+        self.levels = levels = [] if prefix is None else prefix.levels.copy()
+        self.pivot = 1.0 if prefix is None else prefix.pivot
+        for iz in izs:
+            if self.pivot is None:
+                break
+            row, var = self._extend(iz)
+            self.pivot = math.sqrt(var) if var > PIVOT_FLOOR else None
+            levels.append((iz, row, self.pivot))
+
+    def solve(self, iv: int) -> tuple[list[float], float]:
+        """``(a, 1 - |a|^2)`` for a = L^-1 r_zv of column ``iv``; kept in
+        ``solved``."""
+        self.solved[iv] = out = self._extend(iv)
+        return out
+
+    def _extend(self, iv: int) -> tuple[list[float], float]:
+        """The solve of column ``iv`` against ``levels``, with r_zv read
+        from ``corr``'s row ``iv``, extended from the nearest solve of
+        ``iv`` on the prefix chain."""
+        corr, node = self.corr, self.prefix
+        while node is not None and (hit := node.solved.get(iv)) is None:
+            node = node.prefix
+        a, var = ([], corr.item(iv, iv)) if node is None else (hit[0].copy(), hit[1])
+        for iz, row, pivot in self.levels[len(a):]:
+            s = (corr.item(iv, iz) - sum(map(mul, row, a))) / pivot
+            a.append(s)
+            var -= s * s
+        return a, var
+
+
+def _factor(corr: np.ndarray, columns, key: tuple[int, ...], factors: dict) -> _Factor:
+    """The :class:`_Factor` of the z ranks ``key``, built on its longest
+    proper prefix in ``factors`` and added there."""
+    m = len(key) - 1
+    while m and key[:m] not in factors:
+        m -= 1
+    prefix = factors.get(key[:m]) if m else None
+    factor = factors[key] = _Factor(corr, prefix, [columns[r] for r in key[m:]])
+    return factor
+
+
 def _t_outcome(r: float, dof: int, alpha: float, ridged: bool = False) -> TestOutcome:
     """Two-sided t test of a (partial) correlation ``r`` on ``dof`` degrees."""
     r = min(max(r, -1.0), 1.0)
@@ -291,7 +397,8 @@ def _t_outcome(r: float, dof: int, alpha: float, ridged: bool = False) -> TestOu
     if abs(r) >= 1.0 - 1e-12:
         return TestOutcome(math.copysign(math.inf, r), dof, 0.0, False, False, ridged)
     t = r * math.sqrt(dof / (1.0 - r * r))
-    p_value = float(2.0 * special.stdtr(dof, -abs(t)))
+    # The scalar Cython stdtr: the ufunc's result, bit for bit, without its dispatch.
+    p_value = 2.0 * cython_special.stdtr(float(dof), -abs(t))
     # Positional, not keyword, arguments: they build an outcome faster.
     return TestOutcome(t, dof, p_value, p_value > alpha, False, ridged)
 
@@ -307,21 +414,32 @@ def _t_many(r: np.ndarray, dof: int, alpha: float) -> list[TestOutcome]:
     return [TestOutcome(ti, dof, pi, pi > alpha) for ti, pi in zip(t.tolist(), p.tolist())]
 
 
-def _cor_many(data: ContinuousDataset, target: str, candidates, z, alpha: float, corr: np.ndarray) -> list[TestOutcome]:
+def _cor_many(
+    data: ContinuousDataset, target: str, candidates, z, alpha: float, corr: np.ndarray, factors: dict | None = None
+) -> list[TestOutcome]:
     """t tests of ``target`` against each of ``candidates`` given ``z``,
     after :func:`_check`, over the correlation matrix ``corr``; a single
     test is a batch of one. Only a z = {} batch of two or more (and n > 2)
-    takes :func:`_t_many`."""
+    takes :func:`_t_many`; ``factors`` is :func:`_partial_t`'s cache. A
+    test of a constant column is flagged degenerate."""
     rt, rz, rcs = _check(data, target, candidates, z, alpha)
     columns, n = data.name_ranks[1], data.n
     if len(rcs) == 1:  # no comprehension: it would cost a single test about 10%
-        return [_partial_t(corr, n, columns, rz, rt, rcs[0], alpha)]
-    if rz or n <= 2:
-        return [_partial_t(corr, n, columns, rz, rt, r, alpha) for r in rcs]
-    # Each pair's entry has the name-smaller variable's row, as in _partial_t.
-    it, ics = columns[rt], [columns[r] for r in rcs]
-    r = np.where([rc < rt for rc in rcs], corr[ics, it], corr[it, ics])
-    return _t_many(r, n - 2, alpha)
+        outcomes = [_partial_t(corr, n, columns, rz, rt, rcs[0], alpha, factors)]
+    elif rz or n <= 2:
+        outcomes = [_partial_t(corr, n, columns, rz, rt, r, alpha, factors) for r in rcs]
+    else:
+        # Each pair's entry has the name-smaller variable's row, as in _partial_t.
+        it, ics = columns[rt], [columns[r] for r in rcs]
+        r = np.where([rc < rt for rc in rcs], corr[ics, it], corr[it, ics])
+        outcomes = _t_many(r, n - 2, alpha)
+    constant = data.constant_columns
+    if constant:
+        target_constant = columns[rt] in constant
+        for outcome, r in zip(outcomes, rcs):
+            if target_constant or columns[r] in constant:
+                outcome.degenerate = True
+    return outcomes
 
 
 def cor_test(
@@ -334,9 +452,11 @@ def cor_test(
 ) -> TestOutcome:
     """Exact Student's t test for the partial correlation of ``x`` and ``y``.
 
-    The partial correlation is read off the inverse of the correlation
-    submatrix over {x, y} union z; t = r * sqrt((n - |z| - 2) / (1 - r^2))
-    with n - |z| - 2 degrees of freedom, two-sided p-value.
+    The partial correlation is that of x and y given z in the correlation
+    matrix (see :func:`_partial_t`); t = r * sqrt((n - |z| - 2) / (1 - r^2))
+    with n - |z| - 2 degrees of freedom, two-sided p-value. A standalone
+    test builds the conditioning set's factor cold, and its outcome equals
+    an engine's bit for bit.
 
     ``corr`` optionally supplies a full correlation matrix in dataset
     column order; by default the dataset's own (built once) is used.
@@ -430,6 +550,9 @@ class PartialCorrelationTest(CiEngine):
     """Engine for :func:`cor_test` over one continuous dataset.
 
     The dataset's correlation matrix is shared by every engine over it.
+    Next to the memo, ``_factors`` caches the Cholesky factor of each
+    conditioning set of two or more (see :func:`_partial_t`), and
+    :meth:`spawn` empties it with the memo.
     """
 
     name = "cor"
@@ -440,10 +563,17 @@ class PartialCorrelationTest(CiEngine):
         super().__init__(alpha)
         self.data = data
         self.corr = data.correlation
-        data.name_ranks  # derive once, before workers fork
+        self._factors: dict[tuple, _Factor] = {}
+        data.name_ranks, data.constant_columns  # derive once, before workers fork
 
     def _kernel_many(self, target, candidates, z):
-        return _cor_many(self.data, target, candidates, z, self.alpha, self.corr)
+        return _cor_many(self.data, target, candidates, z, self.alpha, self.corr, self._factors)
+
+    def spawn(self):
+        """As :meth:`CiEngine.spawn`, with an empty factor cache too."""
+        clone = super().spawn()
+        clone._factors = {}
+        return clone
 
 
 class OracleTest(CiEngine):

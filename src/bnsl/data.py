@@ -17,9 +17,9 @@ the name-rank table.
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
 Views the CI tests need (the name-rank table, contiguous code columns, the
-``c * ln c`` table of counts and the correlation matrix) are derived on
-first use and kept, so every engine over one dataset shares them and
-construction itself does no extra work.
+``c * ln c`` table of counts, the correlation matrix and the constant
+columns) are derived on first use and kept, so every engine over one
+dataset shares them and construction itself does no extra work.
 
 A variable has two integer ids. Its *column* is its position in the
 dataset, which indexes the code columns and the correlation matrix. Its
@@ -146,6 +146,13 @@ class ContinuousDataset(_Columns):
         """Read-only Pearson correlation matrix in column order."""
         return _frozen(correlation_matrix(self.values))
 
+    @cached_property
+    def constant_columns(self) -> frozenset[int]:
+        """Columns whose values are all equal: their correlations are not
+        defined, and the t tests of such a column are flagged degenerate."""
+        values = self.values
+        return frozenset(np.flatnonzero((values == values[0]).all(axis=0)).tolist())
+
 
 Dataset = DiscreteDataset | ContinuousDataset
 
@@ -153,10 +160,12 @@ Dataset = DiscreteDataset | ContinuousDataset
 def correlation_matrix(values: np.ndarray) -> np.ndarray:
     """Pearson correlation matrix with non-finite entries neutralised.
 
-    Constant columns produce undefined correlations; they are replaced with
-    zero off the diagonal (and one on it) so learning stays defined on
-    degenerate data. Fewer than two rows define no correlation at all and
-    raise ``ValueError``.
+    A constant column has no defined correlation: where it comes out
+    non-finite it is replaced with zero off the diagonal (and one on it) so
+    learning stays defined on degenerate data; otherwise it is rounding
+    noise. ``ContinuousDataset.constant_columns`` records such columns, so
+    their tests can be flagged. Fewer than two rows define no correlation
+    at all and raise ``ValueError``.
     """
     if len(values) < 2:
         raise ValueError(f"a correlation needs at least 2 rows, the data have {len(values)}")

@@ -13,7 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
+from scipy.special import cython_special
 
 from bnsl import citests
 from bnsl.citests import (
@@ -288,6 +289,65 @@ class TestCorTest:
         out = cor_test(data, "C", "A", {"B"}, alpha=0.01)
         assert out.ridged or math.isinf(out.statistic)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_singular_sets_of_two_or_more_take_the_ridged_inverse(self, seed):
+        # C2 duplicates C inside z, X copies C and S = C + D lies in z's span:
+        # a factor pivot or a residual variance falls to rounding noise, and
+        # the test inverts the submatrix over {x, y} union z, with the ridge
+        # when that fails, as a |z| = 1 test with a singular submatrix does.
+        rng = np.random.default_rng(seed)
+        a, b, c, d = rng.standard_normal((4, 200))
+        names = ["A", "B", "C", "C2", "D", "S", "X"]
+        data = ContinuousDataset(names, np.column_stack([a + c, b, c, c.copy(), d, c + d, c.copy()]))
+        engine = PartialCorrelationTest(data, 0.01)
+        cases = [("A", "B", ("C", "C2")), ("A", "B", ("C", "C2", "D")), ("X", "A", ("C", "D")),
+                 ("B", "X", ("A", "C", "D")), ("S", "A", ("C", "D")), ("B", "S", ("C", "D"))]
+        outs = [cor_test(data, x, y, z, 0.01) for x, y, z in cases]
+        for (x, y, z), out in zip(cases, outs):
+            assert bits(out) == bits(inverse_reference(data, x, y, z, 0.01)), (x, y, z)
+            assert bits(engine.test(y, x, z)) == bits(out), (x, y, z)
+        assert outs[2].ridged
+
+    def test_constant_columns_are_flagged_degenerate(self):
+        # A column of zeros has no defined correlation (it is set to 0); one
+        # of 0.1s has correlations of rounding noise. Every test of either,
+        # single or batched, at any |z|, is flagged; the other tests are not.
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((300, 6))
+        values[:, 1] += values[:, 0]
+        values[:, 2] = 0.0
+        values[:, 3] = 0.1
+        data = ContinuousDataset(["A", "B", "K0", "K1", "E", "F"], values)
+        assert data.constant_columns == {2, 3}
+        engine = PartialCorrelationTest(data, 0.01)
+        for z in [(), ("E",), ("E", "F"), ("A", "E", "F")]:
+            for x in ("K0", "K1"):
+                others = [v for v in data.names if v != x and v not in z]
+                for y, out in zip(others, engine.spawn().test_many(x, others, z)):
+                    single = cor_test(data, y, x, z, 0.01)
+                    assert out.degenerate and bits(out) == bits(single), (x, y, z)
+                    assert bits(engine.test(x, y, z)) == bits(single), (x, y, z)
+                    if "K0" in (x, y) and "K1" not in (x, y):
+                        assert (abs(out.statistic), out.p_value) == (0.0, 1.0), (x, y, z)
+            others = [v for v in ("B", "F") if v not in z]
+            pairs = [cor_test(data, "A", v, z[1:], 0.01) for v in others]
+            pairs += engine.spawn().test_many("A", others, z[1:])
+            assert not any(out.degenerate for out in pairs), z
+
+    def test_scalar_stdtr_equals_the_ufunc(self):
+        # _t_outcome's scalar Cython stdtr and _t_many's ufunc give the same
+        # p-values, bit for bit, on integer degrees of freedom.
+        dofs = [1, 2, 3, 5, 10, 30, 100, 1000, 10**4, 10**5, 10**6]
+        ts = [0.0, -0.0, 1e-8, -1e-8, 40.0, -40.0, math.inf, -math.inf]
+        for dof in dofs:
+            for t in ts:
+                scalar = 2.0 * cython_special.stdtr(float(dof), -abs(t))
+                vector = float(2.0 * special.stdtr(np.array([dof]), -np.abs(np.array([t])))[0])
+                assert scalar.hex() == vector.hex(), (dof, t)
+        rng = np.random.default_rng(13)
+        for dof, r in zip(rng.integers(1, 10**6, 2000).tolist(), rng.uniform(-1, 1, 2000).tolist()):
+            assert bits(citests._t_outcome(r, dof, 0.05)) == bits(citests._t_many(np.array([r]), dof, 0.05)[0])
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(9)
         values = rng.standard_normal((80, 3))
@@ -389,6 +449,27 @@ class TestCountersAndEngines:
         c.increment()
         c.increment()
         assert c.count == 2
+
+
+def inverse_reference(data, x, y, z, alpha):
+    """The t test of x and y given z from the inverse of the correlation
+    submatrix over {x, y} union z in name order, with a 1e-12 ridge when
+    the inverse fails or is not finite."""
+    order = sorted({x, y, *z})
+    idx = [data.column_index(v) for v in order]
+    sub = data.correlation[np.ix_(idx, idx)]
+    ridged = False
+    try:
+        omega = np.linalg.inv(sub)
+        if not np.isfinite(omega).all():
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        omega = np.linalg.inv(sub + 1e-12 * np.eye(len(idx)))
+        ridged = True
+    a, b = order.index(min(x, y)), order.index(max(x, y))
+    denom = omega[a, a] * omega[b, b]
+    r = -omega[a, b] / math.sqrt(denom) if denom > 0 else 0.0
+    return citests._t_outcome(float(r), data.n - len(order), alpha, ridged)
 
 
 def bits(outcome):
@@ -512,6 +593,79 @@ class TestMemoisedEngine:
         assert first.spawn().corr is first.corr
         assert not data.correlation.flags.writeable
         np.testing.assert_array_equal(data.correlation, citests.correlation_matrix(data.values))
+
+
+def chained_continuous(seed, n=2000, m=16):
+    """Gaussian data under shuffled names where each column leans on a few
+    earlier ones, so partial correlations given large sets differ from the
+    marginal ones."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, m))
+    for j in range(1, m):
+        values[:, j] += values[:, :j] @ (rng.uniform(-0.7, 0.7, j) * (rng.random(j) < 0.3))
+    return ContinuousDataset([f"G{j:02d}" for j in rng.permutation(m)], values)
+
+
+class TestCorFactorCache:
+    """Tests given two or more variables use a Cholesky factor of corr[z, z]
+    that an engine caches per conditioning set, built on the cached factor
+    of a prefix of the set when there is one."""
+
+    def requests(self, data, rng):
+        """(x, y, z) requests with |z| from 2 to 8 that reuse each z and its
+        prefixes in name order, in a shuffled stream."""
+        names = sorted(data.names)
+        out = []
+        for size in range(2, 9):
+            for _ in range(3):
+                z = sorted(str(v) for v in rng.choice(names, size, replace=False))
+                for zz in [z] if size == 2 else [z, z[:-1]]:
+                    rest = [v for v in names if v not in zz]
+                    for _ in range(4):
+                        x, y = (str(v) for v in rng.choice(rest, 2, replace=False))
+                        out.append((x, y, tuple(zz)))
+        rng.shuffle(out)
+        return out
+
+    def test_outcomes_are_bit_identical_however_they_are_reached(self):
+        data = chained_continuous(81)
+        rng = np.random.default_rng(82)
+        stream = self.requests(data, rng)
+        engine = PartialCorrelationTest(data, 0.01)
+        for x, y, z in stream:
+            want = bits(cor_test(data, x, y, z, 0.01))
+            assert bits(engine.test(x, y, z)) == want, (x, y, z)
+            assert bits(engine.test(y, x, list(reversed(z)))) == want, (y, x, z)
+            assert bits(PartialCorrelationTest(data, 0.01).test(y, x, z)) == want, (y, x, z)
+        names = list(data.names)
+        for x, _, z in stream[::9]:
+            candidates = [v for v in names if v != x and v not in z]
+            batched = engine.spawn().test_many(x, candidates, z)
+            assert list(map(bits, batched)) == [bits(cor_test(data, x, v, z, 0.01)) for v in candidates]
+            assert list(map(bits, engine.test_many(x, candidates, z))) == list(map(bits, batched))
+
+    def test_statistics_match_a_regression_reference(self):
+        data = chained_continuous(83)
+        values, index = data.values, data.column_index
+        engine = PartialCorrelationTest(data, 0.01)
+        for x, y, z in self.requests(data, np.random.default_rng(84)):
+            r = partial_corr_oracle(values, index(x), index(y), [index(v) for v in z])
+            dof = data.n - len(z) - 2
+            out = engine.test(x, y, z)
+            assert out.dof == dof
+            assert abs(out.statistic - r * math.sqrt(dof / (1.0 - r * r))) <= 1e-9, (x, y, z)
+
+    def test_spawn_starts_with_an_empty_cache(self):
+        data = chained_continuous(85, n=200, m=8)
+        engine = PartialCorrelationTest(data, 0.01)
+        names = sorted(data.names)
+        engine.test(names[0], names[1], names[2:4])
+        engine.test(names[0], names[1], names[2:6])
+        first, second = engine._factors.values()
+        assert second.prefix is first  # built on the cached factor of its prefix
+        clone = engine.spawn()
+        assert clone._factors == {} and clone._memo == {}
+        assert engine._factors and clone.corr is engine.corr
 
 
 def wide_dataset(n, n_z):
