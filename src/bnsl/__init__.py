@@ -7,7 +7,6 @@ oracles for exact-recovery testing, and a benchmark CLI.
 """
 
 from .citests import (
-    CiTest,
     MutualInfoTest,
     OracleTest,
     PartialCorrelationTest,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "BACKTRACKING_MODES",
-    "CiTest",
     "ContinuousDataset",
     "Dag",
     "Dataset",

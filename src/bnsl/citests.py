@@ -57,21 +57,24 @@ to n = 10^6 (and 1e-9 on the acceptance data). Outcomes stay bit-identical
 for ``mi_test(x, y)`` and ``mi_test(y, x)``, single and batched tests, any
 column order, worker count and schedule.
 
-Tolerance contract of the t test: the factor form rounds differently from
-inverting the correlation submatrix, within 1e-9 of an exact regression
-reference on well-conditioned data (criterion 6; |z| up to 8 in the unit
-tests). Outcomes stay bit-identical for cached and cold calls (the
-standalone :func:`cor_test` builds the same factor cold), ``cor_test(x,
-y)`` and ``cor_test(y, x)``, single and batched tests, any worker count
-and schedule: an outcome depends on (x, y, z) alone.
+Tolerance contract of the t test: the factor form is within 1e-9 of an
+exact regression reference on well-conditioned data (criterion 6; |z| up
+to 8 in the unit tests). Outcomes stay bit-identical for cached and cold
+calls (the standalone :func:`cor_test` builds the same factor cold),
+``cor_test(x, y)`` and ``cor_test(y, x)``, single and batched tests, any
+worker count and schedule: an outcome depends on (x, y, z) alone.
 
 Degenerate cases are resolved conservatively: a test with zero degrees of
 freedom (or a t test with a non-positive sample-size margin) returns
 independence with p = 1, since a vacuous test carries no evidence of
-dependence. A singular correlation submatrix gets a fixed 1e-12 diagonal
-ridge before inversion and the outcome is flagged. A t test of a constant
-column (see ``ContinuousDataset.constant_columns``) keeps its statistic
-and p-value and is flagged degenerate.
+dependence. So does a t test whose x or y has a residual variance given z
+at or below ``PIVOT_FLOOR``: x is then independent of y given z trivially.
+Both are flagged degenerate. A z column within ``PIVOT_FLOOR`` of the span
+of the z columns before it in name order is dropped from the factor, which
+leaves the partial correlation and the dof unchanged, and the outcome is
+flagged ``ridged``. A constant column (see
+``ContinuousDataset.constant_columns``) correlates at 0: its t tests read
+t = 0 and p = 1, and are flagged degenerate.
 """
 
 from __future__ import annotations
@@ -89,10 +92,8 @@ from .data import ContinuousDataset, Dataset, DiscreteDataset
 from .data import correlation_matrix  # noqa: F401 - re-exported for callers of citests
 from .graph import Dag, d_separated
 
-RIDGE = 1e-12
-# A t test given two or more variables falls back to inverting the correlation
-# submatrix when a pivot of corr[z, z]'s Cholesky factor, or the residual
-# variance of x or y given z, is at or below this: a near-collinear set.
+# A residual variance at or below this is rounding noise of an exact linear
+# dependence: the t test drops such a z column, or finds x or y a function of z.
 PIVOT_FLOOR = 1e-10
 # Cap on one batched G^2 chunk: candidates x max(n, cells per candidate).
 # It bounds the chunk's arrays (512 KB per int64 array) for any candidate count.
@@ -101,7 +102,9 @@ BATCH_CELLS = 1 << 16
 
 @dataclass(slots=True)
 class TestOutcome:
-    """Result of one conditional independence test."""
+    """Result of one conditional independence test. ``degenerate`` flags a
+    vacuous test; ``ridged``, a t test that dropped a near-collinear
+    conditioning column (see the module docstring)."""
 
     statistic: float
     dof: float
@@ -282,10 +285,8 @@ def _partial_t(
     alone, bit for bit. Agreement with an exact reference is within 1e-9 on
     well-conditioned data.
 
-    A pivot of the factor or a residual variance at or below ``PIVOT_FLOOR``
-    (z, or x or y given z, near collinear) falls back to inverting the
-    correlation submatrix over {x, y} union z in name order, with the
-    diagonal ridge if it is singular.
+    A residual variance of x or y (1 - r_xz^2 or 1 - r_yz^2 for one z) at
+    or below ``PIVOT_FLOOR`` gives the degenerate independent outcome.
     """
     dof = n - len(rz) - 2
     if dof <= 0:
@@ -295,39 +296,22 @@ def _partial_t(
         return _t_outcome(corr.item(ix, iy), dof, alpha)
     if len(rz) == 1:
         iz = columns[rz[0]]
-        rxy, rxz, ryz = corr.item(ix, iy), corr.item(ix, iz), corr.item(iy, iz)
-        denom = (1.0 - rxz * rxz) * (1.0 - ryz * ryz)
-        if denom > 0:
-            return _t_outcome((rxy - rxz * ryz) / math.sqrt(denom), dof, alpha)
+        rxz, ryz = corr.item(ix, iz), corr.item(iy, iz)
+        dot, var_x, var_y, skipped = rxz * ryz, 1.0 - rxz * rxz, 1.0 - ryz * ryz, False
     else:
         if factors is None:
             factor = _Factor(corr, None, [columns[r] for r in rz])
         else:
             key = tuple(rz)
             factor = factors.get(key) or _factor(corr, columns, key, factors)
-        if factor.pivot is not None:
-            solved = factor.solved
-            a_x, var_x = solved.get(ix) or factor.solve(ix)
-            a_y, var_y = solved.get(iy) or factor.solve(iy)
-            if var_x > PIVOT_FLOOR and var_y > PIVOT_FLOOR:
-                r = (corr.item(ix, iy) - sum(map(mul, a_x, a_y))) / math.sqrt(var_x * var_y)
-                return _t_outcome(r, dof, alpha)
-    ranks = [*rz, rx, ry]
-    ranks.sort()
-    idx = [columns[r] for r in ranks]
-    a, b = idx.index(ix), idx.index(iy)
-    sub = corr.take(idx, axis=0).take(idx, axis=1)
-    ridged = False
-    try:
-        omega = np.linalg.inv(sub)
-        if not np.isfinite(omega).all():
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        omega = np.linalg.inv(sub + RIDGE * np.eye(len(idx)))
-        ridged = True
-    denom = omega[a, a] * omega[b, b]
-    r = -omega[a, b] / math.sqrt(denom) if denom > 0 else 0.0
-    return _t_outcome(float(r), dof, alpha, ridged)
+        solved = factor.solved
+        a_x, var_x = solved.get(ix) or factor.solve(ix)
+        a_y, var_y = solved.get(iy) or factor.solve(iy)
+        dot, skipped = sum(map(mul, a_x, a_y)), factor.skipped
+    if var_x > PIVOT_FLOOR and var_y > PIVOT_FLOOR:
+        return _t_outcome((corr.item(ix, iy) - dot) / math.sqrt(var_x * var_y), dof, alpha, skipped)
+    # x or y lies in the span of z: x is independent of y given z, trivially.
+    return TestOutcome(0.0, dof, 1.0, True, True, skipped)
 
 
 class _Factor:
@@ -341,22 +325,24 @@ class _Factor:
     the nearest one cached on the prefix chain. ``levels`` holds L's rows as
     (z column, entries left of the diagonal, pivot); ``solved`` keeps each
     solve as (a, 1 - |a|^2). Every entry is computed by the same operations
-    whichever tests asked for it first. The pivot is ``None`` when one of
-    L's pivots is at or below ``PIVOT_FLOOR``.
+    whichever tests asked for it first. A z column whose residual variance
+    is at or below ``PIVOT_FLOOR`` lies in the span of the rows before it:
+    it gets no row, which changes no partial correlation given z, and
+    ``skipped`` records it.
     """
 
-    __slots__ = ("corr", "prefix", "levels", "pivot", "solved")
+    __slots__ = ("corr", "prefix", "levels", "skipped", "solved")
 
     def __init__(self, corr: np.ndarray, prefix: _Factor | None, izs: list[int]):
         self.corr, self.prefix, self.solved = corr, prefix, {}
         self.levels = levels = [] if prefix is None else prefix.levels.copy()
-        self.pivot = 1.0 if prefix is None else prefix.pivot
+        self.skipped = prefix is not None and prefix.skipped
         for iz in izs:
-            if self.pivot is None:
-                break
             row, var = self._extend(iz)
-            self.pivot = math.sqrt(var) if var > PIVOT_FLOOR else None
-            levels.append((iz, row, self.pivot))
+            if var > PIVOT_FLOOR:
+                levels.append((iz, row, math.sqrt(var)))
+            else:
+                self.skipped = True
 
     def solve(self, iv: int) -> tuple[list[float], float]:
         """``(a, 1 - |a|^2)`` for a = L^-1 r_zv of column ``iv``; kept in
@@ -587,9 +573,6 @@ class OracleTest(CiEngine):
 
     def _kernel_many(self, target, candidates, z):
         return [oracle_test(self.dag, *sorted((target, v)), z) for v in candidates]
-
-
-CiTest = CiEngine
 
 
 def make_engine(test: str, data: Dataset | None, alpha: float, truth: Dag | None = None) -> CiEngine:

@@ -149,29 +149,36 @@ class ContinuousDataset(_Columns):
     @cached_property
     def constant_columns(self) -> frozenset[int]:
         """Columns whose values are all equal: their correlations are not
-        defined, and the t tests of such a column are flagged degenerate."""
-        values = self.values
-        return frozenset(np.flatnonzero((values == values[0]).all(axis=0)).tolist())
+        defined (0 in the matrix), and their t tests are flagged degenerate."""
+        return frozenset(np.flatnonzero(_all_equal(self.values)).tolist())
 
 
 Dataset = DiscreteDataset | ContinuousDataset
 
 
-def correlation_matrix(values: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix with non-finite entries neutralised.
+def _all_equal(values: np.ndarray) -> np.ndarray:
+    """Mask of the columns of ``values`` whose entries are all equal."""
+    return (values == values[0]).all(axis=0)
 
-    A constant column has no defined correlation: where it comes out
-    non-finite it is replaced with zero off the diagonal (and one on it) so
-    learning stays defined on degenerate data; otherwise it is rounding
-    noise. ``ContinuousDataset.constant_columns`` records such columns, so
-    their tests can be flagged. Fewer than two rows define no correlation
-    at all and raise ``ValueError``.
+
+def correlation_matrix(values: np.ndarray) -> np.ndarray:
+    """Pearson correlation matrix with undefined entries neutralised.
+
+    A constant column has no defined correlation (numpy gives non-finite
+    values, or rounding noise when its mean is off by an ulp): its row and
+    column are set to zero, with one on the diagonal, so learning stays
+    defined on degenerate data. Any other non-finite entry (a variance that
+    overflows) is zeroed too, with ones on the diagonal. Fewer than two
+    rows define no correlation at all and raise ``ValueError``.
     """
     if len(values) < 2:
         raise ValueError(f"a correlation needs at least 2 rows, the data have {len(values)}")
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.corrcoef(values, rowvar=False)
     corr = np.atleast_2d(corr)
+    constant = _all_equal(values)
+    corr[constant] = corr[:, constant] = 0.0
+    corr[constant, constant] = 1.0
     bad = ~np.isfinite(corr)
     if bad.any():
         corr[bad] = 0.0

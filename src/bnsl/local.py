@@ -40,7 +40,7 @@ from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .citests import CiTest
+from .citests import CiEngine
 from .graph import _pair
 
 MB_BACKENDS = ("gs", "iamb", "inter-iamb")
@@ -117,7 +117,7 @@ def subsets_in_order(pool: Iterable[str], cap: int | None = None) -> Iterator[fr
 
 
 def first_separator(
-    test: CiTest, x: str, y: str, pool: Iterable[str], cap: int | None = None
+    test: CiEngine, x: str, y: str, pool: Iterable[str], cap: int | None = None
 ) -> frozenset[str] | None:
     """The first subset of ``pool``, in :func:`subsets_in_order` order, given
     which ``x`` and ``y`` test independent, or ``None`` when none does."""
@@ -128,7 +128,7 @@ def first_separator(
 
 
 def learn_mb(
-    data, target: str, cfg: LocalLearnConfig, test: CiTest
+    data, target: str, cfg: LocalLearnConfig, test: CiEngine
 ) -> tuple[frozenset[str], SepsetTable]:
     """Learn the Markov blanket of ``target`` with a grow-shrink backend.
 
@@ -139,7 +139,7 @@ def learn_mb(
 
 
 def learn_nbr(
-    data, target: str, cfg: LocalLearnConfig, test: CiTest, mb: Iterable[str] | None = None
+    data, target: str, cfg: LocalLearnConfig, test: CiEngine, mb: Iterable[str] | None = None
 ) -> tuple[frozenset[str], SepsetTable]:
     """Learn the neighbourhood (parents and children) of ``target``.
 

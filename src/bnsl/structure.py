@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .citests import CiTest, make_engine
+from .citests import CiEngine, make_engine
 from .data import Dataset
 from .graph import Dag, Pdag, Skeleton, VStructure, _pair, _reaches, apply_meek_rules
 from .local import MB_BACKENDS, LocalLearnConfig, SepsetTable, first_separator, learn_mb, learn_nbr
@@ -205,7 +205,7 @@ def orient_v_structures(
     skel: Skeleton,
     sepsets: SepsetTable,
     data: Dataset,
-    test: CiTest,
+    test: CiEngine,
     executor: ParallelExecutor | None = None,
     max_condition_size: int | None = None,
 ) -> VStructureResult:

@@ -281,37 +281,47 @@ class TestCorTest:
         out = cor_test(data, "X", "Y", {"Z"}, alpha=0.01)
         assert out.independent and out.degenerate
 
-    def test_singular_submatrix_gets_ridged(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(50)
-        values = np.column_stack([x, x.copy(), rng.standard_normal(50)])
-        data = ContinuousDataset(["A", "B", "C"], values)
-        out = cor_test(data, "C", "A", {"B"}, alpha=0.01)
-        assert out.ridged or math.isinf(out.statistic)
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("copy, of", [("C2", "C"), ("BC", "C"), ("D2", "D")])
+    def test_a_redundant_conditioning_column_is_dropped(self, seed, copy, of):
+        # The copy sorts right after its original (C2), before it (BC), or
+        # last, past a cached prefix (D2). The factor drops whichever of the
+        # two comes later in name order, which leaves the partial correlation
+        # of the set without the copy, at the dof of the full set, flagged.
+        rng = np.random.default_rng(seed)
+        a, b, c, d, e = rng.standard_normal((5, 200))
+        names = ["A", "B", "C", "D", "E", copy]
+        values = np.column_stack([a + c, b, c, d, e, (c if of == "C" else d).copy()])
+        data = ContinuousDataset(names, values)
+        z3 = sorted(["C", "D", copy])
+        cases = [("A", "B", tuple(z3[:2])), ("A", "B", tuple(z3)), ("E", "A", tuple(z3)), ("B", "E", tuple(z3))]
+        for (x, y, z), out in zip(cases, assert_routes_agree(data, cases)):
+            kept = sorted({of if v == copy else v for v in z})
+            r = partial_corr_oracle(values, names.index(x), names.index(y), [names.index(v) for v in kept])
+            dof = data.n - len(z) - 2
+            assert (out.dof, out.ridged, out.degenerate) == (dof, len(kept) < len(z), False), (x, y, z)
+            assert abs(out.statistic - r * math.sqrt(dof / (1.0 - r * r))) <= 1e-9, (x, y, z)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_near_singular_sets_of_two_or_more_take_the_ridged_inverse(self, seed):
-        # C2 duplicates C inside z, X copies C and S = C + D lies in z's span:
-        # a factor pivot or a residual variance falls to rounding noise, and
-        # the test inverts the submatrix over {x, y} union z, with the ridge
-        # when that fails, as a |z| = 1 test with a singular submatrix does.
+    @pytest.mark.parametrize("seed", range(8))
+    def test_x_or_y_in_the_span_of_z_is_trivially_independent(self, seed):
+        # X copies C and S = C + D: given a z holding C (and D for S), the
+        # residual of X (or S) is rounding noise, and the outcome is the
+        # degenerate independent one, whether |z| is 1 or more.
         rng = np.random.default_rng(seed)
         a, b, c, d = rng.standard_normal((4, 200))
-        names = ["A", "B", "C", "C2", "D", "S", "X"]
-        data = ContinuousDataset(names, np.column_stack([a + c, b, c, c.copy(), d, c + d, c.copy()]))
-        engine = PartialCorrelationTest(data, 0.01)
-        cases = [("A", "B", ("C", "C2")), ("A", "B", ("C", "C2", "D")), ("X", "A", ("C", "D")),
-                 ("B", "X", ("A", "C", "D")), ("S", "A", ("C", "D")), ("B", "S", ("C", "D"))]
-        outs = [cor_test(data, x, y, z, 0.01) for x, y, z in cases]
-        for (x, y, z), out in zip(cases, outs):
-            assert bits(out) == bits(inverse_reference(data, x, y, z, 0.01)), (x, y, z)
-            assert bits(engine.test(y, x, z)) == bits(out), (x, y, z)
-        assert outs[2].ridged
+        data = ContinuousDataset(["A", "B", "C", "D", "S", "X"], np.column_stack([a + c, b, c, d, c + d, c.copy()]))
+        cases = [("X", "A", ("C",)), ("B", "X", ("C",)), ("X", "A", ("C", "D")), ("B", "X", ("A", "C", "D")),
+                 ("S", "A", ("C", "D")), ("B", "S", ("C", "D")), ("S", "X", ("C", "D")), ("S", "B", ("A", "C", "D"))]
+        for (x, y, z), out in zip(cases, assert_routes_agree(data, cases)):
+            assert bits(out) == bits(citests.TestOutcome(0.0, data.n - len(z) - 2, 1.0, True, True)), (x, y, z)
+        # S given C alone keeps a residual (D), so its tests are not degenerate.
+        assert not cor_test(data, "S", "B", ("C",), 0.01).degenerate
 
     def test_constant_columns_are_flagged_degenerate(self):
-        # A column of zeros has no defined correlation (it is set to 0); one
-        # of 0.1s has correlations of rounding noise. Every test of either,
-        # single or batched, at any |z|, is flagged; the other tests are not.
+        # A column of zeros, or of 0.1s (whose mean is off by an ulp), has no
+        # defined correlation: both are set to 0. Every test of either,
+        # single or batched, at any |z|, reads t = 0 and p = 1 and is
+        # flagged; the other tests are not.
         rng = np.random.default_rng(12)
         values = rng.standard_normal((300, 6))
         values[:, 1] += values[:, 0]
@@ -327,12 +337,22 @@ class TestCorTest:
                     single = cor_test(data, y, x, z, 0.01)
                     assert out.degenerate and bits(out) == bits(single), (x, y, z)
                     assert bits(engine.test(x, y, z)) == bits(single), (x, y, z)
-                    if "K0" in (x, y) and "K1" not in (x, y):
-                        assert (abs(out.statistic), out.p_value) == (0.0, 1.0), (x, y, z)
+                    assert (abs(out.statistic), out.p_value) == (0.0, 1.0), (x, y, z)
             others = [v for v in ("B", "F") if v not in z]
             pairs = [cor_test(data, "A", v, z[1:], 0.01) for v in others]
             pairs += engine.spawn().test_many("A", others, z[1:])
             assert not any(out.degenerate for out in pairs), z
+
+    def test_two_constant_columns_do_not_correlate(self):
+        # Columns of 0.1s and 0.3s have means off by an ulp each; their
+        # rounding noise alone would correlate them at exactly -1.
+        values = np.random.default_rng(5).standard_normal((2000, 3))
+        values[:, 0], values[:, 1] = 0.1, 0.3
+        data = ContinuousDataset(["K1", "K3", "N"], values)
+        np.testing.assert_array_equal(correlation_matrix(values)[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        batch = PartialCorrelationTest(data, 0.01).test_many("K1", ["K3", "N"], ())
+        for out in [cor_test(data, "K3", "K1", (), 0.01), *batch]:
+            assert (out.statistic, out.p_value, out.independent, out.degenerate) == (0.0, 1.0, True, True)
 
     def test_scalar_stdtr_equals_the_ufunc(self):
         # _t_outcome's scalar Cython stdtr and _t_many's ufunc give the same
@@ -451,25 +471,22 @@ class TestCountersAndEngines:
         assert c.count == 2
 
 
-def inverse_reference(data, x, y, z, alpha):
-    """The t test of x and y given z from the inverse of the correlation
-    submatrix over {x, y} union z in name order, with a 1e-12 ridge when
-    the inverse fails or is not finite."""
-    order = sorted({x, y, *z})
-    idx = [data.column_index(v) for v in order]
-    sub = data.correlation[np.ix_(idx, idx)]
-    ridged = False
-    try:
-        omega = np.linalg.inv(sub)
-        if not np.isfinite(omega).all():
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        omega = np.linalg.inv(sub + 1e-12 * np.eye(len(idx)))
-        ridged = True
-    a, b = order.index(min(x, y)), order.index(max(x, y))
-    denom = omega[a, a] * omega[b, b]
-    r = -omega[a, b] / math.sqrt(denom) if denom > 0 else 0.0
-    return citests._t_outcome(float(r), data.n - len(order), alpha, ridged)
+def assert_routes_agree(data, cases):
+    """The ``cor`` outcome of each (x, y, z) of ``cases``, checked to be the
+    same bit for bit however it is reached: cold (``cor_test``), on one
+    engine that met the cases before it (so z's factor may be built on a
+    cached prefix), on a fresh engine with x and y swapped, and in a batch
+    of every candidate for x given z."""
+    engine = PartialCorrelationTest(data, 0.01)
+    outs = []
+    for x, y, z in cases:
+        want = bits(cor_test(data, x, y, z, 0.01))
+        assert bits(engine.test(x, y, z)) == want, (x, y, z)
+        assert bits(PartialCorrelationTest(data, 0.01).test(y, x, z)) == want, (y, x, z)
+        others = [v for v in data.names if v != x and v not in z]
+        assert bits(engine.spawn().test_many(x, others, z)[others.index(y)]) == want, (x, y, z)
+        outs.append(cor_test(data, x, y, z, 0.01))
+    return outs
 
 
 def bits(outcome):
