@@ -42,11 +42,12 @@ tests a z = {} batch of two or more from the target's correlations with
 one vectorised t test, :func:`_t_many`, bit-identical to the closed form
 of :func:`_partial_t`, which takes every other test. Given two or more
 variables, :func:`_partial_t` takes the Schur complement of corr[z, z]
-through its Cholesky factor, in Python floats. A
-:class:`PartialCorrelationTest` caches each conditioning set's factor
-(a :class:`_Factor`, built on its prefix's) and each variable's forward
-solve against it next to the memo, so a task factorises each set once;
-``spawn`` empties the cache with the memo.
+through its Cholesky factor, in Python floats. The factor's rows and each
+variable's forward solve come from one memo, :func:`_solve`, keyed on the
+z columns and the variable; a solve given z extends the one given z
+without its last column by one entry. A :class:`PartialCorrelationTest`
+keeps that memo next to the outcome memo, so a task computes each row and
+solve once; ``spawn`` empties both.
 The learners batch the scans whose tests share a target and z and are all
 requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
 z = {} ranking.
@@ -59,8 +60,8 @@ column order, worker count and schedule.
 
 Tolerance contract of the t test: the factor form is within 1e-9 of an
 exact regression reference on well-conditioned data (criterion 6; |z| up
-to 8 in the unit tests). Outcomes stay bit-identical for cached and cold
-calls (the standalone :func:`cor_test` builds the same factor cold),
+to 8 in the unit tests). Outcomes stay bit-identical for memoised and cold
+calls (the standalone :func:`cor_test` builds the same solves cold),
 ``cor_test(x, y)`` and ``cor_test(y, x)``, single and batched tests, any
 worker count and schedule: an outcome depends on (x, y, z) alone.
 
@@ -70,7 +71,7 @@ independence with p = 1, since a vacuous test carries no evidence of
 dependence. So does a t test whose x or y has a residual variance given z
 at or below ``PIVOT_FLOOR``: x is then independent of y given z trivially.
 Both are flagged degenerate. A z column within ``PIVOT_FLOOR`` of the span
-of the z columns before it in name order is dropped from the factor, which
+of the z columns before it in name order gets no row in the factor, which
 leaves the partial correlation and the dof unchanged, and the outcome is
 flagged ``ridged``. A constant column (see
 ``ContinuousDataset.constant_columns``) correlates at 0: its t tests read
@@ -271,19 +272,20 @@ def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, a
 
 
 def _partial_t(
-    corr: np.ndarray, n: int, columns, rz: list[int], rx: int, ry: int, alpha: float, factors: dict | None = None
+    corr: np.ndarray, n: int, columns, rz: list[int], rx: int, ry: int, alpha: float, solves: dict
 ) -> TestOutcome:
     """Partial-correlation t kernel of the variables of ranks ``rx`` and
     ``ry`` given the z ranks ``rz``; ``columns`` maps a rank to its column.
 
     Conditioning sets of size 0 and 1 use the closed forms on Python
     floats. A larger z uses the Schur complement of corr[z, z] through its
-    :class:`_Factor`: with a = L^-1 r_za and b = L^-1 r_zb, where a is the
-    name-smaller variable, r = (r_ab - a.b) / sqrt((1 - |a|^2)(1 - |b|^2)).
-    ``factors`` caches each z's factor for the calls of one engine; without
-    it the same factor is built cold, so every outcome depends on (x, y, z)
-    alone, bit for bit. Agreement with an exact reference is within 1e-9 on
-    well-conditioned data.
+    Cholesky factor L: with a = L^-1 r_za and b = L^-1 r_zb from
+    :func:`_solve`, where a is the name-smaller variable,
+    r = (r_ab - a.b) / sqrt((1 - |a|^2)(1 - |b|^2)). ``solves`` memoises
+    the forward solves for the calls of one engine; an empty one builds
+    them cold, and each solve is the same floats either way, so every
+    outcome depends on (x, y, z) alone, bit for bit. Agreement with an exact
+    reference is within 1e-9 on well-conditioned data.
 
     A residual variance of x or y (1 - r_xz^2 or 1 - r_yz^2 for one z) at
     or below ``PIVOT_FLOOR`` gives the degenerate independent outcome.
@@ -299,81 +301,45 @@ def _partial_t(
         rxz, ryz = corr.item(ix, iz), corr.item(iy, iz)
         dot, var_x, var_y, skipped = rxz * ryz, 1.0 - rxz * rxz, 1.0 - ryz * ryz, False
     else:
-        if factors is None:
-            factor = _Factor(corr, None, [columns[r] for r in rz])
-        else:
-            key = tuple(rz)
-            factor = factors.get(key) or _factor(corr, columns, key, factors)
-        solved = factor.solved
-        a_x, var_x = solved.get(ix) or factor.solve(ix)
-        a_y, var_y = solved.get(iy) or factor.solve(iy)
-        dot, skipped = sum(map(mul, a_x, a_y)), factor.skipped
+        key = tuple([columns[r] for r in rz])
+        a_x, var_x, skipped = _solve(solves, corr, key, ix)
+        a_y, var_y, _ = _solve(solves, corr, key, iy)
+        dot = sum(map(mul, a_x, a_y))
     if var_x > PIVOT_FLOOR and var_y > PIVOT_FLOOR:
         return _t_outcome((corr.item(ix, iy) - dot) / math.sqrt(var_x * var_y), dof, alpha, skipped)
     # x or y lies in the span of z: x is independent of y given z, trivially.
     return TestOutcome(0.0, dof, 1.0, True, True, skipped)
 
 
-class _Factor:
-    """The lower Cholesky factor L of ``corr[z, z]`` for a conditioning set
-    z in name order, built on ``prefix``, the cached factor of a leading
-    part of z (or ``None``), with one row per column of ``izs``, the rest.
+def _solve(solves: dict, corr: np.ndarray, key: tuple[int, ...], iv: int) -> tuple[list[float], float, bool]:
+    """``(a, 1 - |a|^2, skipped)`` for the forward solve a = L^-1 r_zv of
+    column ``iv``, where L is the lower Cholesky factor of corr[z, z] for
+    the z columns ``key`` in name order; memoised in ``solves`` by
+    ``(key, iv)`` for a non-empty key.
 
-    Cholesky and forward solves are prefix-consistent: L's leading rows are
-    the prefix's, and so are the leading entries of a = L^-1 r_zv. So a row
-    is a solve of its z column over the rows before it, and a solve extends
-    the nearest one cached on the prefix chain. ``levels`` holds L's rows as
-    (z column, entries left of the diagonal, pivot); ``solved`` keeps each
-    solve as (a, 1 - |a|^2). Every entry is computed by the same operations
-    whichever tests asked for it first. A z column whose residual variance
-    is at or below ``PIVOT_FLOOR`` lies in the span of the rows before it:
-    it gets no row, which changes no partial correlation given z, and
-    ``skipped`` records it.
+    L's leading block is the factor of the leading columns, so L's row for
+    key[-1] is that column's solve against key[:-1], and a extends the solve
+    of ``iv`` against key[:-1] by one entry. So one memo holds every factor
+    row and solve of a task, and each entry is computed by the same
+    operations whichever test asked for it first. A z column whose residual
+    variance is at or below ``PIVOT_FLOOR`` lies in the span of the columns
+    before it: it gets no row, which changes no partial correlation given z,
+    and ``skipped`` records it.
     """
-
-    __slots__ = ("corr", "prefix", "levels", "skipped", "solved")
-
-    def __init__(self, corr: np.ndarray, prefix: _Factor | None, izs: list[int]):
-        self.corr, self.prefix, self.solved = corr, prefix, {}
-        self.levels = levels = [] if prefix is None else prefix.levels.copy()
-        self.skipped = prefix is not None and prefix.skipped
-        for iz in izs:
-            row, var = self._extend(iz)
-            if var > PIVOT_FLOOR:
-                levels.append((iz, row, math.sqrt(var)))
-            else:
-                self.skipped = True
-
-    def solve(self, iv: int) -> tuple[list[float], float]:
-        """``(a, 1 - |a|^2)`` for a = L^-1 r_zv of column ``iv``; kept in
-        ``solved``."""
-        self.solved[iv] = out = self._extend(iv)
-        return out
-
-    def _extend(self, iv: int) -> tuple[list[float], float]:
-        """The solve of column ``iv`` against ``levels``, with r_zv read
-        from ``corr``'s row ``iv``, extended from the nearest solve of
-        ``iv`` on the prefix chain."""
-        corr, node = self.corr, self.prefix
-        while node is not None and (hit := node.solved.get(iv)) is None:
-            node = node.prefix
-        a, var = ([], corr.item(iv, iv)) if node is None else (hit[0].copy(), hit[1])
-        for iz, row, pivot in self.levels[len(a):]:
-            s = (corr.item(iv, iz) - sum(map(mul, row, a))) / pivot
-            a.append(s)
-            var -= s * s
-        return a, var
-
-
-def _factor(corr: np.ndarray, columns, key: tuple[int, ...], factors: dict) -> _Factor:
-    """The :class:`_Factor` of the z ranks ``key``, built on its longest
-    proper prefix in ``factors`` and added there."""
-    m = len(key) - 1
-    while m and key[:m] not in factors:
-        m -= 1
-    prefix = factors.get(key[:m]) if m else None
-    factor = factors[key] = _Factor(corr, prefix, [columns[r] for r in key[m:]])
-    return factor
+    if not key:
+        return [], corr.item(iv, iv), False
+    out = solves.get((key, iv))
+    if out is None:
+        head, iz = key[:-1], key[-1]
+        a, var, skipped = _solve(solves, corr, head, iv)
+        row, pvar, _ = _solve(solves, corr, head, iz)
+        if pvar > PIVOT_FLOOR:
+            s = (corr.item(iv, iz) - sum(map(mul, row, a))) / math.sqrt(pvar)
+            out = ([*a, s], var - s * s, skipped)
+        else:
+            out = (a, var, True)
+        solves[(key, iv)] = out
+    return out
 
 
 def _t_outcome(r: float, dof: int, alpha: float, ridged: bool = False) -> TestOutcome:
@@ -401,19 +367,19 @@ def _t_many(r: np.ndarray, dof: int, alpha: float) -> list[TestOutcome]:
 
 
 def _cor_many(
-    data: ContinuousDataset, target: str, candidates, z, alpha: float, corr: np.ndarray, factors: dict | None = None
+    data: ContinuousDataset, target: str, candidates, z, alpha: float, corr: np.ndarray, solves: dict
 ) -> list[TestOutcome]:
     """t tests of ``target`` against each of ``candidates`` given ``z``,
     after :func:`_check`, over the correlation matrix ``corr``; a single
     test is a batch of one. Only a z = {} batch of two or more (and n > 2)
-    takes :func:`_t_many`; ``factors`` is :func:`_partial_t`'s cache. A
+    takes :func:`_t_many`; ``solves`` is :func:`_partial_t`'s memo. A
     test of a constant column is flagged degenerate."""
     rt, rz, rcs = _check(data, target, candidates, z, alpha)
     columns, n = data.name_ranks[1], data.n
     if len(rcs) == 1:  # no comprehension: it would cost a single test about 10%
-        outcomes = [_partial_t(corr, n, columns, rz, rt, rcs[0], alpha, factors)]
+        outcomes = [_partial_t(corr, n, columns, rz, rt, rcs[0], alpha, solves)]
     elif rz or n <= 2:
-        outcomes = [_partial_t(corr, n, columns, rz, rt, r, alpha, factors) for r in rcs]
+        outcomes = [_partial_t(corr, n, columns, rz, rt, r, alpha, solves) for r in rcs]
     else:
         # Each pair's entry has the name-smaller variable's row, as in _partial_t.
         it, ics = columns[rt], [columns[r] for r in rcs]
@@ -441,15 +407,15 @@ def cor_test(
     The partial correlation is that of x and y given z in the correlation
     matrix (see :func:`_partial_t`); t = r * sqrt((n - |z| - 2) / (1 - r^2))
     with n - |z| - 2 degrees of freedom, two-sided p-value. A standalone
-    test builds the conditioning set's factor cold, and its outcome equals
-    an engine's bit for bit.
+    test builds its forward solves cold, and its outcome equals an
+    engine's bit for bit.
 
     ``corr`` optionally supplies a full correlation matrix in dataset
     column order; by default the dataset's own (built once) is used.
     """
     if corr is None:
         corr = data.correlation
-    return _cor_many(data, x, (y,), z, alpha, corr)[0]
+    return _cor_many(data, x, (y,), z, alpha, corr, {})[0]
 
 
 def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOutcome:
@@ -536,9 +502,9 @@ class PartialCorrelationTest(CiEngine):
     """Engine for :func:`cor_test` over one continuous dataset.
 
     The dataset's correlation matrix is shared by every engine over it.
-    Next to the memo, ``_factors`` caches the Cholesky factor of each
-    conditioning set of two or more (see :func:`_partial_t`), and
-    :meth:`spawn` empties it with the memo.
+    Next to the memo, ``_solves`` memoises the forward solves of the tests
+    given two or more variables (see :func:`_solve`), and :meth:`spawn`
+    empties it with the memo.
     """
 
     name = "cor"
@@ -549,16 +515,16 @@ class PartialCorrelationTest(CiEngine):
         super().__init__(alpha)
         self.data = data
         self.corr = data.correlation
-        self._factors: dict[tuple, _Factor] = {}
+        self._solves: dict[tuple, tuple] = {}
         data.name_ranks, data.constant_columns  # derive once, before workers fork
 
     def _kernel_many(self, target, candidates, z):
-        return _cor_many(self.data, target, candidates, z, self.alpha, self.corr, self._factors)
+        return _cor_many(self.data, target, candidates, z, self.alpha, self.corr, self._solves)
 
     def spawn(self):
-        """As :meth:`CiEngine.spawn`, with an empty factor cache too."""
+        """As :meth:`CiEngine.spawn`, with an empty solve memo too."""
         clone = super().spawn()
-        clone._factors = {}
+        clone._solves = {}
         return clone
 
 

@@ -170,13 +170,19 @@ def correlation_matrix(values: np.ndarray) -> np.ndarray:
     defined on degenerate data. Any other non-finite entry (a variance that
     overflows) is zeroed too, with ones on the diagonal. Fewer than two
     rows define no correlation at all and raise ``ValueError``.
+
+    Each column is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1). That is exact, so it moves no correlation, and
+    it keeps a column of extreme scale (say 1e-170 or 1e200 times unit
+    scale) from underflowing or overflowing in the products.
     """
     if len(values) < 2:
         raise ValueError(f"a correlation needs at least 2 rows, the data have {len(values)}")
+    constant = _all_equal(values)
+    values = np.ldexp(values, -np.frexp(np.abs(values).max(axis=0))[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.corrcoef(values, rowvar=False)
     corr = np.atleast_2d(corr)
-    constant = _all_equal(values)
     corr[constant] = corr[:, constant] = 0.0
     corr[constant, constant] = 1.0
     bad = ~np.isfinite(corr)

@@ -381,6 +381,33 @@ class TestCorTest:
         assert abs(a.statistic) == pytest.approx(abs(b.statistic), rel=1e-9)
         assert a.p_value == pytest.approx(b.p_value, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e200, 1e300])
+    def test_a_column_of_extreme_scale_tests_as_unscaled(self, scale):
+        # Any finite column is valid data. Times 1e-170, A used to correlate
+        # with B and C at exactly +-1; times 1e200, np.corrcoef overflowed
+        # (an error under the suite's warnings filter) and zeroed A's row.
+        values = np.random.default_rng(21).standard_normal((50, 4))
+        values[:, 1] += 0.5 * values[:, 0]
+        scaled = values.copy()
+        scaled[:, 0] *= scale
+        names = ["A", "B", "C", "D"]
+        data, extreme = ContinuousDataset(names, values), ContinuousDataset(names, scaled)
+        for x, y, z in [("A", "B", ()), ("A", "C", ("B",)), ("B", "C", ("A",)), ("A", "B", ("C", "D")), ("C", "D", ("A", "B"))]:
+            want, got = cor_test(data, x, y, z, 0.01), cor_test(extreme, x, y, z, 0.01)
+            assert abs(got.statistic - want.statistic) <= 1e-9, (x, y, z)
+            assert abs(got.p_value - want.p_value) <= 1e-9, (x, y, z)
+            assert (got.independent, got.degenerate, got.ridged) == (want.independent, want.degenerate, want.ridged)
+
+    def test_power_of_two_column_scales_leave_the_matrix_bit_identical(self):
+        values = np.random.default_rng(22).standard_normal((50, 3))
+        values[:, 1] += values[:, 0]
+        want = correlation_matrix(values)
+        for k in range(-900, 901, 50):
+            scaled = values.copy()
+            scaled[:, 0] = np.ldexp(scaled[:, 0], k)
+            scaled[:, 2] = np.ldexp(scaled[:, 2], -k)
+            assert correlation_matrix(scaled).tobytes() == want.tobytes(), k
+
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal((50, 3))
@@ -474,9 +501,9 @@ class TestCountersAndEngines:
 def assert_routes_agree(data, cases):
     """The ``cor`` outcome of each (x, y, z) of ``cases``, checked to be the
     same bit for bit however it is reached: cold (``cor_test``), on one
-    engine that met the cases before it (so z's factor may be built on a
-    cached prefix), on a fresh engine with x and y swapped, and in a batch
-    of every candidate for x given z."""
+    engine that met the cases before it (so z's solves may extend memoised
+    ones), on a fresh engine with x and y swapped, and in a batch of every
+    candidate for x given z."""
     engine = PartialCorrelationTest(data, 0.01)
     outs = []
     for x, y, z in cases:
@@ -624,9 +651,9 @@ def chained_continuous(seed, n=2000, m=16):
 
 
 class TestCorFactorCache:
-    """Tests given two or more variables use a Cholesky factor of corr[z, z]
-    that an engine caches per conditioning set, built on the cached factor
-    of a prefix of the set when there is one."""
+    """Tests given two or more variables use forward solves against the
+    Cholesky factor of corr[z, z], which an engine memoises per z and
+    variable; a solve given z extends the one given z's leading columns."""
 
     def requests(self, data, rng):
         """(x, y, z) requests with |z| from 2 to 8 that reuse each z and its
@@ -677,12 +704,18 @@ class TestCorFactorCache:
         engine = PartialCorrelationTest(data, 0.01)
         names = sorted(data.names)
         engine.test(names[0], names[1], names[2:4])
+        first = dict(engine._solves)
         engine.test(names[0], names[1], names[2:6])
-        first, second = engine._factors.values()
-        assert second.prefix is first  # built on the cached factor of its prefix
+        cold = PartialCorrelationTest(data, 0.01)
+        cold.test(names[0], names[1], names[2:6])
+        # Given z, the engine keeps each entry it built given z's leading
+        # pair as it is, and adds only the rest of what a cold engine builds.
+        assert all(engine._solves[key] is entry for key, entry in first.items())
+        assert engine._solves.keys() == first.keys() | cold._solves.keys()
+        assert len(engine._solves) - len(first) == 9
         clone = engine.spawn()
-        assert clone._factors == {} and clone._memo == {}
-        assert engine._factors and clone.corr is engine.corr
+        assert clone._solves == {} and clone._memo == {}
+        assert engine._solves and clone.corr is engine.corr
 
 
 def wide_dataset(n, n_z):

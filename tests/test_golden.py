@@ -96,8 +96,8 @@ def configurations() -> list[tuple[str, str, str, str]]:
     return out
 
 
-def _key(dataset, algorithm, test, mode) -> str:
-    return f"{dataset} {algorithm} {test} {mode}"
+def _key(name, algorithm, test, mode) -> str:
+    return f"{name} {algorithm} {test} {mode}"
 
 
 GOLDEN = {
