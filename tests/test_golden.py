@@ -220,6 +220,20 @@ def test_two_workers_reproduce_the_gaussian_digest(schedule):
     assert got == GOLDEN[_key("gauss-sihiton", "si-hiton-pc", "cor", "none")]
 
 
+TWO_WORKER_DISCRETE = [("discrete-iamb", algorithm) for algorithm in ("gs", "inter-iamb")]
+TWO_WORKER_DISCRETE += [("order-37/0", algorithm) for algorithm in ALGORITHMS]
+
+
+@pytest.mark.parametrize("schedule", ["static", "dynamic"])
+@pytest.mark.parametrize("dataset_name, algorithm", TWO_WORKER_DISCRETE, ids=str)
+def test_two_workers_reproduce_the_discrete_digests(dataset_name, algorithm, schedule):
+    """Sepsets and member sets cross the lane pipe at k = 2; each run must
+    reproduce its one-worker digest."""
+    cfg = GlobalLearnConfig(algorithm=algorithm, test="mi", workers=2, schedule=schedule)
+    got = digest(learn_record(dataset(dataset_name), cfg))
+    assert got == GOLDEN[_key(dataset_name, algorithm, "mi", "none")]
+
+
 def test_the_small_gaussian_tests_given_two_or_more(monkeypatch):
     """The ``gauss-14`` learns execute 3,347 cor tests given two or more
     variables, which take the t test's forward-solve path."""
