@@ -15,33 +15,43 @@ conditioning set), and the rest share two loops:
 - :func:`_eliminate`, one name-ordered elimination pass. Every blanket
   backend ends with :func:`_shrink`, which repeats it to a fixpoint testing
   each member given the rest; every neighbourhood backend with
-  :func:`_backward`, which runs it once with :func:`first_separator`. The
-  pipeline's pair separation runs it once with each pair's own pool.
+  :func:`_backward`, which runs it once with a separating-subset search.
+  The pipeline's pair separation runs it once with each pair's own pool.
 
 All heuristic choices are deterministic: candidates are scanned in name
 order, association ranking breaks ties by statistic magnitude then name,
 and separating subsets are enumerated by increasing size and name-
-lexicographically within a size. :func:`first_separator` is the single
-search for the first separating subset. Whitelisted nodes are forced
-members and never tested for removal; blacklisted nodes are never tested
-at all; start nodes seed the candidate set but remain removable.
+lexicographically within a size. :meth:`_SubsetOrder.first` is the single
+search for the first separating subset (:func:`first_separator` runs it
+on a pool of its own). Whitelisted nodes are forced members and never
+tested for removal; blacklisted nodes are never tested at all; start
+nodes seed the candidate set but remain removable.
+
+A :class:`_SubsetOrder` builds a pool's subsets one size at a time, when
+a walk first reaches that size. Searches that repeat a pool share one
+order, and so one frozenset per subset: SI-HITON-PC's forward searches
+(one order for ``pc``, replaced when it grows), :func:`_backward` (one
+order for the members; member ``v`` skips the subsets that hold ``v``)
+and the pipeline's pair separation (one order per blanket). Every empty
+conditioning set, in a search or a scan, is the one ``graph._NO_NODES``.
 
 A scan asks the engine for each conditioning set's whole batch
 (``test_many``); engines that only implement ``test`` get one call per
-candidate. GS's grow scan, :func:`_shrink` and :func:`first_separator`
-stay one test at a time: each outcome changes the next conditioning set or
-ends the search, so batching them would run tests never requested.
+candidate. GS's grow scan, :func:`_shrink` and the separating-subset
+searches stay one test at a time: each outcome changes the next
+conditioning set or ends the search, so batching them would run tests
+never requested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .citests import CiEngine
-from .graph import _pair
+from .graph import _NO_NODES, _pair
 
 MB_BACKENDS = ("gs", "iamb", "inter-iamb")
 NBR_BACKENDS = ("mmpc", "si-hiton-pc")
@@ -108,23 +118,63 @@ class SepsetTable:
 
 def subsets_in_order(pool: Iterable[str], cap: int | None = None) -> Iterator[frozenset[str]]:
     """All subsets of ``pool`` by increasing size, name-lexicographic within
-    a size, optionally capped at ``cap`` elements. Includes the empty set."""
-    pool = sorted(pool)
-    top = len(pool) if cap is None else min(cap, len(pool))
-    for size in range(top + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)
+    a size, optionally capped at ``cap`` elements. Includes the empty set,
+    always the shared ``_NO_NODES``."""
+    return iter(_SubsetOrder(pool, cap))
 
 
 def first_separator(
     test: CiEngine, x: str, y: str, pool: Iterable[str], cap: int | None = None
 ) -> frozenset[str] | None:
     """The first subset of ``pool``, in :func:`subsets_in_order` order, given
-    which ``x`` and ``y`` test independent, or ``None`` when none does."""
-    for s in subsets_in_order(pool, cap):
-        if test.test(x, y, s).independent:
-            return s
-    return None
+    which ``x`` and ``y`` test independent, or ``None`` when none does.
+
+    A size's subsets are made only when the search reaches that size, so a
+    search that stops at the empty set (the shared ``_NO_NODES``) makes
+    none. Searches that repeat a pool share a :class:`_SubsetOrder`."""
+    return _SubsetOrder(pool, cap).first(test, x, y)
+
+
+class _SubsetOrder:
+    """The subsets of one pool in :func:`subsets_in_order` order, kept for
+    every search over that pool: ``levels[k]`` lists those of size ``k``,
+    built the first time a walk reaches size ``k``."""
+
+    __slots__ = ("pool", "top", "levels")
+
+    def __init__(self, pool: Iterable[str], cap: int | None = None) -> None:
+        self.pool = sorted(pool)
+        self.top = len(self.pool) if cap is None else min(cap, len(self.pool))
+        self.levels = [[_NO_NODES]]
+
+    def level(self, size: int) -> list[frozenset[str]]:
+        """The subsets of ``size`` elements; sizes are reached in order."""
+        levels = self.levels
+        if size == len(levels):
+            levels.append([frozenset(c) for c in combinations(self.pool, size)])
+        return levels[size]
+
+    def __iter__(self) -> Iterator[frozenset[str]]:
+        for size in range(self.top + 1):
+            yield from self.level(size)
+
+    def first(self, test: CiEngine, x: str, y: str, skip: str | None = None) -> frozenset[str] | None:
+        """The first subset without ``skip`` given which ``x`` and ``y`` test
+        independent, or ``None``. Leaving out the subsets that hold a member
+        ``skip`` walks ``subsets_in_order(pool - {skip}, cap)``: combinations
+        of a sorted list keep their relative order when an element goes."""
+        levels = self.levels
+        for size in range(self.top + 1):
+            for s in levels[size] if size < len(levels) else self.level(size):
+                if skip not in s and test.test(x, y, s).independent:
+                    return s
+        return None
+
+
+def _orders(cap: int | None):
+    """``order_of(pool)``: one shared :class:`_SubsetOrder` per frozenset
+    ``pool``, for searches that repeat a pool."""
+    return cache(partial(_SubsetOrder, cap=cap))
 
 
 def learn_mb(
@@ -193,7 +243,7 @@ def _grow(names, cmb, target, cfg, test, witness) -> None:
         changed = False
         for v in names:
             if v not in cmb:
-                cond = frozenset(cmb)
+                cond = _frozen(cmb)
                 if test.test(target, v, cond).independent:
                     witness[v] = cond
                 else:
@@ -203,7 +253,7 @@ def _grow(names, cmb, target, cfg, test, witness) -> None:
 
 def _iamb(names, cmb, target, cfg, test, witness, interleave: bool) -> None:
     grown = partial(_shrink, target=target, cfg=cfg, test=test, witness=witness) if interleave else None
-    _forward(names, cmb, target, test, witness, lambda members: [frozenset(members)], grown)
+    _forward(names, cmb, target, test, witness, lambda members: [_frozen(members)], grown)
 
 
 def _mmpc(names, cpc, target, cfg, test, witness) -> None:
@@ -211,13 +261,23 @@ def _mmpc(names, cpc, target, cfg, test, witness) -> None:
 
 
 def _si_hiton_pc(names, pc, target, cfg, test, witness) -> None:
+    """Rank the candidates by one scan given the empty set, then admit each
+    that no subset of ``pc`` separates. Every search walks one order of
+    ``pc``, replaced when ``pc`` grows."""
     candidates = [v for v in names if v not in pc]
-    for _, v, _ in sorted(_scan(test, target, candidates, [frozenset()], witness)):
-        sep = first_separator(test, target, v, pc, cfg.max_condition_size)
+    order = _SubsetOrder(pc, cfg.max_condition_size)
+    for _, v, _ in sorted(_scan(test, target, candidates, [_NO_NODES], witness)):
+        sep = order.first(test, target, v)
         if sep is None:
             pc.add(v)
+            order = _SubsetOrder(pc, cfg.max_condition_size)
         else:
             witness[v] = sep
+
+
+def _frozen(members) -> frozenset[str]:
+    """``frozenset(members)``, the shared ``_NO_NODES`` when empty."""
+    return frozenset(members) if members else _NO_NODES
 
 
 def _forward(names, members, target, test, witness, sets, grown=None) -> None:
@@ -258,11 +318,12 @@ def _scan(test, target, candidates, sets, witness) -> list:
 
 def _eliminate(members: set[str], keep, witness, separator) -> bool:
     """Drop, in name order, each member ``v`` outside ``keep`` that
-    ``separator(v, members - {v})`` separates from the target, witnessed by
-    the set it returns. Returns whether a member was dropped."""
+    ``separator(v)`` separates from the target, witnessed by the set it
+    returns; ``separator`` reads ``members`` as they stand, ``v`` still in.
+    Returns whether a member was dropped."""
     dropped = False
     for v in sorted(members - keep):
-        sep = separator(v, members - {v})
+        sep = separator(v)
         if sep is not None:
             members.discard(v)
             witness[v] = sep
@@ -272,17 +333,19 @@ def _eliminate(members: set[str], keep, witness, separator) -> bool:
 
 def _shrink(members, target, cfg, test, witness) -> None:
     """Drop members independent of the target given the rest, to fixpoint."""
-    def given_rest(v, rest):
-        return rest if test.test(target, v, rest := frozenset(rest)).independent else None
+    def given_rest(v):
+        return rest if test.test(target, v, rest := _frozen(members - {v})).independent else None
 
     while _eliminate(members, cfg.whitelist, witness, given_rest):
         pass
 
 
 def _backward(members, target, cfg, test, witness) -> None:
-    """Drop, in one pass, the members some subset of the rest separates."""
-    cap = cfg.max_condition_size
-    _eliminate(members, cfg.whitelist, witness, lambda v, rest: first_separator(test, target, v, rest, cap))
+    """Drop, in one pass, the members some subset of the rest separates.
+    Each search walks the current members' shared order and skips the
+    subsets that hold the member tested; a drop starts a new order."""
+    order_of = _orders(cfg.max_condition_size)
+    _eliminate(members, cfg.whitelist, witness, lambda v: order_of(frozenset(members)).first(test, target, v, v))
 
 
 _MB_STEPS = {

@@ -35,7 +35,7 @@ from .citests import CiEngine, make_engine
 from .data import Dataset
 from .graph import Dag, Pdag, Skeleton, VStructure, _pair, _reaches, apply_meek_rules
 from .local import MB_BACKENDS, LocalLearnConfig, SepsetTable, first_separator, learn_mb, learn_nbr
-from .local import _eliminate, _fragment
+from .local import _eliminate, _fragment, _orders
 from .parallel import ParallelExecutor
 
 ALGORITHMS = ("gs", "inter-iamb", "mmpc", "si-hiton-pc")
@@ -117,11 +117,14 @@ def learn_skeleton(
     def pair_step(node, earlier, worker_engine):
         # A pair (node, j) with j earlier was decided while processing j: kept
         # iff j chose node. Only the blanket's other members are searched.
+        # The pools drawn from one blanket share one subset order.
         local = _seeded(cfg, node, earlier)
         members, witness = set(blankets[node] - local.blacklist), {}
+        order_of = _orders(cfg.max_condition_size)
 
-        def separator(j, _):
-            return first_separator(worker_engine, node, j, _pair_pool(blankets, node, j), cfg.max_condition_size)
+        def separator(j):
+            blanket, skip = _pair_pool(blankets, node, j)
+            return order_of(blanket).first(worker_engine, node, j, skip)
 
         _eliminate(members, local.start | local.whitelist, witness, separator)
         return members, _fragment(node, members, witness)
@@ -183,16 +186,16 @@ def _symmetrize(names, candidate_sets):
 
 
 def _pair_pool(blankets, i, j):
-    """Search pool for the pair (i, j): the smaller blanket, minus the pair.
+    """Search pool for the pair (i, j): the smaller blanket, minus the pair,
+    as ``(blanket, endpoint to leave out)``. The blankets are symmetric, so
+    each holds the other endpoint.
 
     Ties on size resolve to the name-smaller endpoint's blanket so both
     endpoints search the same pool.
     """
-    pool_i = blankets[i] - {j}
-    pool_j = blankets[j] - {i}
-    if len(pool_i) != len(pool_j):
-        return pool_i if len(pool_i) < len(pool_j) else pool_j
-    return pool_i if i < j else pool_j
+    if len(blankets[i]) != len(blankets[j]):
+        return (blankets[i], j) if len(blankets[i]) < len(blankets[j]) else (blankets[j], i)
+    return (blankets[i], j) if i < j else (blankets[j], i)
 
 
 class VStructureResult(NamedTuple):

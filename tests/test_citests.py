@@ -415,6 +415,66 @@ class TestCorTest:
         assert cor_test(data, "A", "B", {"C"}, 0.01) == cor_test(data, "B", "A", {"C"}, 0.01)
 
 
+def queries_through(names, column, rng, count, max_z):
+    """Random (x, y, z) queries; two in three hold ``column`` as x, y or a
+    member of z."""
+    queries = []
+    for _ in range(count):
+        pick = [str(v) for v in rng.permutation(names)[: 2 + int(rng.integers(0, max_z + 1))]]
+        if column not in pick and rng.random() < 2 / 3:
+            pick[int(rng.integers(len(pick)))] = column
+        queries.append((pick[0], pick[1], tuple(pick[2:])))
+    return queries
+
+
+class TestMetamorphic:
+    """Transformations of the benchmark datasets that a test must see
+    through: the sign of a column, the order of the rows, the order of a
+    variable's levels."""
+
+    def test_negating_a_column_negates_t_and_nothing_else(self):
+        from test_golden import dataset
+
+        data = dataset("gauss-sihiton")
+        rng = np.random.default_rng(51)
+        column = data.names[int(rng.integers(len(data.names)))]
+        values = data.values.copy()
+        values[:, data.column_index(column)] *= -1.0
+        negated = ContinuousDataset(data.names, values)
+        for x, y, z in queries_through(data.names, column, rng, 600, 4):
+            want, got = cor_test(data, x, y, z, 0.01), cor_test(negated, x, y, z, 0.01)
+            sign = -1.0 if (x == column) != (y == column) else 1.0
+            assert bits(got) == bits(dataclasses.replace(want, statistic=sign * want.statistic)), (x, y, z)
+
+    def test_permuting_the_rows_leaves_g2_bit_identical(self):
+        from test_golden import dataset
+
+        data = dataset("discrete-iamb")
+        rng = np.random.default_rng(52)
+        shuffled = DiscreteDataset(data.variables, data.codes[rng.permutation(data.n)])
+        for x, y, z in random_queries(data.names, rng, 300, 3):
+            assert bits(mi_test(shuffled, x, y, z, 0.01)) == bits(mi_test(data, x, y, z, 0.01)), (x, y, z)
+
+    def test_reversing_a_variables_levels_moves_g2_by_rounding_only(self):
+        # The table cells are summed in another order, so the statistic may
+        # change in its last bits.
+        from test_golden import dataset
+
+        data = dataset("discrete-iamb")
+        rng = np.random.default_rng(53)
+        column = next(name for name in data.names if data.cardinality(name) == 3)
+        j = data.column_index(column)
+        codes = data.codes.copy()
+        codes[:, j] = 2 - codes[:, j]
+        variables = [(name, levels[::-1] if name == column else levels) for name, levels in data.variables]
+        reversed_levels = DiscreteDataset(variables, codes)
+        for x, y, z in queries_through(data.names, column, rng, 300, 3):
+            want, got = mi_test(data, x, y, z, 0.01), mi_test(reversed_levels, x, y, z, 0.01)
+            assert abs(got.statistic - want.statistic) <= 1e-9, (x, y, z)
+            assert abs(got.p_value - want.p_value) <= 1e-9, (x, y, z)
+            assert (got.dof, got.independent, got.degenerate) == (want.dof, want.independent, want.degenerate)
+
+
 class TestOracleEngine:
     def test_chain_query(self):
         dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")])

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bnsl import structure
+from bnsl import local, structure
 from bnsl.citests import MutualInfoTest, OracleTest
 from bnsl.data import DiscreteDataset
 from bnsl.graph import Dag, markov_blanket_of
@@ -29,8 +29,8 @@ from bnsl.local import (
     subsets_in_order,
 )
 from bnsl.network import sample
-from bnsl.structure import GlobalLearnConfig
-from bnsl.synth import random_dag, random_discrete_bn, random_discrete_network
+from bnsl.structure import ALGORITHMS, GlobalLearnConfig
+from bnsl.synth import gaussian_sem_dataset, random_dag, random_discrete_bn, random_discrete_network
 
 
 class RecordingEngine:
@@ -371,6 +371,73 @@ class TestFirstSeparator:
         engine = OracleTest(self.CHAIN4)
         assert first_separator(engine, "X", "Y", ["M1", "M2", "A"], cap=1) == frozenset({"M1"})
         assert engine.counter.count == 3
+
+
+class TestSubsetOrder:
+    """Separating-subset searches walk the subsets of a pool lazily, one size
+    level at a time, and share one empty set."""
+
+    # T and 32 other nodes, every one d-separated from T given the empty set.
+    CHAIN30 = [f"S{i:02d}" for i in range(30)]
+    WIDE = Dag(["T", *CHAIN30, "W0", "W1"], list(zip(CHAIN30, CHAIN30[1:])))
+    START = frozenset(CHAIN30)
+
+    @pytest.fixture
+    def bounded_combinations(self, monkeypatch):
+        """Fail at once, instead of running for ever, if a search draws more
+        than a few thousand subsets."""
+        drawn = []
+
+        def counting(pool, size):
+            for combo in itertools.combinations(pool, size):
+                drawn.append(combo)
+                assert len(drawn) < 5000, "subsets drawn past the levels the searches reach"
+                yield combo
+
+        monkeypatch.setattr(local, "combinations", counting, raising=False)
+        return drawn
+
+    def test_a_thirty_member_pool_stops_at_the_empty_set(self, bounded_combinations):
+        engine = OracleTest(self.WIDE)
+        assert first_separator(engine, "T", "W0", self.START) == frozenset()
+        assert engine.counter.count == 1
+
+    @pytest.mark.parametrize("backend", NBR_BACKENDS)
+    def test_a_thirty_node_start_set_is_searched_lazily(self, backend, bounded_combinations):
+        # 2^30 subsets per search if any level were built before a search
+        # reaches it. MMPC's forward scan walks every subset of its members,
+        # so only SI-HITON-PC sees candidates outside the start set.
+        engine = OracleTest(self.WIDE)
+        blacklist = frozenset({"W0", "W1"}) if backend == "mmpc" else frozenset()
+        cfg = LocalLearnConfig(backend, start=self.START, blacklist=blacklist)
+        members, seps = learn_nbr(oracle_data(self.WIDE), "T", cfg, engine)
+        assert members == frozenset()
+        searched = [v for v in self.WIDE.nodes if v not in {"T"} | blacklist]
+        assert len(seps) == len(searched) and all(seps.get("T", v) == frozenset() for v in searched)
+        # One scan test and one search test per candidate, one search per member.
+        assert engine.counter.count == (30 if backend == "mmpc" else 30 + 2 * 2)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_empty_sepset_is_one_object(self, algorithm):
+        data = gaussian_sem_dataset(16, 400, 7, edge_prob=0.2)
+        _, seps = structure.learn_skeleton(data, GlobalLearnConfig(algorithm, test="cor"))
+        empties = [s for _, s in seps.items() if s == frozenset()]
+        assert len(empties) >= 10
+        assert all(s is empties[0] for s in empties)
+
+    def test_skipping_a_member_walks_the_rest_in_order(self):
+        # The backward pass tests member v against the target by walking the
+        # members' order and skipping the subsets that hold v. That requests
+        # exactly what a search over members - {v} requests.
+        dag = random_dag(9, 17, edge_prob=0.4, max_in_degree=3)
+        target, *pool = sorted(dag.nodes)
+        for cap in (None, 0, 1, 2):
+            order = local._SubsetOrder(pool, cap)
+            for v in pool:
+                shared, own = RecordingEngine(OracleTest(dag)), RecordingEngine(OracleTest(dag))
+                assert order.first(shared, target, v, skip=v) == first_separator(own, target, v, set(pool) - {v}, cap)
+                assert shared.calls == own.calls
+            assert list(order) == list(subsets_in_order(pool, cap))
 
 
 def _digest(calls, results) -> str:
