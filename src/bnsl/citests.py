@@ -39,15 +39,15 @@ chunk of candidates with one ``bincount`` (``BATCH_CELLS`` bounds a
 chunk's memory), and reads each statistic off the dataset's ``c * ln c``
 table with four gathers and row sums. The t kernel, :func:`_cor_many`,
 tests a z = {} batch of two or more from the target's correlations with
-one vectorised t test, :func:`_t_many`, bit-identical to the closed form
-of :func:`_partial_t`, which takes every other test. Given two or more
-variables, :func:`_partial_t` takes the Schur complement of corr[z, z]
+one vectorised t test, :func:`_t_many`, bit-identical to
+:func:`_partial_t`, which takes every other test with one formula for
+every z: the Schur complement of corr[z, z] (whose diagonal is exactly 1)
 through its Cholesky factor, in Python floats. The factor's rows and each
-variable's forward solve come from one memo, :func:`_solve`, keyed on the
-z columns and the variable; a solve given z extends the one given z
-without its last column by one entry. A :class:`PartialCorrelationTest`
-keeps that memo next to the outcome memo, so a task computes each row and
-solve once; ``spawn`` empties both.
+variable's forward solve come from :func:`_solve`, memoised for two or
+more z columns, keyed on them and the variable; a solve given z extends
+the one given z without its last column by one entry. A
+:class:`PartialCorrelationTest` keeps that memo next to the outcome memo,
+so a task computes each row and solve once; ``spawn`` empties both.
 The learners batch the scans whose tests share a target and z and are all
 requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
 z = {} ranking.
@@ -60,10 +60,12 @@ column order, worker count and schedule.
 
 Tolerance contract of the t test: the factor form is within 1e-9 of an
 exact regression reference on well-conditioned data (criterion 6; |z| up
-to 8 in the unit tests). Outcomes stay bit-identical for memoised and cold
-calls (the standalone :func:`cor_test` builds the same solves cold),
-``cor_test(x, y)`` and ``cor_test(y, x)``, single and batched tests, any
-worker count and schedule: an outcome depends on (x, y, z) alone.
+to 8 in the unit tests), and for |z| <= 1 it equals the closed forms
+(r_xy - r_xz r_yz) / sqrt((1 - r_xz^2)(1 - r_yz^2)) and r_xy bit for bit.
+Outcomes stay bit-identical for memoised and cold calls (the standalone
+:func:`cor_test` builds the same solves cold), ``cor_test(x, y)`` and
+``cor_test(y, x)``, single and batched tests, any worker count and
+schedule: an outcome depends on (x, y, z) alone.
 
 Degenerate cases are resolved conservatively: a test with zero degrees of
 freedom (or a t test with a non-positive sample-size margin) returns
@@ -277,36 +279,28 @@ def _partial_t(
     """Partial-correlation t kernel of the variables of ranks ``rx`` and
     ``ry`` given the z ranks ``rz``; ``columns`` maps a rank to its column.
 
-    Conditioning sets of size 0 and 1 use the closed forms on Python
-    floats. A larger z uses the Schur complement of corr[z, z] through its
-    Cholesky factor L: with a = L^-1 r_za and b = L^-1 r_zb from
-    :func:`_solve`, where a is the name-smaller variable,
-    r = (r_ab - a.b) / sqrt((1 - |a|^2)(1 - |b|^2)). ``solves`` memoises
-    the forward solves for the calls of one engine; an empty one builds
-    them cold, and each solve is the same floats either way, so every
-    outcome depends on (x, y, z) alone, bit for bit. Agreement with an exact
-    reference is within 1e-9 on well-conditioned data.
+    Every z takes the Schur complement of corr[z, z] through its Cholesky
+    factor L: with a = L^-1 r_za and b = L^-1 r_zb from :func:`_solve`,
+    where a is the name-smaller variable, r = (r_ab - a.b) /
+    sqrt((1 - |a|^2)(1 - |b|^2)): for |z| <= 1, the closed forms' float
+    operations. ``solves`` memoises the forward solves for one engine's
+    calls; an empty one builds them cold, and each solve is the same floats
+    either way, so every outcome depends on (x, y, z) alone, bit for bit.
+    Agreement with an exact reference is within 1e-9 on well-conditioned data.
 
-    A residual variance of x or y (1 - r_xz^2 or 1 - r_yz^2 for one z) at
-    or below ``PIVOT_FLOOR`` gives the degenerate independent outcome.
+    A residual variance of x or y given z at or below ``PIVOT_FLOOR``
+    gives the degenerate independent outcome.
     """
     dof = n - len(rz) - 2
     if dof <= 0:
         return TestOutcome(0.0, max(dof, 0), 1.0, True, True)
     ix, iy = (columns[rx], columns[ry]) if rx < ry else (columns[ry], columns[rx])
-    if not rz:
-        return _t_outcome(corr.item(ix, iy), dof, alpha)
-    if len(rz) == 1:
-        iz = columns[rz[0]]
-        rxz, ryz = corr.item(ix, iz), corr.item(iy, iz)
-        dot, var_x, var_y, skipped = rxz * ryz, 1.0 - rxz * rxz, 1.0 - ryz * ryz, False
-    else:
-        key = tuple([columns[r] for r in rz])
-        a_x, var_x, skipped = _solve(solves, corr, key, ix)
-        a_y, var_y, _ = _solve(solves, corr, key, iy)
-        dot = sum(map(mul, a_x, a_y))
+    key = tuple([columns[r] for r in rz])
+    a_x, var_x, skipped = _solve(solves, corr, key, ix)
+    a_y, var_y, _ = _solve(solves, corr, key, iy)
     if var_x > PIVOT_FLOOR and var_y > PIVOT_FLOOR:
-        return _t_outcome((corr.item(ix, iy) - dot) / math.sqrt(var_x * var_y), dof, alpha, skipped)
+        r = (corr.item(ix, iy) - sum(map(mul, a_x, a_y))) / math.sqrt(var_x * var_y)
+        return _t_outcome(r, dof, alpha, skipped)
     # x or y lies in the span of z: x is independent of y given z, trivially.
     return TestOutcome(0.0, dof, 1.0, True, True, skipped)
 
@@ -315,19 +309,24 @@ def _solve(solves: dict, corr: np.ndarray, key: tuple[int, ...], iv: int) -> tup
     """``(a, 1 - |a|^2, skipped)`` for the forward solve a = L^-1 r_zv of
     column ``iv``, where L is the lower Cholesky factor of corr[z, z] for
     the z columns ``key`` in name order; memoised in ``solves`` by
-    ``(key, iv)`` for a non-empty key.
+    ``(key, iv)`` for a key of two or more columns. As corr's diagonal is
+    exactly 1, a shorter key gives ``([], 1.0, False)`` or
+    ``([r_vz], 1 - r_vz^2, False)``, cheaper to compute than to memoise.
 
     L's leading block is the factor of the leading columns, so L's row for
     key[-1] is that column's solve against key[:-1], and a extends the solve
-    of ``iv`` against key[:-1] by one entry. So one memo holds every factor
-    row and solve of a task, and each entry is computed by the same
-    operations whichever test asked for it first. A z column whose residual
-    variance is at or below ``PIVOT_FLOOR`` lies in the span of the columns
-    before it: it gets no row, which changes no partial correlation given z,
-    and ``skipped`` records it.
+    of ``iv`` against key[:-1] by one entry. So one memo holds every longer
+    factor row and solve of a task, each computed by the same operations
+    whichever test asked for it first. A z column whose residual variance
+    is at or below ``PIVOT_FLOOR`` lies in the span of the columns before
+    it: it gets no row, which changes no partial correlation given z, and
+    ``skipped`` records it.
     """
     if not key:
-        return [], corr.item(iv, iv), False
+        return [], 1.0, False
+    if len(key) == 1:
+        r = corr.item(iv, key[0])
+        return [r], 1.0 - r * r, False
     out = solves.get((key, iv))
     if out is None:
         head, iz = key[:-1], key[-1]
@@ -410,11 +409,14 @@ def cor_test(
     test builds its forward solves cold, and its outcome equals an
     engine's bit for bit.
 
-    ``corr`` optionally supplies a full correlation matrix in dataset
-    column order; by default the dataset's own (built once) is used.
+    ``corr`` optionally supplies the m x m matrix that ``correlation_matrix``
+    builds (diagonal exactly 1.0, in dataset column order) or raises
+    ``ValueError``; by default the dataset's own (built once) is used.
     """
     if corr is None:
         corr = data.correlation
+    elif corr.shape != (len(data.names),) * 2 or np.count_nonzero(corr.diagonal() - 1.0):
+        raise ValueError("corr must be m x m with a diagonal of exactly 1.0, as correlation_matrix builds it")
     return _cor_many(data, x, (y,), z, alpha, corr, {})[0]
 
 

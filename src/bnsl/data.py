@@ -162,14 +162,15 @@ def _all_equal(values: np.ndarray) -> np.ndarray:
 
 
 def correlation_matrix(values: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix with undefined entries neutralised.
+    """Pearson correlation matrix with undefined entries neutralised and a
+    diagonal of exactly 1.0 (``np.corrcoef``'s is off by an ulp on some
+    columns; the t test reads it as 1).
 
     A constant column has no defined correlation (numpy gives non-finite
     values, or rounding noise when its mean is off by an ulp): its row and
-    column are set to zero, with one on the diagonal, so learning stays
-    defined on degenerate data. Any other non-finite entry (a variance that
-    overflows) is zeroed too, with ones on the diagonal. Fewer than two
-    rows define no correlation at all and raise ``ValueError``.
+    column are set to zero, so learning stays defined on degenerate data.
+    Any other non-finite entry is zeroed too. Fewer than two rows define no
+    correlation at all and raise ``ValueError``.
 
     Each column is first scaled by the power of two that brings its largest
     magnitude into [0.5, 1). That is exact, so it moves no correlation, and
@@ -181,14 +182,10 @@ def correlation_matrix(values: np.ndarray) -> np.ndarray:
     constant = _all_equal(values)
     values = np.ldexp(values, -np.frexp(np.abs(values).max(axis=0))[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.corrcoef(values, rowvar=False)
-    corr = np.atleast_2d(corr)
+        corr = np.atleast_2d(np.corrcoef(values, rowvar=False))
     corr[constant] = corr[:, constant] = 0.0
-    corr[constant, constant] = 1.0
-    bad = ~np.isfinite(corr)
-    if bad.any():
-        corr[bad] = 0.0
-        np.fill_diagonal(corr, 1.0)
+    corr[~np.isfinite(corr)] = 0.0
+    np.fill_diagonal(corr, 1.0)
     return corr
 
 

@@ -399,6 +399,8 @@ class TestCorTest:
             assert (got.independent, got.degenerate, got.ridged) == (want.independent, want.degenerate, want.ridged)
 
     def test_power_of_two_column_scales_leave_the_matrix_bit_identical(self):
+        from test_golden import dataset
+
         values = np.random.default_rng(22).standard_normal((50, 3))
         values[:, 1] += values[:, 0]
         want = correlation_matrix(values)
@@ -407,6 +409,66 @@ class TestCorTest:
             scaled[:, 0] = np.ldexp(scaled[:, 0], k)
             scaled[:, 2] = np.ldexp(scaled[:, 2], -k)
             assert correlation_matrix(scaled).tobytes() == want.tobytes(), k
+        # The diagonal is exactly 1.0 whatever np.corrcoef rounds it to: on
+        # the benchmark's Gaussian data in two row orders, and beside a
+        # constant column and columns whose unscaled products overflow.
+        gauss = dataset("gauss-sihiton").values
+        matrices = [correlation_matrix(gauss[np.random.default_rng(seed).permutation(len(gauss))]) for seed in (1, 3)]
+        for column, fill in [(0, 0.1), (2, 1e300), (2, 1.7e308)]:
+            edited = values.copy()
+            edited[:, column] = fill if column == 0 else edited[:, column] / np.abs(edited[:, column]).max() * fill
+            matrices.append(correlation_matrix(edited))
+        for corr in matrices:
+            assert (np.diagonal(corr) == 1.0).all()
+
+    def test_given_at_most_one_variable_equals_the_closed_forms(self):
+        # The one formula over _solve does the closed forms' float operations
+        # when z holds no variable or one, so every route equals them bit for
+        # bit; each reads the name-smaller variable's row for r_xy.
+        from test_golden import dataset
+
+        data = dataset("gauss-sihiton")
+        corr, index = data.correlation, data.column_index
+
+        def closed_form(x, y, z):
+            x, y = sorted((x, y))
+            r = corr.item(index(x), index(y))
+            if z:
+                rxz, ryz = corr.item(index(x), index(z[0])), corr.item(index(y), index(z[0]))
+                r = (r - rxz * ryz) / math.sqrt((1.0 - rxz * rxz) * (1.0 - ryz * ryz))
+            dof = data.n - len(z) - 2
+            t = r * math.sqrt(dof / (1.0 - r * r))
+            p_value = 2.0 * cython_special.stdtr(float(dof), -abs(t))
+            return bits(citests.TestOutcome(t, dof, p_value, p_value > 0.01))
+
+        rng = np.random.default_rng(23)
+        engine = PartialCorrelationTest(data, 0.01)
+        for _ in range(2000):
+            x, y, w, *z = (str(v) for v in rng.choice(data.names, 3 + int(rng.integers(2)), replace=False))
+            want = closed_form(x, y, z)
+            assert bits(cor_test(data, x, y, z, 0.01)) == want, (x, y, z)
+            assert bits(engine.test(y, x, z)) == want, (x, y, z)
+            batch = engine.spawn().test_many(x, [y, w], z)
+            assert list(map(bits, batch)) == [want, closed_form(x, w, z)], (x, y, w, z)
+
+    @pytest.mark.parametrize("case", ["larger", "smaller", "covariance"])
+    def test_a_supplied_corr_must_be_a_correlation_matrix(self, case):
+        # Every formula reads the diagonal as 1, so a matrix of another shape
+        # or a covariance matrix would give a wrong t silently (or an
+        # IndexError); it is refused instead.
+        rng = np.random.default_rng(24)
+        values = rng.standard_normal((100, 4)) * [1.0, 2.0, 3.0, 4.0]
+        values[:, 1] += values[:, 0]
+        data = ContinuousDataset(["A", "B", "C", "D"], values)
+        corr = {
+            "larger": correlation_matrix(np.column_stack([values, rng.standard_normal((100, 2))])),
+            "smaller": correlation_matrix(values[:, :2]),
+            "covariance": np.cov(values, rowvar=False),
+        }[case]
+        with pytest.raises(ValueError, match="correlation_matrix"):
+            cor_test(data, "A", "B", ("C",), 0.01, corr=corr)
+        own = correlation_matrix(values)
+        assert bits(cor_test(data, "A", "B", ("C",), 0.01, corr=own)) == bits(cor_test(data, "A", "B", ("C",), 0.01))
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
@@ -772,7 +834,7 @@ class TestCorFactorCache:
         # pair as it is, and adds only the rest of what a cold engine builds.
         assert all(engine._solves[key] is entry for key, entry in first.items())
         assert engine._solves.keys() == first.keys() | cold._solves.keys()
-        assert len(engine._solves) - len(first) == 9
+        assert len(engine._solves) - len(first) == 7
         clone = engine.spawn()
         assert clone._solves == {} and clone._memo == {}
         assert engine._solves and clone.corr is engine.corr
