@@ -41,7 +41,6 @@ from .parallel import (
     ParallelExecutor,
     PhaseTaskError,
     ScalingPoint,
-    TaskBatch,
     WorkerReport,
     normalized_running_time,
     partition,
@@ -77,7 +76,6 @@ __all__ = [
     "ScalingPoint",
     "SepsetTable",
     "Skeleton",
-    "TaskBatch",
     "TestCounter",
     "TestOutcome",
     "VStructure",

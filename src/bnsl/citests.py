@@ -132,13 +132,6 @@ class TestCounter:
         self.count = 0
         self.executed = 0
 
-    def increment(self) -> None:
-        self.count += 1
-
-    def reset(self) -> None:
-        self.count = 0
-        self.executed = 0
-
     def __repr__(self):
         return f"TestCounter({self.count}, executed={self.executed})"
 

@@ -145,6 +145,8 @@ def _cmd_learn(args) -> int:
                             "seconds": phase.seconds,
                             "per_worker_tests": [r.test_count for r in phase.reports],
                             "total_tests": phase.test_count,
+                            "per_worker_executed": [r.executed for r in phase.reports],
+                            "total_executed": phase.executed,
                         }
                     )
                     + "\n"

@@ -17,38 +17,31 @@ Each lane runs in its own ``os.fork()`` child, which inherits the phase
 (items, task and engine factory, so tasks may be closures) and shares the
 parent's dataset copy-on-write: the data are never modified by the
 algorithms, so no locking or copying is needed. The child sends its
-pickled result back over its own pipe and leaves through ``os._exit``.
-With one lane or no fork, the same lanes run inline in the parent.
+result back as one framed, pickled record over its own
+``multiprocessing.Pipe`` and leaves through ``os._exit``. With one lane or
+no fork, the same lanes run inline in the parent.
 
 Failures end the phase instead of hanging it. A task that raises becomes a
 :class:`PhaseTaskError` naming the phase and the task; a lane whose pipe
-closes without a result (the child was killed, or called ``os._exit``
-inside a task) becomes a :class:`PhaseTaskError` naming the phase and the
-child's exit status. The first failure kills the other children at once,
-and so does anything that interrupts the parent; no child outlives its
-phase. A parent killed outright cannot kill its children, so a child
-leaves before its next item once it finds itself orphaned.
+closes without a whole record (the child was killed, or called
+``os._exit`` inside a task) becomes a :class:`PhaseTaskError` naming the
+phase and the child's exit status. The first failure kills the other
+children at once, and so does anything that interrupts the parent; no
+child outlives its phase. A parent killed outright cannot kill its
+children, so a child leaves before its next item once it finds itself
+orphaned.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
-import pickle
-import selectors
 import signal
 import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
-
-
-@dataclass(frozen=True)
-class TaskBatch:
-    """Contiguous balanced assignment of ordered items to workers."""
-
-    items: tuple
-    assignment: tuple[tuple[int, int], ...]  # per worker: [lo, hi) into items
 
 
 @dataclass
@@ -81,15 +74,14 @@ class PhaseTelemetry:
 class PhaseResult:
     results: list
     reports: list[WorkerReport]
-    seconds: float
 
 
-def partition(items: Sequence, k: int) -> TaskBatch:
-    """Split ``items`` into ``k`` contiguous ranges whose sizes differ by at
-    most one; the first ``len(items) mod k`` workers get the larger share."""
+def partition(items: Sequence, k: int) -> tuple[tuple[int, int], ...]:
+    """Split ``items`` into ``k`` contiguous ``[lo, hi)`` index ranges whose
+    sizes differ by at most one; the first ``len(items) mod k`` workers get
+    the larger share."""
     if k < 1:
         raise ValueError("worker count must be at least 1")
-    items = tuple(items)
     base, extra = divmod(len(items), k)
     spans = []
     lo = 0
@@ -97,7 +89,7 @@ def partition(items: Sequence, k: int) -> TaskBatch:
         size = base + (1 if w < extra else 0)
         spans.append((lo, lo + size))
         lo += size
-    return TaskBatch(items, tuple(spans))
+    return tuple(spans)
 
 
 @dataclass
@@ -183,7 +175,7 @@ class ParallelExecutor:
         start = time.perf_counter()
         items = tuple(items)
         k = max(1, min(self.workers, len(items)))
-        ctx = _PhaseContext(phase, items, task_fn, engine_factory, partition(items, k).assignment)
+        ctx = _PhaseContext(phase, items, task_fn, engine_factory, partition(items, k))
         if k == 1 or not _fork_available():
             lanes = [_run_lane(lane, ctx) for lane in range(k)]
         else:
@@ -196,9 +188,8 @@ class ParallelExecutor:
             for i, result in done:
                 results[i] = result
             reports.append(WorkerReport(lane, tuple(items[i] for i, _ in done), count, executed))
-        seconds = time.perf_counter() - start
-        self.telemetry.append(PhaseTelemetry(phase, seconds, reports))
-        return PhaseResult(results, reports, seconds)
+        self.telemetry.append(PhaseTelemetry(phase, time.perf_counter() - start, reports))
+        return PhaseResult(results, reports)
 
     def total_tests(self) -> int:
         return sum(t.test_count for t in self.telemetry)
@@ -224,65 +215,59 @@ def _fork_lanes(ctx: _PhaseContext, k: int) -> list:
     """Run lanes ``0..k-1`` in one forked child each and return their
     :func:`_run_lane` results in lane order.
 
-    Each child writes one pickled record to its own pipe: ``("ok", lane
-    result)`` or ``("error", message)``. The parent waits on every pipe at
-    once and reads each to EOF. An error record, or EOF without a record,
-    raises :class:`PhaseTaskError`. Whatever way this returns or raises (an
+    Each child sends one record over its own ``multiprocessing.Pipe``:
+    ``("ok", lane result)`` or ``("error", message)``. The parent waits on
+    every pipe at once and receives each record whole. An error record, or
+    a pipe that closes before a whole record came, raises
+    :class:`PhaseTaskError`. Whatever way this returns or raises (an
     interrupt included), every child still running is killed, and every
     child is reaped.
     """
-    children: dict[int, tuple[int, int | None]] = {}  # read end -> (lane, pid until reaped)
+    children = {}  # reader -> (lane, pid until reaped)
     parent = os.getpid()
     _flush_stdio()  # or a child's exit would write the parent's buffer again
     try:
         for lane in range(k):
-            read_end, write_end = os.pipe()
+            reader, writer = multiprocessing.Pipe(duplex=False)
             pid = os.fork()
             if pid == 0:
-                os.close(read_end)
-                _lane_child(lane, ctx, write_end, parent)
-            children[read_end] = (lane, pid)
-            # Closed before the next fork, so no sibling holds this write end
+                reader.close()
+                _lane_child(lane, ctx, writer, parent)
+            children[reader] = (lane, pid)
+            # Closed before the next fork, so no sibling holds this writer
             # and the pipe reaches EOF as soon as its own child is gone.
-            os.close(write_end)
+            writer.close()
         lanes = [None] * k
-        chunks: dict[int, list[bytes]] = {fd: [] for fd in children}
-        with selectors.DefaultSelector() as selector:
-            for fd in children:
-                selector.register(fd, selectors.EVENT_READ)
-            while selector.get_map():
-                for key, _ in selector.select():
-                    data = os.read(key.fd, 1 << 16)
-                    if data:
-                        chunks[key.fd].append(data)
-                        continue
-                    selector.unregister(key.fd)
-                    lane, pid = children[key.fd]
-                    try:
-                        kind, value = pickle.loads(b"".join(chunks[key.fd]))
-                    except (EOFError, pickle.UnpicklingError):  # no record, or a cut one
-                        _, status = os.waitpid(pid, 0)
-                        children[key.fd] = (lane, None)
-                        raise PhaseTaskError(
-                            f"phase {ctx.phase!r}: the worker of lane {lane} died"
-                            f" (exit code {os.waitstatus_to_exitcode(status)})"
-                        ) from None
-                    if kind == "error":
-                        raise PhaseTaskError(value)
-                    lanes[lane] = value
+        pending = list(children)
+        while pending:
+            for reader in multiprocessing.connection.wait(pending):
+                pending.remove(reader)
+                lane, pid = children[reader]
+                try:
+                    kind, value = reader.recv()
+                except (EOFError, OSError):  # no record, or a cut one
+                    _, status = os.waitpid(pid, 0)
+                    children[reader] = (lane, None)
+                    raise PhaseTaskError(
+                        f"phase {ctx.phase!r}: the worker of lane {lane} died"
+                        f" (exit code {os.waitstatus_to_exitcode(status)})"
+                    ) from None
+                if kind == "error":
+                    raise PhaseTaskError(value)
+                lanes[lane] = value
         return lanes
     finally:
-        for fd, (_, pid) in children.items():
-            os.close(fd)
+        for reader, (_, pid) in children.items():
+            reader.close()
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _lane_child(lane: int, ctx: _PhaseContext, write_end: int, parent: int) -> None:
-    """Body of a forked lane: run the lane, write its record, and leave
-    through ``os._exit`` (0 after the write, 1 on any other way out), so
-    the child never returns into the parent's code."""
+def _lane_child(lane: int, ctx: _PhaseContext, writer: multiprocessing.connection.Connection, parent: int) -> None:
+    """Body of a forked lane: run the lane, send its record, and leave
+    through ``os._exit`` (0 after the send, 1 on any other way out), so the
+    child never returns into the parent's code."""
     code = 1
     try:
         try:
@@ -291,17 +276,15 @@ def _lane_child(lane: int, ctx: _PhaseContext, write_end: int, parent: int) -> N
             record = ("error", str(exc))
         except Exception as exc:
             record = ("error", f"phase {ctx.phase!r}: lane {lane} failed: {exc!r}")
-        # Pickled before anything is written, so a result that cannot be
-        # pickled is reported as such, not as a dead worker.
-        try:
-            payload = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            payload = pickle.dumps(("error", f"phase {ctx.phase!r}: lane {lane}'s result cannot be pickled: {exc!r}"))
         # Flushed before the record: once the parent has it, the child is
         # done and may be killed.
         _flush_stdio()
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
+        # send pickles the whole record before it writes a byte, so a result
+        # that cannot be pickled is reported as such, not as a dead worker.
+        try:
+            writer.send(record)
+        except Exception as exc:
+            writer.send(("error", f"phase {ctx.phase!r}: lane {lane}'s result cannot be pickled: {exc!r}"))
         code = 0
     finally:
         os._exit(code)

@@ -163,21 +163,29 @@ class TestCli:
             "--output", str(csv_path),
         ]) == 0
         out_path = tmp_path / "g.json"
-        telemetry = tmp_path / "t.jsonl"
+        telemetry2, telemetry1 = tmp_path / "t2.jsonl", tmp_path / "t1.jsonl"
         assert main([
             "learn", "--data", str(csv_path), "--algorithm", "si-hiton-pc",
             "--test", "mi", "--alpha", "0.01", "--workers", "2",
-            "--output", str(out_path), "--telemetry", str(telemetry),
+            "--output", str(out_path), "--telemetry", str(telemetry2),
         ]) == 0
         pdag2 = load_pdag(out_path)
         assert main([
             "learn", "--data", str(csv_path), "--algorithm", "si-hiton-pc",
-            "--workers", "1", "--output", str(out_path),
+            "--workers", "1", "--output", str(out_path), "--telemetry", str(telemetry1),
         ]) == 0
         pdag1 = load_pdag(out_path)
         assert pdag1 == pdag2  # worker invariance through the CLI
-        lines = [json.loads(l) for l in telemetry.read_text().splitlines()]
-        assert all("per_worker_tests" in l for l in lines)
+        lines2, lines1 = ([json.loads(l) for l in t.read_text().splitlines()] for t in (telemetry2, telemetry1))
+        assert [l["phase"] for l in lines1] == [l["phase"] for l in lines2]
+        assert lines2[0]["phase"] == "neighbours" and lines2[0]["total_tests"] > 0
+        for l1, l2 in zip(lines1, lines2):
+            assert all("per_worker_tests" in l and "per_worker_executed" in l for l in (l1, l2))
+            assert (l1["total_tests"], l1["total_executed"]) == (l2["total_tests"], l2["total_executed"])
+            # a phase may request no tests (here v-structures, whose sepsets
+            # all come from the neighbour phase); one that does executes some
+            assert 0 < l2["total_executed"] <= l2["total_tests"] or l2["total_tests"] == l2["total_executed"] == 0
+            assert sum(l2["per_worker_executed"]) == l2["total_executed"]
 
     def test_sample_stdout_matches_file(self, net_path, tmp_path):
         csv_path = tmp_path / "d.csv"

@@ -24,24 +24,20 @@ from bnsl.parallel import (
 
 class TestPartition:
     def test_37_items_4_workers(self):
-        batch = partition(list(range(37)), 4)
-        sizes = [hi - lo for lo, hi in batch.assignment]
+        sizes = [hi - lo for lo, hi in partition(list(range(37)), 4)]
         assert sizes == [10, 9, 9, 9]
 
     def test_single_worker(self):
-        batch = partition(list(range(5)), 1)
-        assert batch.assignment == ((0, 5),)
+        assert partition(list(range(5)), 1) == ((0, 5),)
 
     def test_more_workers_than_items(self):
-        batch = partition(["a", "b"], 5)
-        sizes = [hi - lo for lo, hi in batch.assignment]
+        sizes = [hi - lo for lo, hi in partition(["a", "b"], 5)]
         assert sizes == [1, 1, 0, 0, 0]
 
     def test_ranges_cover_and_preserve_order(self):
         items = list(range(23))
-        batch = partition(items, 6)
         covered = []
-        for lo, hi in batch.assignment:
+        for lo, hi in partition(items, 6):
             covered.extend(items[lo:hi])
         assert covered == items
 
@@ -65,6 +61,17 @@ def _die_on_3(item, engine):
     if item == 3:
         os._exit(1)  # the worker process vanishes without an exception
     return item
+
+
+def _fail_on_3(item, engine):
+    if item == 3:
+        raise RuntimeError("boom")
+    return item
+
+
+def _mebibyte_record(item, engine):
+    # larger than a pipe buffer, and distinct per item
+    return bytes(range(256)) * 4096 + str(item).encode()
 
 
 def _fail_or_sleep(item, engine):
@@ -181,6 +188,27 @@ class TestRunPhase:
         ex = ParallelExecutor(2, schedule)
         with _deadline(10), pytest.raises(PhaseTaskError, match="phase 'demo': lane .* cannot be pickled"):
             ex.run_phase("demo", [1, 2], lambda item, engine: (lambda: item), _engine_factory)
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_records_larger_than_a_pipe_buffer_arrive_whole(self, schedule):
+        items = [1, 2]
+        with _deadline(10):
+            out = ParallelExecutor(2, schedule).run_phase("demo", items, _mebibyte_record, _engine_factory)
+        assert out.results == [_mebibyte_record(item, None) for item in items]
+        assert len(out.reports) == 2 and min(map(len, out.results)) >= 1 << 20
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize(
+        "task, error",
+        [(_square_task, None), (_fail_on_3, "task 3 failed"), (_die_on_3, "worker of lane 1 died")],
+        ids=["ok", "task-raises", "worker-dies"],
+    )
+    def test_phase_leaves_no_descriptor_open(self, task, error):
+        before = sorted(os.listdir("/proc/self/fd"))
+        raises = pytest.raises(PhaseTaskError, match=error) if error else contextlib.nullcontext()
+        with _deadline(10), raises:
+            ParallelExecutor(2).run_phase("demo", [1, 2, 3, 4], task, _engine_factory)
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("items", [["fail", "sleep"], ["sleep", "fail"]], ids=["fail-first", "fail-last"])
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
