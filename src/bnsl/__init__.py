@@ -32,6 +32,7 @@ from .graph import (
 )
 from .local import (
     LocalLearnConfig,
+    SepsetFragment,
     SepsetTable,
     learn_mb,
     learn_nbr,
@@ -74,6 +75,7 @@ __all__ = [
     "Pdag",
     "PhaseTaskError",
     "ScalingPoint",
+    "SepsetFragment",
     "SepsetTable",
     "Skeleton",
     "TestCounter",

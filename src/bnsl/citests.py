@@ -7,16 +7,19 @@ graphs. :class:`CiEngine` holds what they share - the memo, the counter
 and ``spawn`` - and each subclass only binds a kernel. The standalone
 :func:`mi_test` and :func:`cor_test` call the same kernels.
 
-Callers name variables; each kernel starts by checking and translating
-the names with one checker, :func:`_check`, and uses column ids past it.
-The checker takes a batch's shape (a target, its candidates and z), so a
-single test is a batch of one, and a batch checks the target, z and alpha
-once and each candidate with one lookup. The translation reads the
-dataset's name-rank table (see :mod:`bnsl.data`): one dict lookup per name
-gives its rank, the ranks are sorted as integers, and each rank maps to
-its column. Rank order is name order, so the kernels receive the columns
-of {x, y} union z in name order, exactly as a sort of the names would
-give them, and every statistic is unchanged.
+Callers name variables, and names stop at the boundary: an engine's
+``test`` and ``test_many``, and the standalone :func:`mi_test` and
+:func:`cor_test`. There the names are checked once and translated through
+the dataset's name-rank table (see :mod:`bnsl.data`) by one checker,
+:func:`_check`: the target and each candidate with one dict lookup, and z
+to its columns in name order (:func:`_z_columns`: ranks sorted as
+integers, then each rank's column). An engine checks the target and
+candidates on every memo miss and keeps z's columns in a per-task cache
+keyed by the frozenset, so each z is translated once per task. The kernels take ranks and columns only and
+check nothing. Rank order is name order, so the kernels receive z's
+columns exactly as a sort of the names would give them, and every
+statistic is unchanged. The oracle has no dataset: its hook gets the
+names, and ``d_separated`` checks them.
 
 Each engine keeps a memo of the outcomes it computed, keyed on the
 unordered pair and the conditioning set. Every kernel is symmetric in
@@ -136,19 +139,32 @@ class TestCounter:
         return f"TestCounter({self.count}, executed={self.executed})"
 
 
-def _check(data: Dataset, target: str, candidates, z, alpha: float) -> tuple[int, list[int], list[int]]:
-    """Check the tests of ``target`` against each of ``candidates`` given
-    ``z`` (a single test passes one candidate): the target, z and alpha
-    once, then each candidate with one lookup. Returns the ranks of the
-    target, of z (sorted) and of each candidate. z is a set: a repeated
-    name counts once, as in the engines' memo key."""
-    rank = data.name_ranks[0]
-    z = frozenset(z)
+def _z_columns(data: Dataset, z: frozenset) -> tuple[int, ...]:
+    """The columns of the conditioning set ``z`` in name order. An unknown
+    name raises ``ValueError`` naming the name-smallest unknown one, so the
+    error does not depend on the set's iteration order."""
+    rank, columns = data.name_ranks
     try:
-        rt = rank[target]
-        rz = sorted([rank[v] for v in z])
-    except KeyError as err:
-        raise ValueError(f"unknown variable: {err.args[0]!r}") from None
+        return tuple([columns[r] for r in sorted([rank[v] for v in z])])
+    except KeyError:
+        raise ValueError(f"unknown variable: {min((v for v in z if v not in rank), key=str)!r}") from None
+
+
+def _check(data: Dataset, target: str, candidates, z: frozenset, alpha: float, zs: dict) -> tuple:
+    """Check the tests of ``target`` against each of ``candidates`` given
+    ``z`` (a single test passes one candidate) and translate them: the
+    target, z, the target against z and alpha once, in that order, then
+    each candidate with one lookup in the name-rank table. ``zs`` caches
+    z's columns (:func:`_z_columns`); only a z of known names enters it.
+    Returns the rank of the target, the candidates' ranks and z's
+    columns."""
+    rank = data.name_ranks[0]
+    rt = rank.get(target)
+    if rt is None:
+        raise ValueError(f"unknown variable: {target!r}")
+    zc = zs.get(z)
+    if zc is None:
+        zc = zs[z] = _z_columns(data, z)
     if target in z:
         raise ValueError("x and y must not appear in the conditioning set")
     if not 0 < alpha < 1:
@@ -163,7 +179,7 @@ def _check(data: Dataset, target: str, candidates, z, alpha: float) -> tuple[int
         if v in z:
             raise ValueError("x and y must not appear in the conditioning set")
         rcs.append(r)
-    return rt, rz, rcs
+    return rt, rcs, zc
 
 
 def _strata(columns: np.ndarray, cards, izs: list[int]) -> tuple[np.ndarray | None, int]:
@@ -192,9 +208,10 @@ def _observed(codes: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return rank[codes], int(rank[-1]) + 1
 
 
-def _g2_many(data: DiscreteDataset, target: str, candidates, z, alpha: float) -> list[TestOutcome]:
-    """G^2 of ``target`` against each of ``candidates`` given ``z``, after
-    :func:`_check`; a single test is a batch of one candidate.
+def _g2_many(data: DiscreteDataset, rt: int, rcs: list[int], zc: tuple[int, ...], alpha: float) -> list[TestOutcome]:
+    """G^2 of the variable of rank ``rt`` against each of ranks ``rcs``
+    given the z columns ``zc`` (in name order), all checked by the caller;
+    a single test is a batch of one candidate.
 
     G^2 = 2 [sum O ln O - sum R ln R - sum C ln C + sum T ln T] over each
     stratum's cells O, row and column margins R and C and total T, with
@@ -206,11 +223,10 @@ def _g2_many(data: DiscreteDataset, target: str, candidates, z, alpha: float) ->
     are grouped by m and counted a chunk at a time by one ``bincount``;
     ``BATCH_CELLS`` bounds a chunk's memory.
     """
-    rt, rz, rcs = _check(data, target, candidates, z, alpha)
     columns, cards, xlogx = data.code_columns, data.cardinalities, data.xlogx
     col = data.name_ranks[1]
     it, ct = col[rt], cards[col[rt]]
-    zdof = math.prod(cards[col[r]] for r in rz)
+    zdof = math.prod(cards[j] for j in zc)
     outcomes: list[TestOutcome | None] = [None] * len(rcs)
     groups: dict[int, list] = {}
     for pos, r in enumerate(rcs):
@@ -224,7 +240,7 @@ def _g2_many(data: DiscreteDataset, target: str, candidates, z, alpha: float) ->
         return outcomes
 
     n = columns.shape[1]
-    strata, k = _strata(columns, cards, [col[r] for r in rz])
+    strata, k = _strata(columns, cards, zc)
     for m, group in groups.items():
         cells = k * m * m
         # Cells in (stratum, target, candidate) order; a chunk's cubes follow one another.
@@ -263,14 +279,15 @@ def mi_test(data: DiscreteDataset, x: str, y: str, z: frozenset | set | tuple, a
     freedom use the declared level counts: (|x|-1)(|y|-1) * prod |z_k|;
     empty strata still count toward the dof (pure asymptotic formula).
     """
-    return _g2_many(data, x, (y,), z, alpha)[0]
+    return _g2_many(data, *_check(data, x, (y,), frozenset(z), alpha, {}), alpha)[0]
 
 
 def _partial_t(
-    corr: np.ndarray, n: int, columns, rz: list[int], rx: int, ry: int, alpha: float, solves: dict
+    corr: np.ndarray, n: int, columns, zc: tuple[int, ...], rx: int, ry: int, alpha: float, solves: dict
 ) -> TestOutcome:
     """Partial-correlation t kernel of the variables of ranks ``rx`` and
-    ``ry`` given the z ranks ``rz``; ``columns`` maps a rank to its column.
+    ``ry`` given the z columns ``zc`` in name order; ``columns`` maps a
+    rank to its column.
 
     Every z takes the Schur complement of corr[z, z] through its Cholesky
     factor L: with a = L^-1 r_za and b = L^-1 r_zb from :func:`_solve`,
@@ -284,13 +301,12 @@ def _partial_t(
     A residual variance of x or y given z at or below ``PIVOT_FLOOR``
     gives the degenerate independent outcome.
     """
-    dof = n - len(rz) - 2
+    dof = n - len(zc) - 2
     if dof <= 0:
         return TestOutcome(0.0, max(dof, 0), 1.0, True, True)
     ix, iy = (columns[rx], columns[ry]) if rx < ry else (columns[ry], columns[rx])
-    key = tuple([columns[r] for r in rz])
-    a_x, var_x, skipped = _solve(solves, corr, key, ix)
-    a_y, var_y, _ = _solve(solves, corr, key, iy)
+    a_x, var_x, skipped = _solve(solves, corr, zc, ix)
+    a_y, var_y, _ = _solve(solves, corr, zc, iy)
     if var_x > PIVOT_FLOOR and var_y > PIVOT_FLOOR:
         r = (corr.item(ix, iy) - sum(map(mul, a_x, a_y))) / math.sqrt(var_x * var_y)
         return _t_outcome(r, dof, alpha, skipped)
@@ -359,19 +375,19 @@ def _t_many(r: np.ndarray, dof: int, alpha: float) -> list[TestOutcome]:
 
 
 def _cor_many(
-    data: ContinuousDataset, target: str, candidates, z, alpha: float, corr: np.ndarray, solves: dict
+    data: ContinuousDataset, rt: int, rcs: list[int], zc: tuple[int, ...], alpha: float, corr: np.ndarray, solves: dict
 ) -> list[TestOutcome]:
-    """t tests of ``target`` against each of ``candidates`` given ``z``,
-    after :func:`_check`, over the correlation matrix ``corr``; a single
-    test is a batch of one. Only a z = {} batch of two or more (and n > 2)
-    takes :func:`_t_many`; ``solves`` is :func:`_partial_t`'s memo. A
-    test of a constant column is flagged degenerate."""
-    rt, rz, rcs = _check(data, target, candidates, z, alpha)
+    """t tests of the variable of rank ``rt`` against each of ranks ``rcs``
+    given the z columns ``zc`` (in name order), all checked by the caller,
+    over the correlation matrix ``corr``; a single test is a batch of one.
+    Only a z = {} batch of two or more (and n > 2) takes :func:`_t_many`;
+    ``solves`` is :func:`_partial_t`'s memo. A test of a constant column is
+    flagged degenerate."""
     columns, n = data.name_ranks[1], data.n
     if len(rcs) == 1:  # no comprehension: it would cost a single test about 10%
-        outcomes = [_partial_t(corr, n, columns, rz, rt, rcs[0], alpha, solves)]
-    elif rz or n <= 2:
-        outcomes = [_partial_t(corr, n, columns, rz, rt, r, alpha, solves) for r in rcs]
+        outcomes = [_partial_t(corr, n, columns, zc, rt, rcs[0], alpha, solves)]
+    elif zc or n <= 2:
+        outcomes = [_partial_t(corr, n, columns, zc, rt, r, alpha, solves) for r in rcs]
     else:
         # Each pair's entry has the name-smaller variable's row, as in _partial_t.
         it, ics = columns[rt], [columns[r] for r in rcs]
@@ -410,7 +426,7 @@ def cor_test(
         corr = data.correlation
     elif corr.shape != (len(data.names),) * 2 or np.count_nonzero(corr.diagonal() - 1.0):
         raise ValueError("corr must be m x m with a diagonal of exactly 1.0, as correlation_matrix builds it")
-    return _cor_many(data, x, (y,), z, alpha, corr, {})[0]
+    return _cor_many(data, *_check(data, x, (y,), frozenset(z), alpha, {}), alpha, corr, {})[0]
 
 
 def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOutcome:
@@ -423,12 +439,17 @@ def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOut
 class CiEngine:
     """A test engine: a kernel behind a task-local memo and a counter.
 
-    Subclasses implement one hook, ``_kernel_many(target, candidates, z)``,
-    which checks its arguments once per batch and computes the outcome of
-    ``target`` against each candidate; :meth:`test` calls it with the
-    name-ordered pair of a memo miss as a batch of one, and
-    :meth:`test_many` with the candidates not in the memo. Invalid
-    arguments raise on every call, because only outcomes enter the memo.
+    :meth:`test` and :meth:`test_many` take names, and names stop there. On
+    a memo miss, :meth:`_resolve` checks the request and translates it for
+    the engine's one kernel hook, ``_kernel_many(target, candidates, z)``:
+    :meth:`test` passes the name-ordered pair as a batch of one, and
+    :meth:`test_many` the candidates not in the memo. Invalid arguments
+    raise on every call, because only outcomes enter the memo.
+
+    An engine over a dataset (``self.data``) looks the target and the
+    candidates up in its name-rank table on every miss, and z in a
+    per-task cache, ``_zs``, from the frozenset to its columns in name
+    order; only a checked z enters it, and :meth:`spawn` empties it.
     """
 
     name = ""
@@ -439,12 +460,14 @@ class CiEngine:
         self.alpha = alpha
         self.counter = TestCounter()
         self._memo: dict[tuple, TestOutcome] = {}
+        self._zs: dict[frozenset, tuple[int, ...]] = {}
 
     def test(self, x: str, y: str, z) -> TestOutcome:
-        key = (x, y, frozenset(z)) if x < y else (y, x, frozenset(z))
+        z = frozenset(z)
+        key = (x, y, z) if x < y else (y, x, z)
         outcome = self._memo.get(key)
         if outcome is None:
-            outcome = self._memo[key] = self._kernel_many(key[0], (key[1],), key[2])[0]
+            outcome = self._memo[key] = self._kernel_many(*self._resolve(key[0], (key[1],), z))[0]
             self.counter.executed += 1
         self.counter.count += 1
         return outcome
@@ -460,20 +483,27 @@ class CiEngine:
         keys = [(target, v, z) if target < v else (v, target, z) for v in candidates]
         fresh = {key: v for v, key in zip(candidates, keys) if key not in self._memo}
         if fresh:
-            self._memo.update(zip(fresh, self._kernel_many(target, list(fresh.values()), z)))
+            self._memo.update(zip(fresh, self._kernel_many(*self._resolve(target, fresh.values(), z))))
             self.counter.executed += len(fresh)
         self.counter.count += len(candidates)
         return [self._memo[key] for key in keys]
 
-    def _kernel_many(self, target: str, candidates, z: frozenset) -> list[TestOutcome]:
+    def _resolve(self, target: str, candidates, z: frozenset) -> tuple:
+        """The hook's arguments for ``target`` against ``candidates`` given
+        ``z``: the rank of the target, the candidates' ranks and z's
+        columns in name order, or ``ValueError``."""
+        return _check(self.data, target, candidates, z, self.alpha, self._zs)
+
+    def _kernel_many(self, target, candidates, z) -> list[TestOutcome]:
         raise NotImplementedError
 
     def spawn(self):
         """Engine over the same data and precomputed tables, with a zeroed
-        private counter and an empty memo."""
+        private counter, an empty memo and an empty z cache."""
         clone = copy.copy(self)
         clone.counter = TestCounter()
         clone._memo = {}
+        clone._zs = {}
         return clone
 
 
@@ -489,8 +519,8 @@ class MutualInfoTest(CiEngine):
         self.data = data
         data.name_ranks, data.code_columns, data.xlogx  # derive once, before workers fork
 
-    def _kernel_many(self, target, candidates, z):
-        return _g2_many(self.data, target, candidates, z, self.alpha)
+    def _kernel_many(self, rt, rcs, zc):
+        return _g2_many(self.data, rt, rcs, zc, self.alpha)
 
 
 class PartialCorrelationTest(CiEngine):
@@ -513,8 +543,8 @@ class PartialCorrelationTest(CiEngine):
         self._solves: dict[tuple, tuple] = {}
         data.name_ranks, data.constant_columns  # derive once, before workers fork
 
-    def _kernel_many(self, target, candidates, z):
-        return _cor_many(self.data, target, candidates, z, self.alpha, self.corr, self._solves)
+    def _kernel_many(self, rt, rcs, zc):
+        return _cor_many(self.data, rt, rcs, zc, self.alpha, self.corr, self._solves)
 
     def spawn(self):
         """As :meth:`CiEngine.spawn`, with an empty solve memo too."""
@@ -524,13 +554,17 @@ class PartialCorrelationTest(CiEngine):
 
 
 class OracleTest(CiEngine):
-    """Engine for :func:`oracle_test` against a known true DAG."""
+    """Engine for :func:`oracle_test` against a known true DAG. It has no
+    dataset: its hook gets names, and ``d_separated`` checks them."""
 
     name = "oracle"
 
     def __init__(self, dag: Dag, alpha: float = 0.01):
         super().__init__(alpha)
         self.dag = dag
+
+    def _resolve(self, target, candidates, z):
+        return target, candidates, z
 
     def _kernel_many(self, target, candidates, z):
         return [oracle_test(self.dag, *sorted((target, v)), z) for v in candidates]

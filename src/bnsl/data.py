@@ -176,13 +176,24 @@ def correlation_matrix(values: np.ndarray) -> np.ndarray:
     magnitude into [0.5, 1). That is exact, so it moves no correlation, and
     it keeps a column of extreme scale (say 1e-170 or 1e200 times unit
     scale) from underflowing or overflowing in the products.
+
+    The scaled copy is the only n x m array made: it is centred in place,
+    and the rest are ``np.corrcoef``'s own operations in its order (the
+    same mean, product, scale and clip), so the matrix is bit-identical to
+    ``np.corrcoef``'s without ``np.cov``'s second copy of the data.
     """
     if len(values) < 2:
         raise ValueError(f"a correlation needs at least 2 rows, the data have {len(values)}")
     constant = _all_equal(values)
-    values = np.ldexp(values, -np.frexp(np.abs(values).max(axis=0))[1])
+    rows = np.ldexp(values, -np.frexp(np.abs(values).max(axis=0))[1]).T  # one row per variable
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.atleast_2d(np.corrcoef(values, rowvar=False))
+        rows -= rows.mean(axis=1)[:, None]
+        corr = np.dot(rows, rows.T)
+        corr *= np.true_divide(1, len(values) - 1)
+        scale = np.sqrt(np.diag(corr))
+        corr /= scale[:, None]
+        corr /= scale[None, :]
+    np.clip(corr, -1, 1, out=corr)
     corr[constant] = corr[:, constant] = 0.0
     corr[~np.isfinite(corr)] = 0.0
     np.fill_diagonal(corr, 1.0)

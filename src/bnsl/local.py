@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .citests import CiEngine
@@ -101,10 +102,14 @@ class SepsetTable:
     def get(self, x: str, y: str) -> frozenset[str] | None:
         return self._entries[_pair(x, y)]
 
-    def merge_first_wins(self, other: "SepsetTable") -> None:
+    def merge_first_wins(self, other: "SepsetTable | SepsetFragment") -> None:
         """Adopt entries from ``other`` for pairs not already present."""
-        for pair, sepset in other._entries.items():
-            self._entries.setdefault(pair, sepset)
+        entries = self._entries
+        for pair, sepset in other._pairs():
+            entries.setdefault(pair, sepset)
+
+    def _pairs(self):
+        return self._entries.items()
 
     def items(self) -> Iterator[tuple[tuple[str, str], frozenset[str] | None]]:
         return iter(sorted(self._entries.items()))
@@ -114,6 +119,46 @@ class SepsetTable:
 
     def __repr__(self):
         return f"SepsetTable({len(self._entries)} pairs)"
+
+
+class SepsetFragment:
+    """The separating sets one learner call found for its target, each kept
+    under the pair's other endpoint: a read-only view with the lookups of
+    :class:`SepsetTable` (``has``, ``get``, ``items`` and ``len`` give what
+    a table holding the same pairs gives). Its pair tuples are built only
+    when a table merges it, so no pair key is alive while a phase's tasks
+    run, and the keys of a pair already merged are freed at once."""
+
+    __slots__ = ("target", "_by_other")
+
+    def __init__(self, target: str, by_other: dict[str, frozenset[str] | None]) -> None:
+        self.target = target
+        self._by_other = by_other
+
+    def has(self, x: str, y: str) -> bool:
+        if x == self.target:
+            return y in self._by_other
+        return y == self.target and x in self._by_other
+
+    def get(self, x: str, y: str) -> frozenset[str] | None:
+        if x == self.target and y in self._by_other:
+            return self._by_other[y]
+        if y == self.target and x in self._by_other:
+            return self._by_other[x]
+        raise KeyError(_pair(x, y))
+
+    def _pairs(self):
+        t = self.target
+        return (((t, v) if t < v else (v, t), sepset) for v, sepset in self._by_other.items())
+
+    def items(self) -> Iterator[tuple[tuple[str, str], frozenset[str] | None]]:
+        return iter(sorted(self._pairs()))
+
+    def __len__(self) -> int:
+        return len(self._by_other)
+
+    def __repr__(self):
+        return f"SepsetFragment({self.target!r}, {len(self._by_other)} pairs)"
 
 
 def subsets_in_order(pool: Iterable[str], cap: int | None = None) -> Iterator[frozenset[str]]:
@@ -179,7 +224,7 @@ def _orders(cap: int | None):
 
 def learn_mb(
     data, target: str, cfg: LocalLearnConfig, test: CiEngine
-) -> tuple[frozenset[str], SepsetTable]:
+) -> tuple[frozenset[str], SepsetFragment]:
     """Learn the Markov blanket of ``target`` with a grow-shrink backend.
 
     Returns the candidate blanket and the separating sets recorded for
@@ -190,7 +235,7 @@ def learn_mb(
 
 def learn_nbr(
     data, target: str, cfg: LocalLearnConfig, test: CiEngine, mb: Iterable[str] | None = None
-) -> tuple[frozenset[str], SepsetTable]:
+) -> tuple[frozenset[str], SepsetFragment]:
     """Learn the neighbourhood (parents and children) of ``target``.
 
     ``mb`` optionally restricts the candidate pool to a precomputed Markov
@@ -215,26 +260,24 @@ def _learn(steps, eliminate, kind, data, target, cfg, test, within=None):
     return frozenset(members), _fragment(target, members, witness)
 
 
-def _fragment(target, members, witness) -> SepsetTable:
+def _fragment(target, members, witness) -> SepsetFragment:
     """The sepset fragment: the witnessed sets of the non-members."""
-    fragment = SepsetTable()
-    for v, sepset in witness.items():
-        if v not in members:
-            fragment.record(target, v, sepset)
-    return fragment
+    return SepsetFragment(target, {v: sepset for v, sepset in witness.items() if v not in members})
 
 
 def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> list[str]:
-    """Eligible candidate names in canonical (name) order."""
-    all_names = set(data.names)
-    pool = all_names if within is None else set(within)
-    for name in (target, *cfg.start, *cfg.whitelist, *cfg.blacklist, *sorted(pool - all_names)):
-        if name not in all_names:
+    """Eligible candidate names in canonical (name) order. The dataset's
+    name-rank table lists every name, in name order."""
+    rank = data.name_ranks[0]
+    outside = () if within is None else sorted(set(within) - rank.keys())
+    for name in (target, *cfg.start, *cfg.whitelist, *cfg.blacklist, *outside):
+        if name not in rank:
             raise ValueError(f"unknown variable: {name!r}")
-    pool = pool - {target} - cfg.blacklist
+    if within is None:
+        # The start set and whitelist are names, neither the target nor blacklisted.
+        return [v for v in rank if v != target and v not in cfg.blacklist]
     # Forced and seeded members take part even when outside the restriction.
-    pool |= cfg.start | cfg.whitelist
-    return sorted(pool)
+    return sorted((set(within) - {target} - cfg.blacklist) | cfg.start | cfg.whitelist)
 
 
 def _grow(names, cmb, target, cfg, test, witness) -> None:
@@ -266,7 +309,7 @@ def _si_hiton_pc(names, pc, target, cfg, test, witness) -> None:
     ``pc``, replaced when ``pc`` grows."""
     candidates = [v for v in names if v not in pc]
     order = _SubsetOrder(pc, cfg.max_condition_size)
-    for _, v, _ in sorted(_scan(test, target, candidates, [_NO_NODES], witness)):
+    for _, v, _ in sorted(_scan(test, target, candidates, [_NO_NODES], witness), key=itemgetter(0)):
         sep = order.first(test, target, v)
         if sep is None:
             pc.add(v)

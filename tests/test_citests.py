@@ -1160,3 +1160,113 @@ class TestColumnPermutation:
         assert not hasattr(out, "__dict__")
         assert dataclasses.astuple(out)[3:] == (out.independent, False, False)
         assert out.ranking_key("Y") == (out.p_value, -abs(out.statistic), "Y")
+
+
+def boundary_engine(kind):
+    """An ``mi`` or ``cor`` engine over four variables whose names are not
+    in column order."""
+    rng = np.random.default_rng(91)
+    names = ["Y", "W", "X", "V"]
+    if kind == "mi":
+        data = DiscreteDataset([(v, ["0", "1", "2"]) for v in names], rng.integers(0, 3, (80, 4)))
+    else:
+        data = ContinuousDataset(names, rng.standard_normal((80, 4)))
+    return make_engine(kind, data, 0.05)
+
+
+def single(engine, x, y, z):
+    return engine.test(x, y, z)
+
+
+def batched(engine, x, y, z):
+    return engine.test_many(x, ["V", y], z)
+
+
+class TestEngineBoundary:
+    """Names stop at ``test`` and ``test_many``: x, y and the candidates are
+    checked on every memo miss, and z once per task through the engine's z
+    cache (a frozenset -> its columns in name order)."""
+
+    @pytest.mark.parametrize("call", [single, batched])
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_a_cached_z_still_checks_x_and_y_on_every_call(self, kind, call):
+        engine = boundary_engine(kind)
+        call(engine, "X", "Y", {"W"})
+        assert frozenset({"W"}) in engine._zs
+        counts = (engine.counter.count, engine.counter.executed)
+        for _ in range(2):
+            for x, y, z in [("W", "Y", {"W"}), ("X", "W", ("W",)), ("X", "X", {"W"}), ("Q", "Y", {"W"})]:
+                with pytest.raises(ValueError):
+                    call(engine, x, y, z)
+        assert (engine.counter.count, engine.counter.executed) == counts
+        assert list(engine._zs) == [frozenset({"W"})]
+
+    @pytest.mark.parametrize("call", [single, batched])
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_an_unknown_z_raises_and_is_not_cached(self, kind, call):
+        engine = boundary_engine(kind)
+        for _ in range(2):
+            # Two unknown names: the error names the name-smaller whatever
+            # the set's iteration order.
+            with pytest.raises(ValueError, match="unknown variable: 'Q1'"):
+                call(engine, "X", "Y", {"W", "Q2", "Q1"})
+        assert engine._zs == {} and engine._memo == {}
+        call(engine, "X", "Y", ["W"])
+        assert engine._zs == {frozenset({"W"}): (engine.data.column_index("W"),)}
+
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_cached_columns_follow_name_order(self, kind):
+        engine = boundary_engine(kind)
+        engine.test("X", "Y", ("W", "V"))
+        index = engine.data.column_index
+        assert engine._zs[frozenset({"V", "W"})] == (index("V"), index("W"))
+
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_spawn_starts_with_an_empty_z_cache(self, kind):
+        engine = boundary_engine(kind)
+        engine.test("X", "Y", {"W"})
+        clone = engine.spawn()
+        assert clone._zs == {} and engine._zs
+        clone.test("X", "Y", {"V"})
+        assert frozenset({"V"}) not in engine._zs
+
+    @pytest.mark.parametrize("call", [single, batched])
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_an_unknown_target_is_reported_before_an_unknown_z(self, kind, call):
+        # The checks run in one order: the target, z, then each candidate.
+        engine = boundary_engine(kind)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown variable: 'Q'"):
+                call(engine, "Q", "Y", {"R"})
+            with pytest.raises(ValueError, match="unknown variable: 'R'"):
+                call(engine, "X", "Z", {"R"})
+        assert engine._zs == {} and engine._memo == {}
+
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_standalone_checks_alpha_after_the_target_and_z(self, kind):
+        # The target, z, the target against z and alpha, then the candidate.
+        engine = boundary_engine(kind)
+        standalone = mi_test if kind == "mi" else cor_test
+        for x, y, z, alpha, message in [
+            ("Q", "Y", {"R"}, 0.05, "unknown variable: 'Q'"),
+            ("X", "Q", {"R"}, 0.05, "unknown variable: 'R'"),
+            ("Q", "Y", (), 2.0, "unknown variable: 'Q'"),
+            ("X", "Y", {"R"}, 2.0, "unknown variable: 'R'"),
+            ("W", "Y", {"W"}, 2.0, "must not appear"),
+            ("X", "Q", (), 2.0, "alpha must be"),
+            ("X", "X", (), 2.0, "alpha must be"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                standalone(engine.data, x, y, z, alpha)
+
+    @pytest.mark.parametrize("kind", ["mi", "cor"])
+    def test_standalone_tests_check_at_their_own_boundary(self, kind):
+        engine = boundary_engine(kind)
+        standalone = mi_test if kind == "mi" else cor_test
+        data = engine.data
+        assert bits(standalone(data, "X", "Y", {"W", "V"}, 0.05)) == bits(engine.test("Y", "X", ("V", "W")))
+        for x, y, z in [("W", "Y", {"W"}), ("X", "X", ()), ("Q", "Y", ()), ("X", "Y", {"Q2", "Q1"})]:
+            with pytest.raises(ValueError):
+                standalone(data, x, y, z, 0.05)
+        with pytest.raises(ValueError, match="unknown variable: 'Q1'"):
+            standalone(data, "X", "Y", {"Q2", "W", "Q1"}, 0.05)

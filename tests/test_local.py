@@ -325,6 +325,42 @@ class TestSepsets:
         assert a.get("W", "X") is None
         assert len(a) == 2
 
+    @pytest.mark.parametrize("backend", MB_BACKENDS + NBR_BACKENDS)
+    def test_fragments_read_as_pair_keyed_tables(self, backend):
+        # A learner's fragment keeps each set under the other endpoint; every
+        # lookup equals that of a SepsetTable that records the same sets
+        # under (target, other), as learners built their fragments before.
+        data = sample(random_discrete_network(7, 808, edge_prob=0.35, max_levels=3), 400, 808)
+        learner = learn_mb if backend in MB_BACKENDS else learn_nbr
+        names = [*data.names, "NOPE"]
+        seen = 0
+        for target in data.names:
+            for kw in ({}, {"start": frozenset(data.names[:2]) - {target}}, {"blacklist": frozenset({data.names[-1]}) - {target}}):
+                _, fragment = learner(data, target, LocalLearnConfig(backend, **kw), MutualInfoTest(data, 0.05))
+                table = SepsetTable()
+                for v, sepset in fragment._by_other.items():
+                    table.record(target, v, sepset)
+                seen += len(table)
+                assert list(fragment.items()) == list(table.items())
+                assert len(fragment) == len(table)
+                for x, y in itertools.product(names, repeat=2):
+                    assert fragment.has(x, y) == table.has(x, y), (x, y)
+                    if table.has(x, y):
+                        assert fragment.get(x, y) is table.get(x, y)
+                    else:
+                        with pytest.raises(KeyError) as want:
+                            table.get(x, y)
+                        with pytest.raises(KeyError) as got:
+                            fragment.get(x, y)
+                        assert got.value.args == want.value.args
+                merged, old = SepsetTable(), SepsetTable()
+                merged.record(target, names[0], frozenset({"first"}))
+                old.record(target, names[0], frozenset({"first"}))
+                merged.merge_first_wins(fragment)
+                old.merge_first_wins(table)
+                assert list(merged.items()) == list(old.items())
+        assert seen > 0
+
     def test_subsets_enumeration_order(self):
         got = list(subsets_in_order(["C", "A", "B"]))
         expected = [
