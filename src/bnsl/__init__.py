@@ -32,7 +32,6 @@ from .graph import (
 )
 from .local import (
     LocalLearnConfig,
-    SepsetFragment,
     SepsetTable,
     learn_mb,
     learn_nbr,
@@ -75,7 +74,6 @@ __all__ = [
     "Pdag",
     "PhaseTaskError",
     "ScalingPoint",
-    "SepsetFragment",
     "SepsetTable",
     "Skeleton",
     "TestCounter",

@@ -29,8 +29,10 @@ for one task only. Its counter records two numbers: ``count``, the tests
 requested (memo hits included; this is the learner's cost in tests, and
 the logical count merged at the phase barriers), and ``executed``, the
 kernel evaluations. Both are invariant in the worker count and schedule.
-An outcome is a slotted, mutable dataclass: building one is on every
-test's path, and nothing mutates or hashes it.
+An outcome is a slotted, mutable dataclass, since building one is on
+every test's path. Only :func:`_cor_many` mutates one: it flags the fresh
+outcomes of a constant column degenerate before they enter the memo.
+Nothing mutates an outcome after that, and nothing hashes one.
 
 :meth:`CiEngine.test_many` answers one target against many candidates
 given one conditioning set, and counts exactly as the same ``test`` calls

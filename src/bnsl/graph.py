@@ -225,7 +225,9 @@ def d_separated(dag: Dag, x: str, y: str, z: Iterable[str]) -> bool:
     a descendant in ``z``. Returns True iff ``y`` is unreachable.
     """
     z = set(z)
-    for n in (x, y, *z):
+    # z in name order: the error names the name-smallest unknown, whatever
+    # the set's iteration order.
+    for n in (x, y, *sorted(z, key=str)):
         _lookup(dag._in, n)
     if x == y:
         raise ValueError("x and y must differ")

@@ -88,77 +88,55 @@ class SepsetTable:
     A value of ``None`` marks a pair for which an exhaustive search found no
     separating set ("none found"); any recorded set witnessed an independent
     test outcome for its pair.
+
+    The table is stored as rows, one per endpoint: each pair sits in exactly
+    one row, that of the endpoint that recorded it (a learner's table is
+    one row, its target's). Lookups read both endpoints' rows, and pair
+    tuples are built only by :meth:`items`.
     """
 
+    __slots__ = ("_rows",)
+
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], frozenset[str] | None] = {}
+        self._rows: dict[str, dict[str, frozenset[str] | None]] = {}
 
     def record(self, x: str, y: str, sepset: frozenset[str] | None) -> None:
-        self._entries[_pair(x, y)] = sepset
+        """Set the pair's set where the pair sits, or else in ``x``'s row."""
+        rows = self._rows
+        if x in rows.get(y, ()):
+            rows[y][x] = sepset
+        else:
+            rows.setdefault(x, {})[y] = sepset
 
     def has(self, x: str, y: str) -> bool:
-        return _pair(x, y) in self._entries
+        rows = self._rows
+        return y in rows.get(x, ()) or x in rows.get(y, ())
 
     def get(self, x: str, y: str) -> frozenset[str] | None:
-        return self._entries[_pair(x, y)]
-
-    def merge_first_wins(self, other: "SepsetTable | SepsetFragment") -> None:
-        """Adopt entries from ``other`` for pairs not already present."""
-        entries = self._entries
-        for pair, sepset in other._pairs():
-            entries.setdefault(pair, sepset)
-
-    def _pairs(self):
-        return self._entries.items()
-
-    def items(self) -> Iterator[tuple[tuple[str, str], frozenset[str] | None]]:
-        return iter(sorted(self._entries.items()))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self):
-        return f"SepsetTable({len(self._entries)} pairs)"
-
-
-class SepsetFragment:
-    """The separating sets one learner call found for its target, each kept
-    under the pair's other endpoint: a read-only view with the lookups of
-    :class:`SepsetTable` (``has``, ``get``, ``items`` and ``len`` give what
-    a table holding the same pairs gives). Its pair tuples are built only
-    when a table merges it, so no pair key is alive while a phase's tasks
-    run, and the keys of a pair already merged are freed at once."""
-
-    __slots__ = ("target", "_by_other")
-
-    def __init__(self, target: str, by_other: dict[str, frozenset[str] | None]) -> None:
-        self.target = target
-        self._by_other = by_other
-
-    def has(self, x: str, y: str) -> bool:
-        if x == self.target:
-            return y in self._by_other
-        return y == self.target and x in self._by_other
-
-    def get(self, x: str, y: str) -> frozenset[str] | None:
-        if x == self.target and y in self._by_other:
-            return self._by_other[y]
-        if y == self.target and x in self._by_other:
-            return self._by_other[x]
+        rows = self._rows
+        if y in (row := rows.get(x, ())):
+            return row[y]
+        if x in (row := rows.get(y, ())):
+            return row[x]
         raise KeyError(_pair(x, y))
 
-    def _pairs(self):
-        t = self.target
-        return (((t, v) if t < v else (v, t), sepset) for v, sepset in self._by_other.items())
+    def merge_first_wins(self, other: "SepsetTable") -> None:
+        """Adopt entries from ``other`` for pairs not already present."""
+        rows = self._rows
+        for x, theirs in other._rows.items():
+            mine = rows.setdefault(x, {})
+            for y, sepset in theirs.items():
+                if y not in mine and x not in rows.get(y, ()):
+                    mine[y] = sepset
 
     def items(self) -> Iterator[tuple[tuple[str, str], frozenset[str] | None]]:
-        return iter(sorted(self._pairs()))
+        return iter(sorted((_pair(x, y), sepset) for x, row in self._rows.items() for y, sepset in row.items()))
 
     def __len__(self) -> int:
-        return len(self._by_other)
+        return sum(map(len, self._rows.values()))
 
     def __repr__(self):
-        return f"SepsetFragment({self.target!r}, {len(self._by_other)} pairs)"
+        return f"SepsetTable({len(self)} pairs)"
 
 
 def subsets_in_order(pool: Iterable[str], cap: int | None = None) -> Iterator[frozenset[str]]:
@@ -224,7 +202,7 @@ def _orders(cap: int | None):
 
 def learn_mb(
     data, target: str, cfg: LocalLearnConfig, test: CiEngine
-) -> tuple[frozenset[str], SepsetFragment]:
+) -> tuple[frozenset[str], SepsetTable]:
     """Learn the Markov blanket of ``target`` with a grow-shrink backend.
 
     Returns the candidate blanket and the separating sets recorded for
@@ -235,7 +213,7 @@ def learn_mb(
 
 def learn_nbr(
     data, target: str, cfg: LocalLearnConfig, test: CiEngine, mb: Iterable[str] | None = None
-) -> tuple[frozenset[str], SepsetFragment]:
+) -> tuple[frozenset[str], SepsetTable]:
     """Learn the neighbourhood (parents and children) of ``target``.
 
     ``mb`` optionally restricts the candidate pool to a precomputed Markov
@@ -257,12 +235,15 @@ def _learn(steps, eliminate, kind, data, target, cfg, test, within=None):
     members, witness = set(cfg.whitelist | cfg.start), {}
     steps[cfg.backend](names, members, target, cfg, test, witness)
     eliminate(members, target, cfg, test, witness)
-    return frozenset(members), _fragment(target, members, witness)
+    return frozenset(members), _sepsets(target, members, witness)
 
 
-def _fragment(target, members, witness) -> SepsetFragment:
-    """The sepset fragment: the witnessed sets of the non-members."""
-    return SepsetFragment(target, {v: sepset for v, sepset in witness.items() if v not in members})
+def _sepsets(target, members, witness) -> SepsetTable:
+    """The sepset table of one learner call: one row, the target's, with the
+    witnessed sets of the non-members."""
+    table = SepsetTable()
+    table._rows[target] = {v: sepset for v, sepset in witness.items() if v not in members}
+    return table
 
 
 def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> list[str]:

@@ -10,8 +10,8 @@ unshielded colliders are oriented from the recorded separating sets, and
 Meek's three orientation-propagation rules run to fixpoint.
 
 Each skeleton phase runs one node step, ``step(node, earlier, engine) ->
-(members, sepset fragment)``, for every node, and merges the fragments in
-name order. The backtracking mode only decides what ``earlier`` holds. In
+(members, sepset table)``, for every node, and merges the tables first-wins
+in name order. The backtracking mode only decides what ``earlier`` holds. In
 mode ``none`` it is empty: the steps are independent, run in parallel
 across nodes, and the result does not depend on the column order; the
 coordinator synchronises only at the symmetry barriers and for the final
@@ -35,7 +35,7 @@ from .citests import CiEngine, make_engine
 from .data import Dataset
 from .graph import Dag, Pdag, Skeleton, VStructure, _pair, _reaches, apply_meek_rules
 from .local import MB_BACKENDS, LocalLearnConfig, SepsetTable, first_separator, learn_mb, learn_nbr
-from .local import _eliminate, _fragment, _orders
+from .local import _eliminate, _orders, _sepsets
 from .parallel import ParallelExecutor
 
 ALGORITHMS = ("gs", "inter-iamb", "mmpc", "si-hiton-pc")
@@ -127,7 +127,7 @@ def learn_skeleton(
             return order_of(blanket).first(worker_engine, node, j, skip)
 
         _eliminate(members, local.start | local.whitelist, witness, separator)
-        return members, _fragment(node, members, witness)
+        return members, _sepsets(node, members, witness)
 
     if learner is learn_mb:
         blankets = _node_phase("markov-blankets", names, node_step, cfg, executor, engine, sepsets)
@@ -139,8 +139,8 @@ def learn_skeleton(
 
 
 def _node_phase(phase, names, step, cfg, executor, engine, sepsets):
-    """Run ``step(node, earlier, engine) -> (members, fragment)`` for every
-    node, merge the fragments first-wins in name order and return the
+    """Run ``step(node, earlier, engine) -> (members, sepset table)`` for
+    every node, merge the tables first-wins in name order and return the
     symmetrised member sets.
 
     Mode ``none`` maps the nodes in parallel with ``earlier = {}``.

@@ -1242,6 +1242,21 @@ class TestEngineBoundary:
                 call(engine, "X", "Z", {"R"})
         assert engine._zs == {} and engine._memo == {}
 
+    @pytest.mark.parametrize("call", [single, batched])
+    def test_the_oracle_names_the_name_smallest_unknown_z(self, call):
+        # The oracle checks names in d_separated: x and y first, then the
+        # name-smallest unknown z, whatever the set's iteration order.
+        dag = Dag(["V", "W", "X", "Y"], [("X", "W"), ("W", "Y")])
+        engine = OracleTest(dag)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown node: 'Q1'"):
+                call(engine, "X", "Y", {"Q3", "W", "Q1", "Q2"})
+            with pytest.raises(ValueError, match="unknown node: 'Q'"):
+                call(engine, "Q", "Y", {"R"})
+        with pytest.raises(ValueError, match="unknown node: 'Q1'"):
+            oracle_test(dag, "X", "Y", {"Q3", "Q1", "Q2"})
+        assert engine._memo == {}
+
     @pytest.mark.parametrize("kind", ["mi", "cor"])
     def test_standalone_checks_alpha_after_the_target_and_z(self, kind):
         # The target, z, the target against z and alpha, then the candidate.

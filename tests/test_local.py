@@ -325,40 +325,71 @@ class TestSepsets:
         assert a.get("W", "X") is None
         assert len(a) == 2
 
+    def test_record_overwrites_a_pair_where_it_sits(self):
+        table = SepsetTable()
+        table.record("X", "Y", frozenset({"Z"}))
+        table.record("Y", "X", None)
+        assert len(table) == 1
+        assert table.get("X", "Y") is None and table.get("Y", "X") is None
+        assert list(table.items()) == [(("X", "Y"), None)]
+        table.record("X", "Y", frozenset())
+        assert len(table) == 1 and list(table.items()) == [(("X", "Y"), frozenset())]
+
+    @pytest.mark.parametrize("held", [("X", "Y"), ("Y", "X")])
+    @pytest.mark.parametrize("merged", [("X", "Y"), ("Y", "X")])
+    def test_merge_first_wins_keeps_a_pair_held_under_either_endpoint(self, held, merged):
+        table, other = SepsetTable(), SepsetTable()
+        table.record(*held, frozenset({"first"}))
+        other.record(*merged, None)
+        other.record(merged[0], "W", frozenset())
+        table.merge_first_wins(other)
+        assert list(table.items()) == [(("W", merged[0]), frozenset()), (("X", "Y"), frozenset({"first"}))]
+        assert len(table) == 2
+
     @pytest.mark.parametrize("backend", MB_BACKENDS + NBR_BACKENDS)
-    def test_fragments_read_as_pair_keyed_tables(self, backend):
-        # A learner's fragment keeps each set under the other endpoint; every
-        # lookup equals that of a SepsetTable that records the same sets
-        # under (target, other), as learners built their fragments before.
+    def test_learner_tables_read_as_recorded_tables(self, backend):
+        # A learner's table answers every lookup as a table that records the
+        # same sets one pair at a time, and merges into a table the same way.
         data = sample(random_discrete_network(7, 808, edge_prob=0.35, max_levels=3), 400, 808)
         learner = learn_mb if backend in MB_BACKENDS else learn_nbr
         names = [*data.names, "NOPE"]
         seen = 0
         for target in data.names:
+            others = [v for v in data.names if v != target]
             for kw in ({}, {"start": frozenset(data.names[:2]) - {target}}, {"blacklist": frozenset({data.names[-1]}) - {target}}):
-                _, fragment = learner(data, target, LocalLearnConfig(backend, **kw), MutualInfoTest(data, 0.05))
-                table = SepsetTable()
-                for v, sepset in fragment._by_other.items():
-                    table.record(target, v, sepset)
-                seen += len(table)
-                assert list(fragment.items()) == list(table.items())
-                assert len(fragment) == len(table)
+                _, learned = learner(data, target, LocalLearnConfig(backend, **kw), MutualInfoTest(data, 0.05))
+                assert isinstance(learned, SepsetTable)
+                recorded = SepsetTable()
+                for (x, y), sepset in learned.items():
+                    assert target in (x, y)
+                    recorded.record(target, y if x == target else x, sepset)
+                seen += len(recorded)
+                assert list(learned.items()) == list(recorded.items())
+                assert len(learned) == len(recorded)
                 for x, y in itertools.product(names, repeat=2):
-                    assert fragment.has(x, y) == table.has(x, y), (x, y)
-                    if table.has(x, y):
-                        assert fragment.get(x, y) is table.get(x, y)
+                    assert learned.has(x, y) == recorded.has(x, y), (x, y)
+                    if x == y:
+                        assert not learned.has(x, y)
+                    if recorded.has(x, y):
+                        assert learned.get(x, y) is recorded.get(x, y)
                     else:
                         with pytest.raises(KeyError) as want:
-                            table.get(x, y)
+                            recorded.get(x, y)
                         with pytest.raises(KeyError) as got:
-                            fragment.get(x, y)
+                            learned.get(x, y)
                         assert got.value.args == want.value.args
-                merged, old = SepsetTable(), SepsetTable()
-                merged.record(target, names[0], frozenset({"first"}))
-                old.record(target, names[0], frozenset({"first"}))
-                merged.merge_first_wins(fragment)
-                old.merge_first_wins(table)
-                assert list(merged.items()) == list(old.items())
+                merged = []
+                for table in (learned, recorded):
+                    # Pre-seeded pairs with the target, held under either endpoint.
+                    into = SepsetTable()
+                    into.record(target, others[0], frozenset({"first"}))
+                    into.record(others[-1], target, frozenset({"first"}))
+                    into.merge_first_wins(table)
+                    merged.append(list(into.items()))
+                    pairs = {pair for pair, _ in table.items()} | {pair for pair, _ in merged[-1]}
+                    assert [pair for pair, _ in merged[-1]] == sorted(pairs)
+                assert merged[0] == merged[1]
+                assert dict(merged[0])[tuple(sorted((target, others[-1])))] == {"first"}
         assert seen > 0
 
     def test_subsets_enumeration_order(self):
