@@ -22,7 +22,7 @@ from .data import Dataset, reverse_columns
 from .formats import load_dataset, load_network
 from .graph import hamming_skeleton
 from .network import DiscreteBn, nparams, sample
-from .parallel import ParallelExecutor, normalized_running_time
+from .parallel import ParallelExecutor
 from .structure import ALGORITHMS, GlobalLearnConfig, learn_skeleton
 
 ORDER_MODES = ("none", "start-set")
@@ -81,6 +81,12 @@ class ScalingExperimentSpec:
             raise ValueError(f"unknown algorithm: {self.algorithm!r}")
         if self.data is None and (self.network is None or self.n is None):
             raise ValueError("either a dataset or a network plus sample size is required")
+        if self.data is not None and self.network is not None:
+            raise ValueError("a dataset and a network were both given; pass one of them")
+
+
+def _network(source: str | Path | DiscreteBn) -> DiscreteBn:
+    return source if isinstance(source, DiscreteBn) else load_network(source)
 
 
 def _dataset_seed(seed: int, *key: int) -> int:
@@ -96,8 +102,8 @@ def run_order_experiment(spec: OrderExperimentSpec) -> list[dict]:
     the Hamming distance between the two skeletons and both test counts.
     """
     spec.validate()
-    bn = spec.network if isinstance(spec.network, DiscreteBn) else load_network(spec.network)
-    label = spec.label or (str(spec.network) if not isinstance(spec.network, DiscreteBn) else "network")
+    bn = _network(spec.network)
+    label = spec.label or ("network" if isinstance(spec.network, DiscreteBn) else str(spec.network))
     p = nparams(bn)
     truth = bn.dag if spec.test == "oracle" else None
     rows = []
@@ -139,17 +145,16 @@ def run_order_experiment(spec: OrderExperimentSpec) -> list[dict]:
 
 def run_scaling_experiment(spec: ScalingExperimentSpec) -> list[dict]:
     """Rows: one per (workers, repetition) plus, optionally, the start-set
-    single-worker comparison; each carries per-group mean/median seconds and
-    the normalised ratio and overhead against the k = 1 baseline."""
+    single-worker comparison; each carries per-group mean/median seconds, the
+    ratio time(k)/time(1) against the ("none", 1) group's mean and the overhead
+    ratio - 1/k (as ``normalized_running_time`` defines them; the start-set
+    group has a ratio but no overhead)."""
     spec.validate()
     if spec.data is not None:
         data = spec.data if isinstance(spec.data, Dataset) else load_dataset(spec.data)
     else:
-        bn = spec.network if isinstance(spec.network, DiscreteBn) else load_network(spec.network)
-        data = sample(bn, spec.n, _dataset_seed(spec.seed))
+        data = sample(_network(spec.network), spec.n, _dataset_seed(spec.seed))
     test = spec.test or ("mi" if data.is_discrete else "cor")
-
-    raw: list[dict] = []
 
     def one_run(workers: int, mode: str) -> dict:
         cfg = GlobalLearnConfig(
@@ -164,46 +169,32 @@ def run_scaling_experiment(spec: ScalingExperimentSpec) -> list[dict]:
         start = time.perf_counter()
         learn_skeleton(data, cfg, executor)
         seconds = time.perf_counter() - start
-        per_worker = _per_worker_totals(executor)
         return {
             "algorithm": spec.algorithm,
             "mode": mode,
             "workers": workers,
             "seconds": seconds,
             "total_tests": executor.total_tests(),
-            "per_worker_tests": "|".join(str(c) for c in per_worker),
+            "per_worker_tests": "|".join(str(c) for c in _per_worker_totals(executor)),
         }
 
-    for workers in sorted(spec.workers):
-        for rep in range(spec.repetitions):
-            row = one_run(workers, "none")
-            row["rep"] = rep
-            raw.append(row)
+    groups = [("none", k) for k in sorted(spec.workers)]
     if spec.compare_backtracking:
-        for rep in range(spec.repetitions):
-            row = one_run(1, "start-set")
-            row["rep"] = rep
-            raw.append(row)
-
-    by_group: dict[tuple[str, int], list[float]] = {}
-    for row in raw:
-        by_group.setdefault((row["mode"], row["workers"]), []).append(row["seconds"])
-    means = {g: statistics.fmean(v) for g, v in by_group.items()}
-    medians = {g: statistics.median(v) for g, v in by_group.items()}
-    points = normalized_running_time({k: means[(m, k)] for m, k in means if m == "none"})
-    baseline = means[("none", 1)]
-    for row in raw:
-        group = (row["mode"], row["workers"])
-        row["mean_seconds"] = means[group]
-        row["median_seconds"] = medians[group]
-        if row["mode"] == "none":
-            pt = points[row["workers"]]
-            row["ratio"] = pt.ratio
-            row["overhead"] = pt.overhead
-        else:
-            row["ratio"] = means[group] / baseline
-            row["overhead"] = ""
-    return raw
+        groups.append(("start-set", 1))
+    rows: list[dict] = []
+    for mode, workers in groups:
+        group = [dict(one_run(workers, mode), rep=rep) for rep in range(spec.repetitions)]
+        seconds = [row["seconds"] for row in group]
+        mean = statistics.fmean(seconds)
+        ratio = mean / (rows[0]["mean_seconds"] if rows else mean)  # ("none", 1) runs first
+        stats = {
+            "mean_seconds": mean,
+            "median_seconds": statistics.median(seconds),
+            "ratio": ratio,
+            "overhead": ratio - 1.0 / workers if mode == "none" else "",
+        }
+        rows += [dict(row, **stats) for row in group]
+    return rows
 
 
 def _per_worker_totals(executor: ParallelExecutor) -> list[int]:

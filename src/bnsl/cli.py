@@ -3,17 +3,21 @@
 Subcommands: ``learn`` (dataset to CPDAG JSON), ``learn-local`` (single-node
 blanket or neighbourhood), ``sample`` (network to CSV), ``nparams``,
 ``hamming`` (two graph JSONs to an integer), ``bench-order`` and
-``bench-scaling``. Exit codes: 0 on success, 1 on usage errors, 2 on data
-or model errors. The ``BNSL_SEED`` environment variable supplies a fallback
-seed wherever ``--seed`` is omitted.
+``bench-scaling``. Exit codes: 0 on success, 1 on usage errors (a malformed
+list flag such as ``--ratios 0.5,abc`` is one), 2 on data or model errors.
+``bench-scaling`` takes either ``--data``, or ``--network`` with ``--n``, but
+not both. The ``BNSL_SEED`` environment variable supplies a fallback seed
+wherever ``--seed`` is omitted.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from functools import partial
 
 from . import bench, formats
 from .citests import make_engine
@@ -38,136 +42,140 @@ def _env_seed(value: int | None) -> int:
     return int(os.environ.get("BNSL_SEED", "0"))
 
 
-def _csv_list(text: str) -> list[str]:
-    return [part for part in (p.strip() for p in text.split(",")) if part]
+def _algorithm(name: str) -> str:
+    if name not in ALGORITHMS:
+        raise argparse.ArgumentTypeError(f"unknown algorithm: {name!r}")
+    return name
+
+
+def _list_of(item, container=tuple):
+    """An argparse ``type``: comma-separated ``item``s, blanks dropped, in a ``container``."""
+
+    def parse(text: str):
+        return container(item(part.strip()) for part in text.split(",") if part.strip())
+
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bnsl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    learn = sub.add_parser("learn", help="learn a CPDAG from a dataset")
-    learn.add_argument("--data", required=True)
+    learn_flags = argparse.ArgumentParser(add_help=False)
+    learn_flags.add_argument("--data", required=True)
+    learn_flags.add_argument("--test", choices=("mi", "cor", "oracle"))
+    learn_flags.add_argument("--alpha", type=float, default=0.01)
+    learn_flags.add_argument("--max-condition-size", type=int)
+    learn_flags.add_argument("--truth", help="true-DAG JSON, required for --test oracle")
+
+    bench_flags = argparse.ArgumentParser(add_help=False)
+    bench_flags.add_argument("--repetitions", type=int)
+    bench_flags.add_argument("--alpha", type=float)
+    bench_flags.add_argument("--seed", type=int)
+    bench_flags.add_argument("--output", required=True)
+
+    learn = sub.add_parser("learn", parents=[learn_flags], help="learn a CPDAG from a dataset")
     learn.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    learn.add_argument("--test", choices=("mi", "cor", "oracle"), default=None)
-    learn.add_argument("--alpha", type=float, default=0.01)
-    learn.add_argument("--workers", type=int, default=1)
-    learn.add_argument("--schedule", choices=("static", "dynamic"), default="static")
-    learn.add_argument("--backtracking", choices=BACKTRACKING_MODES, default="none")
-    learn.add_argument("--max-condition-size", type=int, default=None)
-    learn.add_argument("--truth", help="true-DAG JSON, required for --test oracle")
+    learn.add_argument("--workers", type=int)
+    learn.add_argument("--schedule", choices=("static", "dynamic"))
+    learn.add_argument("--backtracking", choices=BACKTRACKING_MODES)
     learn.add_argument("--output", default="-")
     learn.add_argument("--telemetry", help="write per-phase JSON lines here")
+    learn.set_defaults(run=_cmd_learn)
 
-    local = sub.add_parser("learn-local", help="learn one node's blanket or neighbourhood")
-    local.add_argument("--data", required=True)
+    local = sub.add_parser(
+        "learn-local", parents=[learn_flags], help="learn one node's blanket or neighbourhood"
+    )
     local.add_argument("--node", required=True)
     local.add_argument("--backend", choices=MB_BACKENDS + NBR_BACKENDS, required=True)
-    local.add_argument("--test", choices=("mi", "cor", "oracle"), default=None)
-    local.add_argument("--alpha", type=float, default=0.01)
-    local.add_argument("--start", type=_csv_list, default=[])
-    local.add_argument("--whitelist", type=_csv_list, default=[])
-    local.add_argument("--blacklist", type=_csv_list, default=[])
-    local.add_argument("--max-condition-size", type=int, default=None)
-    local.add_argument("--truth")
+    local.add_argument("--start", type=_list_of(str, frozenset))
+    local.add_argument("--whitelist", type=_list_of(str, frozenset))
+    local.add_argument("--blacklist", type=_list_of(str, frozenset))
+    local.set_defaults(run=_cmd_learn_local)
 
     smp = sub.add_parser("sample", help="forward-sample a network to CSV")
     smp.add_argument("--network", required=True)
     smp.add_argument("--n", type=int, required=True)
     smp.add_argument("--seed", type=int, default=None)
     smp.add_argument("--output", default="-")
+    smp.set_defaults(run=_cmd_sample)
 
     npar = sub.add_parser("nparams", help="free parameter count of a network")
     npar.add_argument("--network", required=True)
+    npar.set_defaults(run=lambda args: print(nparams(formats.load_network(args.network))))
 
     ham = sub.add_parser("hamming", help="skeleton Hamming distance of two graphs")
     ham.add_argument("--a", required=True)
     ham.add_argument("--b", required=True)
+    ham.set_defaults(
+        run=lambda args: print(hamming_skeleton(formats.load_skeleton(args.a), formats.load_skeleton(args.b)))
+    )
 
-    order = sub.add_parser("bench-order", help="order-sensitivity experiment")
+    order = sub.add_parser("bench-order", parents=[bench_flags], help="order-sensitivity experiment")
     order.add_argument("--network", required=True)
-    order.add_argument("--algorithms", type=_csv_list, default=list(ALGORITHMS))
-    order.add_argument("--ratios", default="0.1,0.2,0.5,1,2,5")
-    order.add_argument("--repetitions", type=int, default=20)
-    order.add_argument("--alpha", type=float, default=0.01)
-    order.add_argument("--seed", type=int, default=None)
-    order.add_argument("--test", choices=("mi", "oracle"), default="mi")
-    order.add_argument("--output", required=True)
+    order.add_argument("--algorithms", type=_list_of(_algorithm))
+    order.add_argument("--ratios", type=_list_of(float))
+    order.add_argument("--test", choices=("mi", "oracle"))
+    order.set_defaults(run=partial(_cmd_bench, bench.OrderExperimentSpec, bench.run_order_experiment))
 
-    scaling = sub.add_parser("bench-scaling", help="parallel scaling experiment")
+    scaling = sub.add_parser("bench-scaling", parents=[bench_flags], help="parallel scaling experiment")
     scaling.add_argument("--data")
     scaling.add_argument("--network")
     scaling.add_argument("--n", type=int)
-    scaling.add_argument("--algorithm", choices=ALGORITHMS, default="si-hiton-pc")
-    scaling.add_argument("--workers", default="1,2,3,4,6,8")
-    scaling.add_argument("--repetitions", type=int, default=10)
-    scaling.add_argument("--alpha", type=float, default=0.01)
-    scaling.add_argument("--test", choices=("mi", "cor"), default=None)
-    scaling.add_argument("--schedule", choices=("static", "dynamic"), default="static")
-    scaling.add_argument("--seed", type=int, default=None)
-    scaling.add_argument("--no-backtracking-comparison", action="store_true")
-    scaling.add_argument("--output", required=True)
+    scaling.add_argument("--algorithm", choices=ALGORITHMS)
+    scaling.add_argument("--workers", type=_list_of(int))
+    scaling.add_argument("--test", choices=("mi", "cor"))
+    scaling.add_argument("--schedule", choices=("static", "dynamic"))
+    scaling.add_argument("--no-backtracking-comparison", dest="compare_backtracking", action="store_false")
+    scaling.set_defaults(run=partial(_cmd_bench, bench.ScalingExperimentSpec, bench.run_scaling_experiment))
 
     return parser
 
 
-def _write_text(text: str, output: str) -> None:
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _cmd_learn(args) -> int:
+def _learn_inputs(args):
+    """The dataset, its test (``--test``, else the kind's default) and the ``--truth`` DAG."""
     data = formats.load_dataset(args.data)
     test = args.test or ("mi" if data.is_discrete else "cor")
-    truth = formats.load_dag(args.truth) if args.truth else None
-    cfg = GlobalLearnConfig(
-        algorithm=args.algorithm,
-        test=test,
-        alpha=args.alpha,
-        backtracking=args.backtracking,
-        workers=args.workers,
-        schedule=args.schedule,
-        max_condition_size=args.max_condition_size,
-    )
-    executor = ParallelExecutor(args.workers, args.schedule)
+    return data, test, formats.load_dag(args.truth) if args.truth else None
+
+
+def _from_args(config_type, args, **fixed):
+    """``config_type`` built from the flags named like its fields, plus ``fixed``;
+    a flag left unset (None) keeps the field's default."""
+    fields = {f.name for f in dataclasses.fields(config_type)}
+    given = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return config_type(**dict(given, **fixed))
+
+
+def _cmd_learn(args) -> None:
+    data, test, truth = _learn_inputs(args)
+    cfg = _from_args(GlobalLearnConfig, args, test=test)
+    executor = ParallelExecutor(cfg.workers, cfg.schedule)
     pdag = learn_cpdag(data, cfg, executor, truth=truth)
-    _write_text(json.dumps(formats.graph_to_dict(pdag), indent=1) + "\n", args.output)
+    if args.output == "-":
+        sys.stdout.write(json.dumps(formats.graph_to_dict(pdag), indent=1) + "\n")
+    else:
+        formats.save_graph(pdag, args.output)
     if args.telemetry:
         with open(args.telemetry, "w", encoding="utf-8") as fh:
             for phase in executor.telemetry:
-                fh.write(
-                    json.dumps(
-                        {
-                            "phase": phase.phase,
-                            "seconds": phase.seconds,
-                            "per_worker_tests": [r.test_count for r in phase.reports],
-                            "total_tests": phase.test_count,
-                            "per_worker_executed": [r.executed for r in phase.reports],
-                            "total_executed": phase.executed,
-                        }
-                    )
-                    + "\n"
-                )
-    return 0
+                doc = {
+                    "phase": phase.phase,
+                    "seconds": phase.seconds,
+                    "per_worker_tests": [r.test_count for r in phase.reports],
+                    "total_tests": phase.test_count,
+                    "per_worker_executed": [r.executed for r in phase.reports],
+                    "total_executed": phase.executed,
+                }
+                fh.write(json.dumps(doc) + "\n")
 
 
-def _cmd_learn_local(args) -> int:
-    data = formats.load_dataset(args.data)
-    test = args.test or ("mi" if data.is_discrete else "cor")
-    truth = formats.load_dag(args.truth) if args.truth else None
+def _cmd_learn_local(args) -> None:
+    data, test, truth = _learn_inputs(args)
     engine = make_engine(test, data, args.alpha, truth=truth)
-    cfg = LocalLearnConfig(
-        backend=args.backend,
-        start=frozenset(args.start),
-        whitelist=frozenset(args.whitelist),
-        blacklist=frozenset(args.blacklist),
-        max_condition_size=args.max_condition_size,
-    )
     learner = learn_mb if args.backend in MB_BACKENDS else learn_nbr
-    members, sepsets = learner(data, args.node, cfg, engine)
+    members, sepsets = learner(data, args.node, _from_args(LocalLearnConfig, args), engine)
     doc = {
         "node": args.node,
         "backend": args.backend,
@@ -178,51 +186,20 @@ def _cmd_learn_local(args) -> int:
         "tests": engine.counter.count,
     }
     sys.stdout.write(json.dumps(doc, indent=1) + "\n")
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     bn = formats.load_network(args.network)
     data = sample(bn, args.n, _env_seed(args.seed))
     if args.output == "-":
         formats.write_dataset(data, sys.stdout)
     else:
         formats.save_dataset(data, args.output)
-    return 0
 
 
-def _cmd_bench_order(args) -> int:
-    spec = bench.OrderExperimentSpec(
-        network=args.network,
-        algorithms=tuple(args.algorithms),
-        ratios=tuple(float(r) for r in _csv_list(args.ratios)),
-        repetitions=args.repetitions,
-        alpha=args.alpha,
-        seed=_env_seed(args.seed),
-        test=args.test,
-    )
-    rows = bench.run_order_experiment(spec)
-    bench.write_csv(rows, args.output)
-    return 0
-
-
-def _cmd_bench_scaling(args) -> int:
-    spec = bench.ScalingExperimentSpec(
-        data=args.data,
-        network=args.network,
-        n=args.n,
-        algorithm=args.algorithm,
-        workers=tuple(int(k) for k in _csv_list(args.workers)),
-        repetitions=args.repetitions,
-        alpha=args.alpha,
-        test=args.test,
-        schedule=args.schedule,
-        seed=_env_seed(args.seed),
-        compare_backtracking=not args.no_backtracking_comparison,
-    )
-    rows = bench.run_scaling_experiment(spec)
-    bench.write_csv(rows, args.output)
-    return 0
+def _cmd_bench(spec_type, run_experiment, args) -> None:
+    spec = _from_args(spec_type, args, seed=_env_seed(args.seed))
+    bench.write_csv(run_experiment(spec), args.output)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,26 +209,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        if args.command == "learn":
-            return _cmd_learn(args)
-        if args.command == "learn-local":
-            return _cmd_learn_local(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "nparams":
-            print(nparams(formats.load_network(args.network)))
-            return 0
-        if args.command == "hamming":
-            print(hamming_skeleton(formats.load_skeleton(args.a), formats.load_skeleton(args.b)))
-            return 0
-        if args.command == "bench-order":
-            return _cmd_bench_order(args)
-        if args.command == "bench-scaling":
-            return _cmd_bench_scaling(args)
-        raise ValueError(f"unknown command: {args.command!r}")
+        args.run(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"bnsl: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -88,14 +88,14 @@ def load_dataset(path: str | Path, kind: str = "auto") -> Dataset:
         if any(cell == "" for cell in row):
             raise ValueError(f"missing value in row {r + 2} of {path}; imputation is out of scope")
 
-    if kind == "auto":
-        kind = "continuous" if _all_numeric(rows) else "discrete"
-    if kind == "continuous":
+    if kind != "discrete":
         try:
             values = np.array([[float(c) for c in row] for row in rows])
         except ValueError as exc:
-            raise ValueError(f"non-numeric cell in continuous dataset {path}: {exc}") from exc
-        return ContinuousDataset(header, values)
+            if kind == "continuous":
+                raise ValueError(f"non-numeric cell in continuous dataset {path}: {exc}") from exc
+        else:  # outside the try: a ContinuousDataset error must not fall back to discrete
+            return ContinuousDataset(header, values)
     columns = list(zip(*rows))
     variables = []
     codes = np.empty((len(rows), len(header)), dtype=np.int64)
@@ -123,16 +123,6 @@ def write_dataset(data: Dataset, fh: TextIO) -> None:
     else:
         for row in data.values:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def _all_numeric(rows) -> bool:
-    for row in rows:
-        for cell in row:
-            try:
-                float(cell)
-            except ValueError:
-                return False
-    return True
 
 
 def save_graph(graph: Pdag, path: str | Path) -> None:

@@ -113,6 +113,11 @@ class TestScalingExperiment:
         # test counts are worker-invariant
         assert len({r["total_tests"] for r in none_rows}) == 1
 
+    def test_dataset_and_network_together_rejected(self):
+        spec = bench.ScalingExperimentSpec(data=sample(NET, 100, 3), network=NET, n=100)
+        with pytest.raises(ValueError, match="both given"):
+            bench.run_scaling_experiment(spec)
+
     def test_baseline_required(self):
         data = sample(NET, 100, 3)
         spec = bench.ScalingExperimentSpec(data=data, workers=(2, 4))
@@ -330,3 +335,87 @@ class TestCliConfigErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("bnsl: error:") and "at least 2 rows" in captured.err
         assert captured.out == "" and "Traceback" not in captured.err
+
+
+class TestCliFrontEnd:
+    """The CLI's list flags, its parity with the benchmark API, and --help."""
+
+    @pytest.fixture()
+    def net_path(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_network(NET, path)
+        return path
+
+    @pytest.fixture()
+    def data_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_dataset(sample(NET, 300, 2), path)
+        return path
+
+    def _usage_error(self, argv, flag, out, capsys):
+        assert main(argv + ["--output", str(out)]) == 1
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_ratios_is_a_usage_error(self, net_path, tmp_path, capsys):
+        argv = ["bench-order", "--network", str(net_path), "--ratios", "0.5,abc"]
+        self._usage_error(argv, "--ratios", tmp_path / "x.csv", capsys)
+
+    def test_malformed_workers_is_a_usage_error(self, data_path, tmp_path, capsys):
+        argv = ["bench-scaling", "--data", str(data_path), "--workers", "1,x"]
+        self._usage_error(argv, "--workers", tmp_path / "x.csv", capsys)
+
+    def test_unknown_bench_algorithm_is_a_usage_error(self, net_path, tmp_path, capsys):
+        argv = ["bench-order", "--network", str(net_path), "--algorithms", "gs,nope"]
+        self._usage_error(argv, "--algorithms", tmp_path / "x.csv", capsys)
+
+    def test_bench_scaling_with_data_and_network_exits_2(self, net_path, data_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "bench-scaling", "--data", str(data_path), "--network", str(net_path), "--n", "50",
+            "--workers", "1", "--repetitions", "1", "--output", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("bnsl: error: a dataset and a network were both given")
+        assert not out.exists()
+
+    def test_non_finite_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("A,B\n1,2\nnan,3\n")
+        assert main(["learn", "--data", str(path), "--algorithm", "gs"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_bench_order_cli_matches_api(self, net_path, tmp_path):
+        out, api = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert main([
+            "bench-order", "--network", str(net_path), "--algorithms", "gs,mmpc",
+            "--ratios", "0.5,2", "--repetitions", "2", "--seed", "12", "--output", str(out),
+        ]) == 0
+        spec = bench.OrderExperimentSpec(
+            network=str(net_path), algorithms=("gs", "mmpc"), ratios=(0.5, 2.0), repetitions=2,
+            seed=12, label=str(net_path),
+        )
+        bench.write_csv(bench.run_order_experiment(spec), api)
+        assert out.read_bytes() == api.read_bytes()
+
+    def test_bench_scaling_without_comparison_writes_no_start_set_rows(self, data_path, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main([
+            "bench-scaling", "--data", str(data_path), "--algorithm", "gs", "--workers", "1,2",
+            "--repetitions", "1", "--no-backtracking-comparison", "--output", str(out),
+        ]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == (
+            "algorithm,mode,workers,seconds,total_tests,per_worker_tests,rep,"
+            "mean_seconds,median_seconds,ratio,overhead"
+        )
+        rows = bench.read_csv(out)
+        assert [(r["mode"], r["workers"]) for r in rows] == [("none", "1"), ("none", "2")]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["learn", "learn-local", "sample", "nparams", "hamming", "bench-order", "bench-scaling"],
+    )
+    def test_help_exits_0(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: bnsl {command}")

@@ -146,6 +146,28 @@ class TestDatasetCsv:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_auto_numeric_non_finite_raises_not_discrete(self, tmp_path, cell):
+        # Every cell parses as a number, so the file is continuous, and the
+        # dataset's own check rejects it; it never falls back to discrete.
+        path = tmp_path / "d.csv"
+        path.write_text(f"A,B\n1,2\n{cell},3\n0.5,1\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_dataset(path)
+
+    def test_auto_label_among_numbers_is_discrete(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\n1,2\nx,3\n1,3\n")
+        data = load_dataset(path)
+        assert isinstance(data, DiscreteDataset)
+        assert data.levels("A") == ["1", "x"] and data.levels("B") == ["2", "3"]
+
+    def test_continuous_kind_on_a_label_raises_non_numeric(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\n1,2\nx,3\n")
+        with pytest.raises(ValueError, match="non-numeric"):
+            load_dataset(path, kind="continuous")
+
 
 class TestGraphJson:
     def test_pdag_round_trip(self, tmp_path):
