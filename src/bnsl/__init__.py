@@ -40,9 +40,7 @@ from .network import DiscreteBn, nparams, sample
 from .parallel import (
     ParallelExecutor,
     PhaseTaskError,
-    ScalingPoint,
     WorkerReport,
-    normalized_running_time,
     partition,
 )
 from .structure import (
@@ -73,7 +71,6 @@ __all__ = [
     "PartialCorrelationTest",
     "Pdag",
     "PhaseTaskError",
-    "ScalingPoint",
     "SepsetTable",
     "Skeleton",
     "TestCounter",
@@ -93,7 +90,6 @@ __all__ = [
     "make_engine",
     "markov_blanket_of",
     "mi_test",
-    "normalized_running_time",
     "nparams",
     "oracle_test",
     "orient_v_structures",

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .citests import default_test
 from .data import Dataset, reverse_columns
 from .formats import load_dataset, load_network
 from .graph import hamming_skeleton
@@ -43,6 +44,8 @@ class OrderExperimentSpec:
     label: str | None = None
 
     def validate(self) -> None:
+        if not (self.algorithms and self.ratios):
+            raise ValueError("algorithms and ratios must each hold at least one value")
         if any(r <= 0 for r in self.ratios):
             raise ValueError("ratios must be positive")
         if self.repetitions < 1:
@@ -83,6 +86,8 @@ class ScalingExperimentSpec:
             raise ValueError("either a dataset or a network plus sample size is required")
         if self.data is not None and self.network is not None:
             raise ValueError("a dataset and a network were both given; pass one of them")
+        if self.data is not None and self.n is not None:
+            raise ValueError("a sample size was given with a dataset; n goes only with a network")
 
 
 def _network(source: str | Path | DiscreteBn) -> DiscreteBn:
@@ -145,16 +150,16 @@ def run_order_experiment(spec: OrderExperimentSpec) -> list[dict]:
 
 def run_scaling_experiment(spec: ScalingExperimentSpec) -> list[dict]:
     """Rows: one per (workers, repetition) plus, optionally, the start-set
-    single-worker comparison; each carries per-group mean/median seconds, the
-    ratio time(k)/time(1) against the ("none", 1) group's mean and the overhead
-    ratio - 1/k (as ``normalized_running_time`` defines them; the start-set
-    group has a ratio but no overhead)."""
+    single-worker comparison; each carries its group's mean and median
+    seconds, the normalised running time ratio = time(k) / time(1) of the
+    group's mean against the ("none", 1) group's, and the overhead
+    ratio - 1/k (the start-set group has a ratio but no overhead)."""
     spec.validate()
     if spec.data is not None:
         data = spec.data if isinstance(spec.data, Dataset) else load_dataset(spec.data)
     else:
         data = sample(_network(spec.network), spec.n, _dataset_seed(spec.seed))
-    test = spec.test or ("mi" if data.is_discrete else "cor")
+    test = spec.test or default_test(data)
 
     def one_run(workers: int, mode: str) -> dict:
         cfg = GlobalLearnConfig(

@@ -12,14 +12,14 @@ Callers name variables, and names stop at the boundary: an engine's
 :func:`cor_test`. There the names are checked once and translated through
 the dataset's name-rank table (see :mod:`bnsl.data`) by one checker,
 :func:`_check`: the target and each candidate with one dict lookup, and z
-to its columns in name order (:func:`_z_columns`: ranks sorted as
-integers, then each rank's column). An engine checks the target and
-candidates on every memo miss and keeps z's columns in a per-task cache
-keyed by the frozenset, so each z is translated once per task. The kernels take ranks and columns only and
-check nothing. Rank order is name order, so the kernels receive z's
-columns exactly as a sort of the names would give them, and every
-statistic is unchanged. The oracle has no dataset: its hook gets the
-names, and ``d_separated`` checks them.
+to its columns in name order (:func:`_z_columns`: ranks sorted as integers,
+then each rank's column). An engine's hook checks the target and candidates
+on every memo miss and keeps z's columns in a per-task cache keyed by the
+frozenset, so each z is translated once per task. The kernels take ranks
+and columns only and check nothing. Rank order is name order, so the
+kernels receive z's columns exactly as a sort of the names would give them,
+and every statistic is unchanged. The oracle has no dataset: its hook gets
+the names, and ``d_separated`` checks them.
 
 Each engine keeps a memo of the outcomes it computed, keyed on the
 unordered pair and the conditioning set. Every kernel is symmetric in
@@ -441,17 +441,17 @@ def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOut
 class CiEngine:
     """A test engine: a kernel behind a task-local memo and a counter.
 
-    :meth:`test` and :meth:`test_many` take names, and names stop there. On
-    a memo miss, :meth:`_resolve` checks the request and translates it for
-    the engine's one kernel hook, ``_kernel_many(target, candidates, z)``:
+    :meth:`test` and :meth:`test_many` pass each memo miss, by name, to the
+    engine's one kernel hook, ``_kernel_many(target, candidates, z)``:
     :meth:`test` passes the name-ordered pair as a batch of one, and
     :meth:`test_many` the candidates not in the memo. Invalid arguments
     raise on every call, because only outcomes enter the memo.
 
-    An engine over a dataset (``self.data``) looks the target and the
-    candidates up in its name-rank table on every miss, and z in a
-    per-task cache, ``_zs``, from the frozenset to its columns in name
-    order; only a checked z enters it, and :meth:`spawn` empties it.
+    The hook of an engine over a dataset (``self.data``) checks and
+    translates the names with :func:`_check`: the target and candidates
+    through the name-rank table on every miss, and z through a per-task
+    cache, ``_zs``, from the frozenset to its columns in name order; only
+    a checked z enters it, and :meth:`spawn` empties it.
     """
 
     name = ""
@@ -469,7 +469,7 @@ class CiEngine:
         key = (x, y, z) if x < y else (y, x, z)
         outcome = self._memo.get(key)
         if outcome is None:
-            outcome = self._memo[key] = self._kernel_many(*self._resolve(key[0], (key[1],), z))[0]
+            outcome = self._memo[key] = self._kernel_many(key[0], (key[1],), z)[0]
             self.counter.executed += 1
         self.counter.count += 1
         return outcome
@@ -485,16 +485,10 @@ class CiEngine:
         keys = [(target, v, z) if target < v else (v, target, z) for v in candidates]
         fresh = {key: v for v, key in zip(candidates, keys) if key not in self._memo}
         if fresh:
-            self._memo.update(zip(fresh, self._kernel_many(*self._resolve(target, fresh.values(), z))))
+            self._memo.update(zip(fresh, self._kernel_many(target, fresh.values(), z)))
             self.counter.executed += len(fresh)
         self.counter.count += len(candidates)
         return [self._memo[key] for key in keys]
-
-    def _resolve(self, target: str, candidates, z: frozenset) -> tuple:
-        """The hook's arguments for ``target`` against ``candidates`` given
-        ``z``: the rank of the target, the candidates' ranks and z's
-        columns in name order, or ``ValueError``."""
-        return _check(self.data, target, candidates, z, self.alpha, self._zs)
 
     def _kernel_many(self, target, candidates, z) -> list[TestOutcome]:
         raise NotImplementedError
@@ -521,8 +515,8 @@ class MutualInfoTest(CiEngine):
         self.data = data
         data.name_ranks, data.code_columns, data.xlogx  # derive once, before workers fork
 
-    def _kernel_many(self, rt, rcs, zc):
-        return _g2_many(self.data, rt, rcs, zc, self.alpha)
+    def _kernel_many(self, target, candidates, z):
+        return _g2_many(self.data, *_check(self.data, target, candidates, z, self.alpha, self._zs), self.alpha)
 
 
 class PartialCorrelationTest(CiEngine):
@@ -545,7 +539,8 @@ class PartialCorrelationTest(CiEngine):
         self._solves: dict[tuple, tuple] = {}
         data.name_ranks, data.constant_columns  # derive once, before workers fork
 
-    def _kernel_many(self, rt, rcs, zc):
+    def _kernel_many(self, target, candidates, z):
+        rt, rcs, zc = _check(self.data, target, candidates, z, self.alpha, self._zs)
         return _cor_many(self.data, rt, rcs, zc, self.alpha, self.corr, self._solves)
 
     def spawn(self):
@@ -565,11 +560,13 @@ class OracleTest(CiEngine):
         super().__init__(alpha)
         self.dag = dag
 
-    def _resolve(self, target, candidates, z):
-        return target, candidates, z
-
     def _kernel_many(self, target, candidates, z):
         return [oracle_test(self.dag, *sorted((target, v)), z) for v in candidates]
+
+
+def default_test(data: Dataset) -> str:
+    """The test a learn on ``data`` runs when none is named."""
+    return "mi" if isinstance(data, DiscreteDataset) else "cor"
 
 
 def make_engine(test: str, data: Dataset | None, alpha: float, truth: Dag | None = None) -> CiEngine:

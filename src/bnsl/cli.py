@@ -4,10 +4,11 @@ Subcommands: ``learn`` (dataset to CPDAG JSON), ``learn-local`` (single-node
 blanket or neighbourhood), ``sample`` (network to CSV), ``nparams``,
 ``hamming`` (two graph JSONs to an integer), ``bench-order`` and
 ``bench-scaling``. Exit codes: 0 on success, 1 on usage errors (a malformed
-list flag such as ``--ratios 0.5,abc`` is one), 2 on data or model errors.
-``bench-scaling`` takes either ``--data``, or ``--network`` with ``--n``, but
-not both. The ``BNSL_SEED`` environment variable supplies a fallback seed
-wherever ``--seed`` is omitted.
+list flag such as ``--ratios 0.5,abc``, or an empty ``--algorithms``,
+``--ratios`` or ``--workers``), 2 on data or model errors. ``bench-scaling``
+takes either ``--data``, or ``--network`` with ``--n``, but not both: ``--n``
+goes only with ``--network``. The ``BNSL_SEED`` environment variable
+supplies a fallback seed wherever ``--seed`` is omitted.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from functools import partial
 
 from . import bench, formats
-from .citests import make_engine
+from .citests import default_test, make_engine
 from .graph import hamming_skeleton
 from .local import MB_BACKENDS, NBR_BACKENDS, LocalLearnConfig, learn_mb, learn_nbr
 from .network import nparams, sample
@@ -48,11 +49,15 @@ def _algorithm(name: str) -> str:
     return name
 
 
-def _list_of(item, container=tuple):
-    """An argparse ``type``: comma-separated ``item``s, blanks dropped, in a ``container``."""
+def _list_of(item, container=tuple, allow_empty=False):
+    """An argparse ``type``: comma-separated ``item``s, blanks dropped, in a
+    ``container``; an empty list is a usage error unless ``allow_empty``."""
 
     def parse(text: str):
-        return container(item(part.strip()) for part in text.split(",") if part.strip())
+        parts = container(item(part.strip()) for part in text.split(",") if part.strip())
+        if not (parts or allow_empty):
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return parts
 
     parse.__name__ = f"{item.__name__} list"
     return parse
@@ -89,9 +94,9 @@ def build_parser() -> _Parser:
     )
     local.add_argument("--node", required=True)
     local.add_argument("--backend", choices=MB_BACKENDS + NBR_BACKENDS, required=True)
-    local.add_argument("--start", type=_list_of(str, frozenset))
-    local.add_argument("--whitelist", type=_list_of(str, frozenset))
-    local.add_argument("--blacklist", type=_list_of(str, frozenset))
+    local.add_argument("--start", type=_list_of(str, frozenset, allow_empty=True))
+    local.add_argument("--whitelist", type=_list_of(str, frozenset, allow_empty=True))
+    local.add_argument("--blacklist", type=_list_of(str, frozenset, allow_empty=True))
     local.set_defaults(run=_cmd_learn_local)
 
     smp = sub.add_parser("sample", help="forward-sample a network to CSV")
@@ -136,7 +141,7 @@ def build_parser() -> _Parser:
 def _learn_inputs(args):
     """The dataset, its test (``--test``, else the kind's default) and the ``--truth`` DAG."""
     data = formats.load_dataset(args.data)
-    test = args.test or ("mi" if data.is_discrete else "cor")
+    test = args.test or default_test(data)
     return data, test, formats.load_dag(args.truth) if args.truth else None
 
 

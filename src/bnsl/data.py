@@ -11,8 +11,8 @@ once:
   and every variable has a level;
 - ``ContinuousDataset``: every value is finite.
 
-The core also owns the name lookups (``column_index``, ``column``) and
-the name-rank table.
+The core also owns the name-rank table and the name lookups that read it
+(``column_index``, ``column``).
 
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
@@ -59,11 +59,11 @@ class _Columns:
         if cells.shape[0] < 1:
             raise ValueError("dataset must contain at least one row")
         self.n = cells.shape[0]
-        self._index = {name: j for j, name in enumerate(self.names)}
 
     def column_index(self, name: str) -> int:
+        rank, columns = self.name_ranks
         try:
-            return self._index[name]
+            return columns[rank[name]]
         except KeyError:
             raise ValueError(f"unknown variable: {name!r}") from None
 
@@ -88,8 +88,6 @@ class DiscreteDataset(_Columns):
     ``levels`` is the ordered list of level labels; ``codes`` is an
     ``(n, m)`` integer array with ``codes[r, j] < len(levels_j)``.
     """
-
-    is_discrete = True
 
     def __init__(self, variables: list[tuple[str, list[str]]], codes: np.ndarray):
         self.variables = [(str(name), [str(l) for l in levels]) for name, levels in variables]
@@ -131,8 +129,6 @@ class DiscreteDataset(_Columns):
 
 class ContinuousDataset(_Columns):
     """Real-valued observations; all cells finite, no missing values."""
-
-    is_discrete = False
 
     def __init__(self, names: list[str], values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)

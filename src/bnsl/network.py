@@ -8,12 +8,19 @@ parent varying fastest, i.e. ``r = ((l1 * c2 + l2) * c3 + ...) + lk``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import DiscreteDataset
 from .graph import Dag
 
 ROW_SUM_TOL = 1e-9
+
+
+def cpt_rows(parents, levels: dict[str, list[str]]) -> int:
+    """Row count of a CPT given ``parents``: their joint configurations."""
+    return math.prod(len(levels[p]) for p in parents)
 
 
 class DiscreteBn:
@@ -39,14 +46,9 @@ class DiscreteBn:
             if set(parents) != set(dag.parents(node)):
                 raise ValueError(f"CPT parents for {node!r} do not match the graph")
             table = np.asarray(table, dtype=np.float64)
-            card = len(self.levels[node])
-            n_conf = 1
-            for p in parents:
-                n_conf *= len(self.levels[p])
-            if table.shape != (n_conf, card):
-                raise ValueError(
-                    f"CPT for {node!r} has shape {table.shape}, expected {(n_conf, card)}"
-                )
+            expected = (cpt_rows(parents, self.levels), len(self.levels[node]))
+            if table.shape != expected:
+                raise ValueError(f"CPT for {node!r} has shape {table.shape}, expected {expected}")
             if np.any(table < 0):
                 raise ValueError(f"negative probability in CPT for {node!r}")
             if np.any(np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL):

@@ -288,30 +288,3 @@ def _lane_child(lane: int, ctx: _PhaseContext, writer: multiprocessing.connectio
         code = 0
     finally:
         os._exit(code)
-
-
-@dataclass(frozen=True)
-class ScalingPoint:
-    """Normalised running time for one worker count."""
-
-    ratio: float
-    overhead: float
-
-
-def normalized_running_time(times: dict[int, float]) -> dict[int, ScalingPoint]:
-    """Normalise wall times against the single-worker baseline.
-
-    ratio(k) = time(k) / time(1); overhead(k) = ratio(k) - 1/k.
-    """
-    if 1 not in times:
-        raise ValueError("the single-worker baseline (k = 1) is required")
-    base = times[1]
-    if base <= 0:
-        raise ValueError("baseline time must be positive")
-    out = {}
-    for k, t in sorted(times.items()):
-        if k < 1:
-            raise ValueError("worker counts must be at least 1")
-        ratio = t / base
-        out[k] = ScalingPoint(ratio=ratio, overhead=ratio - 1.0 / k)
-    return out

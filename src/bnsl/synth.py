@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import ContinuousDataset
 from .graph import Dag
-from .network import DiscreteBn
+from .network import DiscreteBn, cpt_rows
 
 
 def var_names(m: int, prefix: str = "X") -> list[str]:
@@ -62,10 +62,7 @@ def random_discrete_bn(
     for node in dag.nodes:
         parents = tuple(sorted(dag.parents(node)))
         card = len(levels[node])
-        n_conf = 1
-        for p in parents:
-            n_conf *= len(levels[p])
-        raw = rng.dirichlet(np.ones(card), size=n_conf)
+        raw = rng.dirichlet(np.ones(card), size=cpt_rows(parents, levels))
         table = raw * (1.0 - floor * card) + floor
         cpts[node] = (parents, table)
     return DiscreteBn(dag, levels, cpts)

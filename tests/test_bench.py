@@ -10,7 +10,7 @@ import pytest
 
 import bnsl
 from bnsl import bench
-from bnsl.cli import main
+from bnsl.cli import build_parser, main
 from bnsl.formats import load_pdag, save_dataset, save_graph, save_network
 from bnsl.graph import Dag
 from bnsl.network import nparams, sample
@@ -84,6 +84,12 @@ class TestOrderExperiment:
         assert loaded[0]["algorithm"] == rows[0]["algorithm"]
         assert int(loaded[0]["hamming"]) == rows[0]["hamming"]
 
+    @pytest.mark.parametrize("field", ["algorithms", "ratios"])
+    def test_empty_algorithms_or_ratios_rejected(self, field):
+        spec = bench.OrderExperimentSpec(network=NET, repetitions=1, label="synthetic", **{field: ()})
+        with pytest.raises(ValueError, match="at least one value"):
+            bench.run_order_experiment(spec)
+
     def test_output_byte_identical_across_runs(self, tmp_path):
         spec = bench.OrderExperimentSpec(
             network=NET, algorithms=("mmpc",), ratios=(1.0,), repetitions=2, seed=12,
@@ -116,6 +122,12 @@ class TestScalingExperiment:
     def test_dataset_and_network_together_rejected(self):
         spec = bench.ScalingExperimentSpec(data=sample(NET, 100, 3), network=NET, n=100)
         with pytest.raises(ValueError, match="both given"):
+            bench.run_scaling_experiment(spec)
+
+    def test_sample_size_with_a_dataset_rejected(self):
+        # A dataset is used whole: n would be silently ignored.
+        spec = bench.ScalingExperimentSpec(data=sample(NET, 100, 3), n=50, workers=(1,), repetitions=1)
+        with pytest.raises(ValueError, match="n goes only with a network"):
             bench.run_scaling_experiment(spec)
 
     def test_baseline_required(self):
@@ -378,6 +390,50 @@ class TestCliFrontEnd:
         assert code == 2
         assert capsys.readouterr().err.startswith("bnsl: error: a dataset and a network were both given")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench-order", "--ratios", ""],
+            ["bench-order", "--algorithms", ","],
+            ["bench-scaling", "--n", "50", "--workers", ""],
+        ],
+    )
+    def test_empty_list_flag_is_a_usage_error(self, net_path, tmp_path, capsys, argv):
+        argv = [argv[0], "--network", str(net_path), *argv[1:]]
+        self._usage_error(argv, argv[-2], tmp_path / "x.csv", capsys)
+
+    @pytest.mark.parametrize("flag", ["--start", "--whitelist", "--blacklist"])
+    def test_empty_name_set_is_the_empty_set(self, flag):
+        argv = ["learn-local", "--data", "d.csv", "--node", "A", "--backend", "gs", flag, ""]
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == frozenset()
+
+    def test_bench_scaling_with_data_and_n_exits_2(self, data_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "bench-scaling", "--data", str(data_path), "--n", "50", "--workers", "1",
+            "--repetitions", "1", "--output", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "bnsl: error: a sample size was given with a dataset; n goes only with a network\n"
+        )
+        assert not out.exists()
+
+    def test_learn_writes_the_graph_to_stdout(self, data_path, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        argv = ["learn", "--data", str(data_path), "--algorithm", "gs"]
+        assert main(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--output", "-"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_sample_writes_the_csv_to_stdout(self, net_path, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["sample", "--network", str(net_path), "--n", "20", "--seed", "8"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert main(argv + ["--output", "-"]) == 0
+        assert capsys.readouterr().out == out.read_bytes().decode()
 
     def test_non_finite_cell_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"

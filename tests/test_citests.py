@@ -22,6 +22,7 @@ from bnsl.citests import (
     OracleTest,
     PartialCorrelationTest,
     cor_test,
+    default_test,
     make_engine,
     mi_test,
     oracle_test,
@@ -586,6 +587,15 @@ class TestCountersAndEngines:
             make_engine("oracle", data, 0.01)
         with pytest.raises(ValueError):
             make_engine("nope", data, 0.01)
+
+    def test_each_data_engine_takes_its_own_kind_of_data(self):
+        data = dataset_from_table([[5, 5], [5, 5]])
+        cont = ContinuousDataset(["X", "Y"], np.random.default_rng(0).standard_normal((10, 2)))
+        with pytest.raises(ValueError, match="requires discrete data"):
+            MutualInfoTest(cont, 0.01)
+        with pytest.raises(ValueError, match="requires continuous data"):
+            PartialCorrelationTest(data, 0.01)
+        assert (default_test(data), default_test(cont)) == ("mi", "cor")
 
     def test_every_engine_rejects_alpha_outside_the_unit_interval(self):
         data = dataset_from_table([[5, 5], [5, 5]])

@@ -26,6 +26,22 @@ def test_discrete_rejects_out_of_range_codes():
         DiscreteDataset([("A", ["a0"])], np.array([[1]]))
 
 
+def test_discrete_rejects_non_integer_codes():
+    with pytest.raises(ValueError, match="integers"):
+        DiscreteDataset([("A", ["a0", "a1"])], np.array([[0.0], [1.0]]))
+
+
+def test_discrete_rejects_a_variable_without_levels():
+    with pytest.raises(ValueError, match="'B' has no levels"):
+        DiscreteDataset([("A", ["a0"]), ("B", [])], np.zeros((2, 2), dtype=int))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_discrete_rejects_a_code_column_count_other_than_the_names(columns):
+    with pytest.raises(ValueError, match="one column per variable"):
+        DiscreteDataset([("A", ["a0"]), ("B", ["b0"])], np.zeros((2, columns), dtype=int))
+
+
 def test_discrete_rejects_empty():
     with pytest.raises(ValueError):
         DiscreteDataset([("A", ["a0"])], np.empty((0, 1), dtype=int))

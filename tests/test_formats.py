@@ -52,6 +52,22 @@ class TestNetworkJson:
         with pytest.raises(ValueError):
             load_network(path)
 
+    def test_missing_cpt_named_by_the_model(self, tmp_path):
+        # load_network passes on the CPTs the file has; DiscreteBn names
+        # the variable without one. An entry for a non-variable is ignored.
+        doc = {
+            "variables": [{"name": "A", "levels": ["x", "y"]}, {"name": "B", "levels": ["u", "v"]}],
+            "arcs": [],
+            "cpts": {"A": {"table": [[0.5, 0.5]]}, "Z": {"table": [[1.0]]}},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^missing CPT for node 'B'$"):
+            load_network(path)
+        doc["cpts"]["B"] = {"parents": [], "table": [[0.1, 0.9]]}
+        path.write_text(json.dumps(doc))
+        assert set(load_network(path).cpts) == {"A", "B"}
+
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"variables": 3}')
@@ -140,6 +156,18 @@ class TestDatasetCsv:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\n")
+        with pytest.raises(ValueError, match="has no observations"):
+            load_dataset(path)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B\n0,1\n")
+        with pytest.raises(ValueError, match="unknown dataset kind: 'binary'"):
+            load_dataset(path, kind="binary")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
@@ -187,6 +215,15 @@ class TestGraphJson:
         save_graph(Pdag(["A", "B"], undirected=[("A", "B")]), path)
         with pytest.raises(ValueError):
             load_dag(path)
+
+    @pytest.mark.parametrize(
+        "doc", [{"edges": []}, {"nodes": ["A"], "edges": [{"from": "A"}]}, {"nodes": ["A"], "edges": 3}]
+    )
+    def test_malformed_graph_file_rejected(self, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed graph file"):
+            load_pdag(path)
 
     def test_skeleton_view(self, tmp_path):
         pdag = Pdag(["A", "B", "C"], directed=[("A", "B")], undirected=[("B", "C")])

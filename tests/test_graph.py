@@ -435,6 +435,11 @@ class TestGraphTypes:
         with pytest.raises(ValueError):
             Dag(["A", "B"], [("A", "B"), ("B", "A")])
 
+    def test_dag_rejects_a_longer_directed_cycle(self):
+        # Each pair has one arc, so only the acyclicity check catches it.
+        with pytest.raises(ValueError, match="directed cycle"):
+            Dag(["A", "B", "C"], [("A", "B"), ("B", "C"), ("C", "A")])
+
     def test_dag_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Dag(["A"], [("A", "A")])

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bnsl import local, structure
+from bnsl import citests, local, structure
 from bnsl.citests import MutualInfoTest, OracleTest
 from bnsl.data import DiscreteDataset
 from bnsl.graph import Dag, markov_blanket_of
@@ -122,6 +122,35 @@ class TestLearnMb:
         data = oracle_data(CHAIN)
         with pytest.raises(ValueError):
             learn_mb(data, "B", LocalLearnConfig("mmpc"), OracleTest(CHAIN))
+
+
+class ScriptedEngine:
+    """An inconsistent engine: every batched scan calls each candidate
+    dependent, and every single test calls the pair independent. After
+    ``max_scans`` scans it fails the test, so a loop that never ends shows
+    as a failure, not a hang."""
+
+    def __init__(self, max_scans=5):
+        self.scans, self.max_scans = 0, max_scans
+
+    def test_many(self, target, candidates, z):
+        self.scans += 1
+        assert self.scans <= self.max_scans, "the forward loop did not stop"
+        return [citests.TestOutcome(10.0, 1, 0.0, False) for _ in candidates]
+
+    def test(self, x, y, z):
+        return citests.TestOutcome(0.0, 1, 1.0, True)
+
+
+class TestForwardGuard:
+    def test_a_member_set_seen_before_ends_the_forward_loop(self):
+        # Inter-IAMB's scan adds A and its interleaved shrink drops A again,
+        # which brings the member set back to the empty set it started from.
+        data = DiscreteDataset([("A", ["0", "1"]), ("T", ["0", "1"])], np.zeros((2, 2), dtype=int))
+        engine = ScriptedEngine()
+        members, sepsets = learn_mb(data, "T", LocalLearnConfig("inter-iamb"), engine)
+        assert members == frozenset() and engine.scans == 1
+        assert sepsets.get("A", "T") == frozenset()
 
 
 class TestLearnNbr:

@@ -121,6 +121,11 @@ class TestCptValidation:
                 {"A": ((), np.array([[0.5, 0.5]])), "B": (("A",), np.array([[0.5, 0.5]]))},
             )
 
+    def test_cpt_parents_must_match_the_graph(self):
+        bn = chain_bn()
+        with pytest.raises(ValueError, match="CPT parents for 'B' do not match the graph"):
+            DiscreteBn(bn.dag, bn.levels, {**bn.cpts, "B": ((), np.array([[0.5, 0.5]]))})
+
     def test_levels_missing_a_node_rejected(self):
         bn = chain_bn()
         with pytest.raises(ValueError, match=r"missing \['B'\]"):

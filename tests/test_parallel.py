@@ -17,7 +17,6 @@ from bnsl.graph import Dag
 from bnsl.parallel import (
     ParallelExecutor,
     PhaseTaskError,
-    normalized_running_time,
     partition,
 )
 
@@ -317,19 +316,3 @@ class TestRunPhase:
             ParallelExecutor(0)
         with pytest.raises(ValueError):
             ParallelExecutor(1, "sometimes")
-
-
-class TestNormalizedRunningTime:
-    def test_paper_style_arithmetic(self):
-        points = normalized_running_time({1: 100.0, 8: 16.0})
-        assert points[8].ratio == pytest.approx(0.16)
-        assert points[8].overhead == pytest.approx(0.035)
-
-    def test_baseline_is_identity(self):
-        points = normalized_running_time({1: 42.0})
-        assert points[1].ratio == 1.0
-        assert points[1].overhead == 0.0
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_running_time({2: 1.0, 4: 0.5})

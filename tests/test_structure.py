@@ -1,5 +1,7 @@
 """Pipeline tests: skeleton, orientation, propagation, backtracking modes."""
 
+import itertools
+
 import pytest
 
 from bnsl.citests import CiEngine, MutualInfoTest, OracleTest, make_engine
@@ -142,6 +144,38 @@ class TestOrientVStructures:
         assert seps.get("A", "B") == {"K1", "K2"}
         assert seps.get("K1", "K2") == {"A"}
         assert result.pdag.directed_arcs == {("K1", "B"), ("K2", "B")}
+
+    def test_collider_closing_a_directed_cycle_is_a_conflict(self):
+        # Empty sepsets for every non-adjacent pair make every unshielded
+        # triple a collider. Four of them cannot be oriented: three would
+        # reverse an arc already placed and one, N4 -> N0 <- N5, would close
+        # the cycle N0 -> N1 -> N4 -> N0.
+        nodes = [f"N{i}" for i in range(6)]
+        edges = [("N0", "N1"), ("N0", "N3"), ("N0", "N4"), ("N0", "N5"),
+                 ("N1", "N2"), ("N1", "N4"), ("N1", "N5"), ("N3", "N4")]
+        skel = Skeleton(nodes, edges)
+        seps = SepsetTable()
+        for a, b in itertools.combinations(nodes, 2):
+            if not skel.has_edge(a, b):
+                seps.record(a, b, frozenset())
+        empty = Dag(nodes, [])
+        result = orient_v_structures(skel, seps, oracle_setup(empty), OracleTest(empty))
+        assert result.conflicts == 4
+        arcs = result.pdag.directed_arcs
+        assert arcs == {("N0", "N1"), ("N1", "N4"), ("N2", "N1"), ("N3", "N0"),
+                        ("N3", "N4"), ("N5", "N0"), ("N5", "N1")}
+        Dag(nodes, arcs)  # acyclic
+
+    def test_on_demand_search_without_a_separator_records_none(self):
+        # A and B are adjacent in the truth but not in the skeleton: no
+        # subset of either's neighbours separates them, so the pair is
+        # recorded as None and A - K - B becomes a collider.
+        truth = Dag(["A", "B", "K"], [("A", "B"), ("A", "K"), ("B", "K")])
+        skel = Skeleton(["A", "B", "K"], [("A", "K"), ("B", "K")])
+        seps = SepsetTable()
+        result = orient_v_structures(skel, seps, oracle_setup(truth), OracleTest(truth))
+        assert seps.has("A", "B") and seps.get("A", "B") is None
+        assert result.pdag.directed_arcs == {("A", "K"), ("B", "K")}
 
     def test_inconsistent_inputs_rejected(self):
         skel = Skeleton(["A", "Z"], [])
