@@ -39,10 +39,20 @@ given one conditioning set, and counts exactly as the same ``test`` calls
 would. Each engine binds one kernel hook, ``_kernel_many``, which gets the
 candidates not in the memo; ``test`` passes a miss as a batch of one. Each
 statistic has one kernel, and its standalone test is a batch of one. The
-G^2 kernel, :func:`_g2_many`, codes the strata once per call, counts a
-chunk of candidates with one ``bincount`` (``BATCH_CELLS`` bounds a
-chunk's memory), and reads each statistic off the dataset's ``c * ln c``
-table with four gathers and row sums. The t kernel, :func:`_cor_many`,
+G^2 kernel, :func:`_g2_many`, groups the candidates by cube size and counts
+each group's cubes with one of two counters that build the same integers.
+:func:`_bincount_cubes` codes the strata once per call and counts a chunk
+of candidates with one ``bincount`` over their rows. :func:`_popcount_cubes`
+ANDs the row bitsets of the dataset's ``level_bits`` table, one per
+stratum-and-target code against one per candidate level, and sums their
+popcounts, 64 rows per word. :func:`_popcount_pays` picks popcount for a
+group of two or more candidates, at n >= ``POPCOUNT_MIN_ROWS``, with at
+most n strata, when its bitset pairs and words cost less than bincount's
+rows under a cost model fitted on a grid (see the module constants).
+Singles and small samples keep bincount. ``BATCH_CELLS`` bounds a chunk's memory
+under either counter. The kernel then reads each statistic off the
+dataset's ``c * ln c`` table with four gathers and row sums. The t
+kernel, :func:`_cor_many`,
 tests a z = {} batch of two or more from the target's correlations with
 one vectorised t test, :func:`_t_many`, bit-identical to
 :func:`_partial_t`, which takes every other test with one formula for
@@ -103,9 +113,28 @@ from .graph import Dag, d_separated
 # A residual variance at or below this is rounding noise of an exact linear
 # dependence: the t test drops such a z column, or finds x or y a function of z.
 PIVOT_FLOOR = 1e-10
-# Cap on one batched G^2 chunk: candidates x max(n, cells per candidate).
-# It bounds the chunk's arrays (512 KB per int64 array) for any candidate count.
+# Cap on one batched G^2 chunk: candidates x max(n, cells per candidate), or
+# the words of a popcount chunk's AND array. It bounds the chunk's arrays
+# (512 KB per 8-byte array) for any candidate count.
 BATCH_CELLS = 1 << 16
+# The G^2 counters' cost model (see _popcount_pays), in ns: popcount's fixed
+# cost per m-group; its cost per pair of row bitsets ANDed (numpy's inner loop
+# runs once per pair, over its W words) and per word; and bincount's cost per
+# candidate row. Fitted on a grid of n in {146, 500, 2,000, 5,000, 20,000},
+# c in {1, 3, 8, 45} candidates, |z| 0-3 and binary and ternary variables,
+# timing both counters interleaved on a shared 2-core x86-64 host. On a second
+# grid of fresh data the rule's picks for groups of two or more at n >= 500
+# cost 0.03% more than always picking the faster counter, and bincount alone
+# 75% more. A cost per word alone, without the per-pair term, cost 0.6%.
+POPCOUNT_NS = 6_000
+POPCOUNT_PAIR_NS = 30
+POPCOUNT_WORD_NS = 2.2
+BINCOUNT_ROW_NS = 2.9
+# On both grids, at n = 146 popcount was faster in 4 of 96 cells of two or
+# more candidates, by at most 5%, and up to twice as slow; a batch of one it
+# counted slower in most cells up to n = 5,000 (median 1.01x there). So
+# bincount keeps every batch below this many rows and every batch of one.
+POPCOUNT_MIN_ROWS = 500
 
 
 @dataclass(slots=True)
@@ -210,6 +239,72 @@ def _observed(codes: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     return rank[codes], int(rank[-1]) + 1
 
 
+def _popcount_pays(n: int, c: int, k: int, ct: int, m: int) -> bool:
+    """Whether popcount counts an m-group of ``c`` candidates faster than
+    ``bincount``, given n rows, ``k`` strata of the z columns and a
+    target of ``ct`` levels. Popcount ANDs c K m pairs of row bitsets of
+    W = ceil(n / 64) words, K = k * ct, and bincount passes over c n
+    rows: the rule is POPCOUNT_NS + c K m (POPCOUNT_PAIR_NS + W
+    POPCOUNT_WORD_NS) < c n BINCOUNT_ROW_NS. A group of one, or one of fewer
+    than ``POPCOUNT_MIN_ROWS`` rows, never takes popcount."""
+    pairs = c * k * ct * m
+    return (
+        c > 1
+        and n >= POPCOUNT_MIN_ROWS
+        and POPCOUNT_NS + pairs * (POPCOUNT_PAIR_NS + -(-n // 64) * POPCOUNT_WORD_NS) < c * n * BINCOUNT_ROW_NS
+    )
+
+
+def _bincount_cubes(columns: np.ndarray, it: int, strata: np.ndarray | None, k: int, m: int, ics: list[int]):
+    """Yield the count cubes of the target column ``it`` against each of
+    the candidate columns ``ics``, a chunk of ``(c, k, m, m)`` at a time,
+    over the stratum codes ``strata`` (``None`` for one stratum); the
+    axes are candidate, stratum, target level and candidate level. Each
+    chunk is one ``bincount`` over c n codes, capped by ``BATCH_CELLS``."""
+    n, cells = columns.shape[1], k * m * m
+    # Cells in (stratum, target, candidate) order; a chunk's cubes follow one another.
+    tail = (columns[it] if strata is None else strata * m + columns[it]) * m
+    step = max(1, BATCH_CELLS // max(n, cells))
+    for lo in range(0, len(ics), step):
+        flat = columns.take(ics[lo:lo + step], axis=0)
+        c = len(flat)
+        flat += tail
+        if c > 1:
+            flat += np.arange(0, c * cells, cells)[:, None]
+        cube = np.bincount(flat.ravel(), minlength=c * cells).reshape(c, k, m, m)
+        del flat  # the caller's statistic step runs while this frame waits
+        yield cube
+
+
+def _popcount_cubes(bits: np.ndarray, rows: np.ndarray, cards, it: int, zc: tuple[int, ...], m: int, ics: list[int]):
+    """:func:`_bincount_cubes` over the z columns ``zc`` (in name order),
+    whose product of level counts must be their stratum count (at most n),
+    counted from the dataset's ``level_bits`` table ``bits`` and its index
+    ``rows``. Each stratum-and-target code u = stratum |target| + target
+    gets a row bitset (the AND of its levels' bitsets), and a cell's count
+    is the popcount of that bitset AND the candidate level's, summed over
+    the words; a level the candidate lacks reads the zero row. A chunk's
+    AND array holds at most ``BATCH_CELLS`` words, or one candidate's. The
+    cubes are the same integers as ``bincount``'s."""
+    ct, words = cards[it], bits.shape[1]
+    ubits = bits[rows[it, :ct]]
+    for j in reversed(zc):
+        ubits = (bits[rows[j, :cards[j]], None] & ubits).reshape(-1, words)
+    k = len(ubits) // ct
+    step = max(1, BATCH_CELLS // (len(ubits) * m * words))
+    for lo in range(0, len(ics), step):
+        levels = bits[rows[ics[lo:lo + step], None, :m]]  # (c, 1, m, W)
+        c = len(levels)
+        counts = np.bitwise_count(levels & ubits[:, None]).sum(axis=3, dtype=np.int64)
+        del levels  # as in _bincount_cubes
+        if ct == m:
+            yield counts.reshape(c, k, m, m)
+        else:
+            cube = np.zeros((c, k, m, m), dtype=np.int64)
+            cube[:, :, :ct] = counts.reshape(c, k, ct, m)
+            yield cube
+
+
 def _g2_many(data: DiscreteDataset, rt: int, rcs: list[int], zc: tuple[int, ...], alpha: float) -> list[TestOutcome]:
     """G^2 of the variable of rank ``rt`` against each of ranks ``rcs``
     given the z columns ``zc`` (in name order), all checked by the caller;
@@ -221,9 +316,16 @@ def _g2_many(data: DiscreteDataset, rt: int, rcs: list[int], zc: tuple[int, ...]
     levels is counted into a k x m x m cube, m = max(|target|, w), whose
     axes are the two variables in name order. The cube, and so the length
     and order of every sum, depends only on the test, so ``mi_test(x, y)``,
-    ``mi_test(y, x)`` and a batched outcome are bit-identical. Candidates
-    are grouped by m and counted a chunk at a time by one ``bincount``;
-    ``BATCH_CELLS`` bounds a chunk's memory.
+    ``mi_test(y, x)`` and a batched outcome are bit-identical.
+
+    Candidates are grouped by m, and each group is counted by one of two
+    counters that build the same integer cubes: :func:`_bincount_cubes`,
+    one ``bincount`` over c n codes per chunk, or :func:`_popcount_cubes`,
+    c K m ceil(n / 64) word ANDs and popcounts over the dataset's
+    ``level_bits`` (K = k |target|). :func:`_popcount_pays` picks popcount
+    for a group of two or more whose strata need no re-coding (k <= n)
+    when its bitset work is cheaper than bincount's row work.
+    ``BATCH_CELLS`` bounds a chunk's memory either way.
     """
     columns, cards, xlogx = data.code_columns, data.cardinalities, data.xlogx
     col = data.name_ranks[1]
@@ -242,21 +344,21 @@ def _g2_many(data: DiscreteDataset, rt: int, rcs: list[int], zc: tuple[int, ...]
         return outcomes
 
     n = columns.shape[1]
-    strata, k = _strata(columns, cards, zc)
+    coded = None
     for m, group in groups.items():
-        cells = k * m * m
-        # Cells in (stratum, target, candidate) order; a chunk's cubes follow one another.
-        tail = (columns[it] if strata is None else strata * m + columns[it]) * m
-        step = max(1, BATCH_CELLS // max(n, cells))
-        for lo in range(0, len(group), step):
-            chunk = group[lo:lo + step]
+        ics = [ic for _, ic, _, _ in group]
+        # zdof <= n: _strata would not re-code, so the strata are zc's level combinations.
+        if zdof <= n and _popcount_pays(n, len(group), zdof, ct, m):
+            cubes = _popcount_cubes(*data.level_bits, cards, it, zc, m, ics)
+        else:
+            if coded is None:
+                coded = _strata(columns, cards, zc)
+            cubes = _bincount_cubes(columns, it, *coded, m, ics)
+        lo = 0
+        for cube in cubes:
+            chunk = group[lo:lo + len(cube)]
+            lo += len(cube)
             c = len(chunk)
-            flat = columns.take([ic for _, ic, _, _ in chunk], axis=0)
-            flat += tail
-            if c > 1:
-                flat += np.arange(0, c * cells, cells)[:, None]
-            cube = np.bincount(flat.ravel(), minlength=c * cells).reshape(c, k, m, m)
-            del flat
             before = [before for _, _, before, _ in chunk]
             if any(before):  # name order puts these candidates first: lay them out (candidate, target)
                 cube = np.where(np.array(before)[:, None, None, None], cube.swapaxes(2, 3), cube)
@@ -513,7 +615,7 @@ class MutualInfoTest(CiEngine):
             raise ValueError("the mutual information test requires discrete data")
         super().__init__(alpha)
         self.data = data
-        data.name_ranks, data.code_columns, data.xlogx  # derive once, before workers fork
+        data.name_ranks, data.code_columns, data.xlogx, data.level_bits  # derive once, before workers fork
 
     def _kernel_many(self, target, candidates, z):
         return _g2_many(self.data, *_check(self.data, target, candidates, z, self.alpha, self._zs), self.alpha)

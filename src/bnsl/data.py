@@ -17,9 +17,10 @@ The core also owns the name-rank table and the name lookups that read it
 Datasets are immutable after construction; the backing arrays are marked
 read-only so they can be shared across workers without copying or locking.
 Views the CI tests need (the name-rank table, contiguous code columns, the
-``c * ln c`` table of counts, the correlation matrix and the constant
-columns) are derived on first use and kept, so every engine over one
-dataset shares them and construction itself does no extra work.
+``c * ln c`` table of counts, the per-level row bitsets, the correlation
+matrix and the constant columns) are derived on first use and kept, so
+every engine over one dataset shares them and construction itself does no
+extra work.
 
 A variable has two integer ids. Its *column* is its position in the
 dataset, which indexes the code columns and the correlation matrix. Its
@@ -125,6 +126,29 @@ class DiscreteDataset(_Columns):
         c = 0: every logarithm the G^2 test takes."""
         c = np.arange(1, self.n + 1, dtype=np.float64)
         return _frozen(np.concatenate(([0.0], c * np.log(c))))
+
+    @cached_property
+    def level_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row bitsets of every level, and the row of each column's levels.
+
+        The table is read-only ``(levels + 1, ceil(n / 64))`` uint64, one
+        row per level of each column (in column order) and a last row of
+        zeros: bit ``r % 64`` of word ``r // 64`` of a level's row is set
+        when row ``r`` of its column has that level, and padding bits are
+        0. The read-only ``(m, L)`` index, L the largest level count, holds
+        the row of level ``l`` of column ``j`` at ``[j, l]``, and the zero
+        row for a level the column lacks. So the table holds one bit per
+        level and data row however many levels the widest column has. The
+        G^2 test counts batches from it with ``np.bitwise_count``."""
+        n, cards = self.n, self.cardinalities
+        first = np.cumsum((0, *cards))
+        table = np.zeros((first[-1] + 1, 8 * -(-n // 64)), dtype=np.uint8)
+        for j, col in enumerate(self.code_columns):  # one column at a time: its levels x n bytes of scratch
+            onehot = col == np.arange(cards[j])[:, None]
+            table[first[j]:first[j + 1], :-(-n // 8)] = np.packbits(onehot, axis=1, bitorder="little")
+        levels = np.arange(max(cards))
+        rows = np.where(levels < np.array(cards)[:, None], first[:-1, None] + levels, first[-1])
+        return _frozen(table.view("<u8")), _frozen(rows)
 
 
 class ContinuousDataset(_Columns):

@@ -29,9 +29,10 @@ from bnsl.citests import (
 )
 from bnsl.data import ContinuousDataset, DiscreteDataset, correlation_matrix
 from bnsl.graph import Dag
+from bnsl.network import sample
 from bnsl.parallel import ParallelExecutor
 from bnsl.structure import ALGORITHMS, GlobalLearnConfig, learn_cpdag
-from bnsl.synth import random_dag
+from bnsl.synth import random_dag, random_discrete_network
 
 
 def dataset_from_table(table, x="X", y="Y"):
@@ -984,6 +985,19 @@ class TestManyCandidates:
         assert MutualInfoTest(data, 0.05).data.xlogx is first.spawn().data.xlogx is table
         assert not table.flags.writeable and table.shape == (data.n + 1,)
         assert table[0] == 0.0 and table[7] == 7 * math.log(7)
+        assert "level_bits" in vars(data)
+        level_bits = data.level_bits
+        assert MutualInfoTest(data, 0.05).data.level_bits is first.spawn().data.level_bits is level_bits
+        bits, rows = level_bits
+        assert not bits.flags.writeable and not rows.flags.writeable and bits.dtype == np.uint64
+        cards = data.cardinalities
+        assert bits.shape == (sum(cards) + 1, 1) and rows.shape == (len(cards), 3)  # 60 rows fit one word
+        assert int(bits[-1, 0]) == 0
+        for j, col in enumerate(data.code_columns):
+            for level in range(3):
+                want = sum(1 << r for r in range(data.n) if col[r] == level)
+                assert int(bits[rows[j, level], 0]) == want, (j, level)
+                assert (rows[j, level] == len(bits) - 1) == (level >= cards[j]), (j, level)
 
     def test_duplicates_and_memo_hits_count_as_repeated_tests(self):
         data = mixed_discrete(52)
@@ -1042,14 +1056,116 @@ class TestManyCandidates:
         data = DiscreteDataset([(nm, ["0", "1", "2"]) for nm in names], rng.integers(0, 3, (n, m)))
         data.code_columns
         engine = MutualInfoTest(data, 0.01)
-        tracemalloc.start()
-        try:
-            outs = engine.test_many(names[0], names[7:], names[1:7])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(outs) == 100 and all(out.dof == 4 * 3**6 for out in outs)
-        assert peak < 4 * 2**20, peak
+        # Given six variables the batch takes bincount; given none, popcount,
+        # whose AND arrays BATCH_CELLS caps too.
+        assert not citests._popcount_pays(n, 100, 3**6, 3, 3) and citests._popcount_pays(n, 100, 1, 3, 3)
+        for z, dof in ((names[1:7], 4 * 3**6), ((), 4)):
+            tracemalloc.start()
+            try:
+                outs = engine.test_many(names[0], names[7:], z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(outs) == 100 and all(out.dof == dof for out in outs)
+            assert peak < 4 * 2**20, (z, peak)
+
+
+def counter_data(n, seed=81):
+    """Binary and ternary targets B and T between candidates in name order
+    (A0-A2 before, U and Z0-Z2 after) of 2, 3 and 4 levels; U declares a
+    third level that never occurs, and A1 copies T on most rows."""
+    rng = np.random.default_rng(seed)
+    cards = {"A0": 2, "A1": 3, "A2": 4, "B": 2, "T": 3, "U": 3, "Z0": 2, "Z1": 3, "Z2": 4}
+    codes = {v: rng.integers(0, 2 if v == "U" else c, n) for v, c in cards.items()}
+    codes["A1"] = np.where(rng.random(n) < 0.6, codes["T"], codes["A1"])
+    return DiscreteDataset([(v, [str(l) for l in range(c)]) for v, c in cards.items()],
+                           np.column_stack(list(codes.values())))
+
+
+def count_cubes(data, target, candidates, z):
+    """Both counters' cubes for each m-group of the candidates, and a cube
+    counted row by row with ``np.add.at``."""
+    columns, cards = data.code_columns, data.cardinalities
+    column = data.column_index
+    it, zc = column(target), citests._z_columns(data, frozenset(z))
+    strata, k = citests._strata(columns, cards, zc)
+    groups = {}
+    for v in candidates:
+        groups.setdefault(max(cards[it], cards[column(v)]), []).append(column(v))
+    for m, ics in groups.items():
+        by_bincount = np.concatenate(list(citests._bincount_cubes(columns, it, strata, k, m, ics)))
+        by_popcount = np.concatenate(list(citests._popcount_cubes(*data.level_bits, cards, it, zc, m, ics)))
+        reference = np.zeros((len(ics), k, m, m), dtype=np.int64)
+        for i, ic in enumerate(ics):
+            np.add.at(reference[i], (0 if strata is None else strata, columns[it], columns[ic]), 1)
+        yield m, by_bincount, by_popcount, reference
+
+
+class TestG2Counters:
+    ZS = [(), ("Z1",), ("U", "Z1")]
+
+    @pytest.mark.parametrize("cap", [citests.BATCH_CELLS, 300])
+    @pytest.mark.parametrize("n", [63, 64, 65, 5000])
+    def test_both_counters_build_the_same_integer_cubes(self, monkeypatch, n, cap):
+        # cap = 300 puts one candidate in each chunk of either counter.
+        monkeypatch.setattr(citests, "BATCH_CELLS", cap)
+        data = counter_data(n)
+        for target in ("B", "T"):
+            for z in self.ZS:
+                candidates = [v for v in data.names if v != target and v not in z]
+                ms = []
+                for m, by_bincount, by_popcount, reference in count_cubes(data, target, candidates, z):
+                    assert by_popcount.dtype == by_bincount.dtype == np.int64
+                    assert np.array_equal(by_bincount, reference), (target, z, m)
+                    assert np.array_equal(by_popcount, reference), (target, z, m)
+                    ms.append(m)
+                assert len(ms) >= 2, (target, z)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 5000])
+    def test_popcount_batches_equal_mi_test_field_for_field(self, monkeypatch, n):
+        # Every group of two or more takes popcount here; singles keep bincount.
+        monkeypatch.setattr(citests, "_popcount_pays", lambda n, c, *rest: c > 1)
+        counted = []
+        counter = citests._popcount_cubes
+        monkeypatch.setattr(citests, "_popcount_cubes", lambda *args: counted.append(len(args[-1])) or counter(*args))
+        data = counter_data(n)
+        for target in ("B", "T"):
+            for z in self.ZS:
+                candidates = [v for v in data.names if v != target and v not in z]
+                assert min(candidates) < target < max(candidates)
+                counted.clear()
+                outs = MutualInfoTest(data, 0.05).test_many(target, candidates, z)
+                singles = [mi_test(data, target, v, z, 0.05) for v in candidates]
+                assert sum(counted) == len(candidates), (target, z)
+                for v, out, single in zip(candidates, outs, singles):
+                    assert bits(out) == bits(single), (n, target, v, z)
+
+    def test_popcount_is_picked_for_large_batches_only(self, monkeypatch):
+        # A later change must not turn the popcount counter off for the wide
+        # batches it pays on, nor give it batches of one or small samples.
+        counted = []
+        counter = citests._popcount_cubes
+        monkeypatch.setattr(citests, "_popcount_cubes", lambda *args: counted.append(len(args[-1])) or counter(*args))
+        rng = np.random.default_rng(82)
+        names = [f"V{j:02d}" for j in range(46)]
+        wide = DiscreteDataset([(v, ["0", "1", "2"]) for v in names], rng.integers(0, 3, (5000, 46)))
+        engine = MutualInfoTest(wide, 0.01)
+        outs = engine.test_many(names[0], names[1:], ())
+        assert counted == [45]
+        assert [bits(out) for out in outs] == [bits(mi_test(wide, names[0], v, (), 0.01)) for v in names[1:]]
+        counted.clear()
+        engine.spawn().test(names[0], names[1], ())
+        engine.spawn().test(names[0], names[1], (names[2],))
+        assert counted == []
+        # n = 146, as in the order protocol: no batch, however wide, nor any learn.
+        names = [f"V{j:03d}" for j in range(101)]
+        small = DiscreteDataset([(v, ["0", "1"]) for v in names], rng.integers(0, 2, (146, 101)))
+        for z in ((), (names[1],), (names[1], names[2])):
+            MutualInfoTest(small, 0.01).test_many(names[0], [v for v in names[1:] if v not in z], z)
+        bn = random_discrete_network(37, 3737, edge_prob=0.06, max_in_degree=2, max_levels=2)
+        for algorithm in ALGORITHMS:
+            learn_cpdag(sample(bn, 146, 20), GlobalLearnConfig(algorithm, alpha=0.01), ParallelExecutor(1))
+        assert counted == []
 
 
 class TestKernelHook:
