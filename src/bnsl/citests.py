@@ -38,9 +38,12 @@ Nothing mutates an outcome after that, and nothing hashes one.
 given one conditioning set, and counts exactly as the same ``test`` calls
 would. Each engine binds one kernel hook, ``_kernel_many``, which gets the
 candidates not in the memo; ``test`` passes a miss as a batch of one. Each
-statistic has one kernel, and its standalone test is a batch of one. The
-G^2 kernel, :func:`_g2_many`, groups the candidates by cube size and counts
-each group's cubes with one of two counters that build the same integers.
+statistic has one kernel, and its standalone test passes it one candidate.
+The G^2 kernel, :func:`_g2_many`, answers one candidate on a lean branch:
+one ``bincount`` over the test's cell codes, four scalar sums and the
+scalar ``chdtrc``, with no grouping and neither batch counter. It groups
+the candidates of a batch by cube size and counts each group's cubes with
+one of two counters that build the same integers.
 :func:`_bincount_cubes` codes the strata once per call and counts a chunk
 of candidates with one ``bincount`` over their rows. :func:`_popcount_cubes`
 ANDs the row bitsets of the dataset's ``level_bits`` table, one per
@@ -49,10 +52,12 @@ popcounts, 64 rows per word. :func:`_popcount_pays` picks popcount for a
 group of two or more candidates, at n >= ``POPCOUNT_MIN_ROWS``, with at
 most n strata, when its bitset pairs and words cost less than bincount's
 rows under a cost model fitted on a grid (see the module constants).
-Singles and small samples keep bincount. ``BATCH_CELLS`` bounds a chunk's memory
-under either counter. The kernel then reads each statistic off the
-dataset's ``c * ln c`` table with four gathers and row sums. The t
-kernel, :func:`_cor_many`,
+Groups of one and small samples keep bincount. ``BATCH_CELLS`` bounds a
+chunk's memory under either counter. The kernel then reads each
+statistic off the dataset's ``c * ln c`` table: the cell and
+candidate-margin sums per candidate, and the target-margin and
+stratum-total sums once per group, since every row has one candidate
+level. The t kernel, :func:`_cor_many`,
 tests a z = {} batch of two or more from the target's correlations with
 one vectorised t test, :func:`_t_many`, bit-identical to
 :func:`_partial_t`, which takes every other test with one formula for
@@ -133,7 +138,7 @@ BINCOUNT_ROW_NS = 2.9
 # On both grids, at n = 146 popcount was faster in 4 of 96 cells of two or
 # more candidates, by at most 5%, and up to twice as slow; a batch of one it
 # counted slower in most cells up to n = 5,000 (median 1.01x there). So
-# bincount keeps every batch below this many rows and every batch of one.
+# bincount keeps every batch below this many rows and every group of one.
 POPCOUNT_MIN_ROWS = 500
 
 
@@ -307,8 +312,7 @@ def _popcount_cubes(bits: np.ndarray, rows: np.ndarray, cards, it: int, zc: tupl
 
 def _g2_many(data: DiscreteDataset, rt: int, rcs: list[int], zc: tuple[int, ...], alpha: float) -> list[TestOutcome]:
     """G^2 of the variable of rank ``rt`` against each of ranks ``rcs``
-    given the z columns ``zc`` (in name order), all checked by the caller;
-    a single test is a batch of one candidate.
+    given the z columns ``zc`` (in name order), all checked by the caller.
 
     G^2 = 2 [sum O ln O - sum R ln R - sum C ln C + sum T ln T] over each
     stratum's cells O, row and column margins R and C and total T, with
@@ -318,19 +322,47 @@ def _g2_many(data: DiscreteDataset, rt: int, rcs: list[int], zc: tuple[int, ...]
     and order of every sum, depends only on the test, so ``mi_test(x, y)``,
     ``mi_test(y, x)`` and a batched outcome are bit-identical.
 
-    Candidates are grouped by m, and each group is counted by one of two
-    counters that build the same integer cubes: :func:`_bincount_cubes`,
-    one ``bincount`` over c n codes per chunk, or :func:`_popcount_cubes`,
-    c K m ceil(n / 64) word ANDs and popcounts over the dataset's
-    ``level_bits`` (K = k |target|). :func:`_popcount_pays` picks popcount
-    for a group of two or more whose strata need no re-coding (k <= n)
-    when its bitset work is cheaper than bincount's row work.
-    ``BATCH_CELLS`` bounds a chunk's memory either way.
+    A single test (one candidate) counts its cube with one ``bincount``
+    over the same codes as :func:`_bincount_cubes`, reads the four sums in
+    the same layouts and combines them in the same order as a batch, and
+    takes p from the scalar ``chdtrc``. A batch groups its candidates by m,
+    and each group is counted by one of two counters that build the same
+    integer cubes: :func:`_bincount_cubes`, one ``bincount`` over c n codes
+    per chunk, or :func:`_popcount_cubes`, c K m ceil(n / 64) word ANDs and
+    popcounts over the dataset's ``level_bits`` (K = k |target|).
+    :func:`_popcount_pays` picks popcount for a group whose strata need no
+    re-coding (k <= n) when its bitset work is cheaper than bincount's row
+    work. ``BATCH_CELLS`` bounds a chunk's memory either way. Every row
+    has one candidate level, so the target-margin and stratum-total sums
+    are the same for every candidate of a group: they are read once, off
+    its first cube.
     """
     columns, cards, xlogx = data.code_columns, data.cardinalities, data.xlogx
     col = data.name_ranks[1]
     it, ct = col[rt], cards[col[rt]]
     zdof = math.prod(cards[j] for j in zc)
+    if len(rcs) == 1:
+        ic = col[rcs[0]]
+        dof = (ct - 1) * (cards[ic] - 1) * zdof
+        if dof <= 0:
+            return [TestOutcome(0.0, 0, 1.0, True, True)]
+        m = max(ct, cards[ic])
+        strata, k = _strata(columns, cards, zc)
+        codes = columns[it] * m if strata is None else (strata * m + columns[it]) * m
+        codes += columns[ic]
+        cube = np.bincount(codes, minlength=k * m * m).reshape(k, m, m)
+        tm = cube.sum(axis=2)
+        t_sum = float(xlogx.take(tm).sum())
+        c_sum = float(xlogx.take(cube.sum(axis=1)).sum())
+        if rcs[0] < rt:  # as a batch lays out a candidate that comes first in name order
+            g = float(xlogx.take(cube.swapaxes(1, 2)).sum()) - c_sum - t_sum
+        else:
+            g = float(xlogx.take(cube).sum()) - t_sum - c_sum
+        statistic = max(2.0 * (g + float(xlogx.take(tm.sum(axis=1)).sum())), 0.0)
+        # The scalar Cython chdtrc: the ufunc's result, bit for bit, without its dispatch.
+        p_value = cython_special.chdtrc(float(dof), statistic)
+        return [TestOutcome(statistic, dof, p_value, p_value > alpha)]
+
     outcomes: list[TestOutcome | None] = [None] * len(rcs)
     groups: dict[int, list] = {}
     for pos, r in enumerate(rcs):
@@ -357,16 +389,23 @@ def _g2_many(data: DiscreteDataset, rt: int, rcs: list[int], zc: tuple[int, ...]
         lo = 0
         for cube in cubes:
             chunk = group[lo:lo + len(cube)]
+            if not lo:  # the group's target margin and stratum totals, from its first cube
+                tm = cube[0].sum(axis=2)
+                t_sum, s_sum = xlogx.take(tm).sum(), xlogx.take(tm.sum(axis=1)).sum()
             lo += len(cube)
             c = len(chunk)
+            c_sums = xlogx.take(cube.sum(axis=2)).reshape(c, -1).sum(axis=1)
             before = [before for _, _, before, _ in chunk]
-            if any(before):  # name order puts these candidates first: lay them out (candidate, target)
-                cube = np.where(np.array(before)[:, None, None, None], cube.swapaxes(2, 3), cube)
-            rows = cube.sum(axis=3)
+            if any(before):  # name order puts these candidates first: the (candidate, target) layout
+                swap = np.array(before)
+                cube = np.where(swap[:, None, None, None], cube.swapaxes(2, 3), cube)
+                first, second = np.where(swap, c_sums, t_sum), np.where(swap, t_sum, c_sums)
+            else:
+                first, second = t_sum, c_sums
             stats = xlogx.take(cube).reshape(c, -1).sum(axis=1)
-            stats -= xlogx.take(rows).reshape(c, -1).sum(axis=1)
-            stats -= xlogx.take(cube.sum(axis=2)).reshape(c, -1).sum(axis=1)
-            stats += xlogx.take(rows.sum(axis=2)).sum(axis=1)
+            stats -= first
+            stats -= second
+            stats += s_sum
             stats = np.maximum(2.0 * stats, 0.0)
             # float64: a dof past 2^63 would make an object array the ufunc rejects.
             dofs = np.array([dof for *_, dof in chunk], dtype=np.float64)

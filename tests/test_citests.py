@@ -228,6 +228,21 @@ class TestMiTest:
         with pytest.raises(ValueError):
             mi_test(data, "X", "Y", frozenset(), 1.5)
 
+    def test_scalar_chdtrc_equals_the_ufunc(self):
+        # A single test's scalar Cython chdtrc and a batch's ufunc give the
+        # same p-values, bit for bit. A batch passes dof as float64, so dofs
+        # past 2^63 enter both as floats.
+        rng = np.random.default_rng(17)
+        dofs = [1, 2, 3, 4, 8, 12, 18, 100, 1000, 35_100, 10**4, 10**5, 10**6, 2**63, 2**70]
+        dofs += rng.integers(1, 10**6, 500).tolist()
+        for dof in dofs:
+            # Statistics from 0 to past 3 dof, where p falls from 1 to 0.
+            xs = [0.0, 1e-300, 1e-8, math.inf, *(dof * rng.uniform(0, 3, 24)).tolist(),
+                  *rng.exponential(10, 10).tolist()]
+            ufunc = special.chdtrc(np.full(len(xs), dof, dtype=np.float64), np.array(xs)).tolist()
+            for x, p in zip(xs, ufunc):
+                assert cython_special.chdtrc(float(dof), x).hex() == p.hex(), (dof, x)
+
 
 class TestCorTest:
     def test_orthogonal_columns(self):
@@ -887,6 +902,12 @@ class TestWideConditioningSets:
         [batched] = MutualInfoTest(data, 0.01).test_many("V00", ["V01"], names[2:])
         assert single.dof == 2 * 3**45 and isinstance(batched.dof, int)
         assert batched == single
+        # A batch of two takes the batched path, and 2 * 3^44 > 2^63 too.
+        z = names[3:]
+        outs = MutualInfoTest(data, 0.01).test_many("V00", ["V01", "V02"], z)
+        for v, out in zip(["V01", "V02"], outs):
+            assert out.dof == 2 * 3**44 > 2**63 and isinstance(out.dof, int)
+            assert bits(out) == bits(mi_test(data, "V00", v, z, 0.01)) == bits(mi_test(data, v, "V00", z, 0.01))
 
 
 @pytest.mark.parametrize("kind", ["mi", "cor"])
@@ -1123,7 +1144,7 @@ class TestG2Counters:
 
     @pytest.mark.parametrize("n", [63, 64, 65, 5000])
     def test_popcount_batches_equal_mi_test_field_for_field(self, monkeypatch, n):
-        # Every group of two or more takes popcount here; singles keep bincount.
+        # Every group of two or more takes popcount here; singles take the single-test branch.
         monkeypatch.setattr(citests, "_popcount_pays", lambda n, c, *rest: c > 1)
         counted = []
         counter = citests._popcount_cubes
@@ -1166,6 +1187,117 @@ class TestG2Counters:
         for algorithm in ALGORITHMS:
             learn_cpdag(sample(bn, 146, 20), GlobalLearnConfig(algorithm, alpha=0.01), ParallelExecutor(1))
         assert counted == []
+
+    def test_only_a_batch_of_one_takes_the_single_test_branch(self, monkeypatch):
+        # A batch of one counts its cube itself and calls neither batch
+        # counter; a batch of two or more passes every candidate of dof > 0
+        # to one of them, even when each m-group holds one candidate.
+        counted = []
+        for name in ("_bincount_cubes", "_popcount_cubes"):
+            counter = getattr(citests, name)
+            monkeypatch.setattr(citests, name, lambda *args, name=name, counter=counter: (
+                counted.append((name, len(args[-1]))) or counter(*args)))
+        data = counter_data(5000)
+        for z in self.ZS:
+            engine = MutualInfoTest(data, 0.05)
+            engine.test("T", "A1", z)
+            engine.test_many("T", ["Z0"], z)
+            mi_test(data, "B", "A2", z, 0.05)
+            assert counted == [], z
+            for candidates in (["A0", "Z0"], ["A2", "Z0"], ["A0", "A1", "A2", "Z0", "Z2"]):
+                singles = [bits(mi_test(data, "T", v, z, 0.05)) for v in candidates]
+                assert counted == []
+                outs = MutualInfoTest(data, 0.05).test_many("T", candidates, z)
+                assert sum(c for _, c in counted) == len(candidates), (candidates, z, counted)
+                assert [bits(out) for out in outs] == singles, (candidates, z)
+                counted.clear()
+        # ["A2", "Z0"] splits into two m-groups of one: bincount counts each.
+        MutualInfoTest(data, 0.05).test_many("T", ["A2", "Z0"], ())
+        assert counted == [("_bincount_cubes", 1), ("_bincount_cubes", 1)]
+        counted.clear()
+        # A batch of two with one zero-dof candidate counts the other.
+        data = mixed_discrete(52)
+        one_level, candidate = data.names[0], data.names[2]
+        target = next(v for v in data.names[3:] if len(data.levels(v)) == 2)
+        outs = MutualInfoTest(data, 0.05).test_many(target, [one_level, candidate], ())
+        assert counted == [("_bincount_cubes", 1)] and outs[0].degenerate
+        assert [bits(out) for out in outs] == [bits(mi_test(data, target, v, (), 0.05)) for v in (one_level, candidate)]
+
+
+# The generating models of perfbench's two discrete workloads, as
+# random_discrete_network arguments, with each workload's sample size.
+DISCRETE_WORKLOADS = {
+    "discrete-iamb": (dict(m=50, seed=2, edge_prob=0.1, max_in_degree=2, max_levels=3), 5000),
+    "order-37": (dict(m=37, seed=3737, edge_prob=0.06, max_in_degree=2, max_levels=2), 146),
+}
+
+
+def workload_sample(workload, n=None):
+    """A sample of a discrete workload's generating model (of the workload's
+    size unless ``n`` is given) plus ``X25a``, a one-level column (its tests
+    have zero dof) between X25 and X26."""
+    model, size = DISCRETE_WORKLOADS[workload]
+    n = n or size
+    data = sample(random_discrete_network(**model), n, 26)
+    codes = np.column_stack([data.codes, np.zeros(n, dtype=np.int64)])
+    return DiscreteDataset([*data.variables, ("X25a", ["only"])], codes)
+
+
+class TestSingleTestBranch:
+    @pytest.mark.parametrize("counter", ["bincount", "popcount"])
+    @pytest.mark.parametrize("cap", [citests.BATCH_CELLS, 300])
+    @pytest.mark.parametrize("workload", sorted(DISCRETE_WORKLOADS))
+    def test_single_tests_equal_batched_outcomes_field_for_field(self, monkeypatch, workload, cap, counter):
+        # The batch's groups go to one counter; cap = 300 puts one candidate
+        # in each chunk, so a group's target-margin and stratum-total sums,
+        # read off its first cube, serve every chunk after it.
+        monkeypatch.setattr(citests, "BATCH_CELLS", cap)
+        monkeypatch.setattr(citests, "_popcount_pays", lambda n, c, *rest: counter == "popcount" and c > 1)
+        data = workload_sample(workload)
+        cards = dict(zip(data.names, data.cardinalities))
+        names = sorted(data.names)
+        middle = names[len(names) // 3:]
+        targets = [next(v for v in middle if cards[v] == c) for c in sorted(set(cards.values()) - {1})]
+        seen = set()
+        for target in targets:
+            others = [v for v in names if v != target]
+            # The last z holds more strata than rows, so they are re-coded.
+            wide = next(others[:j] for j in range(len(others)) if math.prod(cards[v] for v in others[:j]) > data.n)
+            for z in ((), others[-1:], others[3:5], wide):
+                candidates = [v for v in others if v not in z]
+                outs = MutualInfoTest(data, 0.05).test_many(target, candidates, z)
+                for v, out in zip(candidates, outs):
+                    single = mi_test(data, target, v, z, 0.05)
+                    assert bits(out) == bits(single) == bits(mi_test(data, v, target, z, 0.05)), (target, v, z)
+                    seen.add((v < target, (cards[v] > cards[target]) - (cards[v] < cards[target]), out.degenerate))
+        assert {(before, False) for before in (True, False)} <= {(b, d) for b, _, d in seen}
+        assert (False, -1, True) in seen  # X25a: zero dof
+        if len(targets) == 2:  # ternary and binary targets meet candidates of fewer and more levels
+            assert {(b, w, False) for b in (True, False) for w in (-1, 1)} <= seen
+
+    @pytest.mark.parametrize("workload", sorted(DISCRETE_WORKLOADS))
+    def test_sparse_tables_pin_the_order_of_the_margin_sums(self, workload):
+        # At n = 40 given seven variables most cells hold zero to two rows,
+        # and the margin subtractions round. With the candidate first in name
+        # order, the candidate's margin C is subtracted before the target's
+        # T; for some of these tests ((O - C) - T) and ((O - T) - C) differ
+        # in the last bits, so parity here pins one order on both paths.
+        data = workload_sample(workload, 40)
+        xlogx = data.xlogx
+        names = sorted(data.names)
+        sensitive = 0
+        for target in names[len(names) // 3:]:
+            others = [v for v in names if v != target]
+            z = others[-7:]
+            candidates = [v for v in others if v not in z]
+            outs = MutualInfoTest(data, 0.05).test_many(target, candidates, z)
+            for v, out in zip(candidates, outs):
+                assert bits(out) == bits(mi_test(data, target, v, z, 0.05)) == bits(mi_test(data, v, target, z, 0.05))
+                if v < target and not out.degenerate:
+                    [(_, _, _, [cube])] = count_cubes(data, v, [target], z)  # (candidate, target) layout
+                    o, c, t = (float(xlogx.take(a).sum()) for a in (cube, cube.sum(axis=2), cube.sum(axis=1)))
+                    sensitive += (o - c) - t != (o - t) - c
+        assert sensitive >= 10, sensitive
 
 
 class TestKernelHook:
