@@ -22,8 +22,9 @@ single worker: the phase runs through the executor as one task over the
 column-ordered names, and ``earlier`` maps each node already processed to
 the members it chose. A node that an earlier node chose is seeded into the
 learner (``start-set``) or forced in (``legacy``, through the whitelist);
-an earlier node that did not choose it is blacklisted. In pair separation,
-a pair whose other endpoint came earlier is not searched again.
+an earlier node that did not choose it is blacklisted. Pair separation
+ignores ``earlier``: each in-blanket pair is searched once, by its
+name-smaller endpoint, and the symmetry barrier decides the other's.
 """
 
 from __future__ import annotations
@@ -114,19 +115,18 @@ def learn_skeleton(
     def node_step(node, earlier, worker_engine):
         return learner(data, node, _seeded(cfg, node, earlier), worker_engine)
 
-    def pair_step(node, earlier, worker_engine):
-        # A pair (node, j) with j earlier was decided while processing j: kept
-        # iff j chose node. Only the blanket's other members are searched.
+    def pair_step(node, _earlier, worker_engine):
+        # Each pair is searched once, by its name-smaller endpoint, whatever
+        # the mode; the symmetry barrier decides it for the other endpoint.
         # The pools drawn from one blanket share one subset order.
-        local = _seeded(cfg, node, earlier)
-        members, witness = set(blankets[node] - local.blacklist), {}
+        members, witness = set(blankets[node]), {}
         order_of = _orders(cfg.max_condition_size)
 
         def separator(j):
             blanket, skip = _pair_pool(blankets, node, j)
             return order_of(blanket).first(worker_engine, node, j, skip)
 
-        _eliminate(members, local.start | local.whitelist, witness, separator)
+        _eliminate(members, {j for j in members if j < node}, witness, separator)
         return members, _sepsets(node, members, witness)
 
     if learner is learn_mb:
@@ -186,16 +186,11 @@ def _symmetrize(names, candidate_sets):
 
 
 def _pair_pool(blankets, i, j):
-    """Search pool for the pair (i, j): the smaller blanket, minus the pair,
-    as ``(blanket, endpoint to leave out)``. The blankets are symmetric, so
-    each holds the other endpoint.
-
-    Ties on size resolve to the name-smaller endpoint's blanket so both
-    endpoints search the same pool.
-    """
-    if len(blankets[i]) != len(blankets[j]):
-        return (blankets[i], j) if len(blankets[i]) < len(blankets[j]) else (blankets[j], i)
-    return (blankets[i], j) if i < j else (blankets[j], i)
+    """Search pool for the pair (i, j) with i the name-smaller endpoint: the
+    smaller blanket, minus the pair, as ``(blanket, endpoint to leave out)``.
+    The blankets are symmetric, so each holds the other endpoint. A tie on
+    size takes ``i``'s: ties break by name, so the pool is deterministic."""
+    return (blankets[i], j) if len(blankets[i]) <= len(blankets[j]) else (blankets[j], i)
 
 
 class VStructureResult(NamedTuple):

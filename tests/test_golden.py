@@ -56,7 +56,7 @@ def dataset(name: str):
     if name == "gauss-sihiton":
         return gaussian_sem_dataset(200, 2000, 1)
     if name == "gauss-14":
-        # Dense enough that the four cor learns make 3,347 tests given two or
+        # Dense enough that the four cor learns make 2,762 tests given two or
         # more variables (test_the_small_gaussian_tests_given_two_or_more).
         return gaussian_sem_dataset(14, 400, 7, edge_prob=0.3, max_in_degree=3)
     raise ValueError(f"unknown dataset: {name!r}")
@@ -101,10 +101,10 @@ def _key(name, algorithm, test, mode) -> str:
 
 
 GOLDEN = {
-    'order-37/0 gs mi none': 'f6fffc5063620ab2',
+    'order-37/0 gs mi none': '8030096ceca7d4e7',
     'order-37/0 gs mi start-set': 'e6e7d31113cc726a',
     'order-37/0 gs mi legacy': '6fba33ffecc0f960',
-    'order-37/0 inter-iamb mi none': '8482cdbc1691eaf1',
+    'order-37/0 inter-iamb mi none': '44ecddce914242f5',
     'order-37/0 inter-iamb mi start-set': 'bf273399f3ea8a54',
     'order-37/0 inter-iamb mi legacy': '2a33082b72d68d8e',
     'order-37/0 mmpc mi none': '29c6847f8e3ff16d',
@@ -113,10 +113,10 @@ GOLDEN = {
     'order-37/0 si-hiton-pc mi none': 'dbb28f5e33eb0e80',
     'order-37/0 si-hiton-pc mi start-set': '2b666b2350c4d639',
     'order-37/0 si-hiton-pc mi legacy': 'ec0cde93630af426',
-    'order-37/1 gs mi none': '33de05693e2f4838',
+    'order-37/1 gs mi none': 'c7b57f29b856fad5',
     'order-37/1 gs mi start-set': '2612a6f1fb23d657',
     'order-37/1 gs mi legacy': '7c48bcdfab66ef1a',
-    'order-37/1 inter-iamb mi none': 'fd9f831b392414e2',
+    'order-37/1 inter-iamb mi none': '783c1f5b63330065',
     'order-37/1 inter-iamb mi start-set': 'd2e440382e85c308',
     'order-37/1 inter-iamb mi legacy': 'da9fda967add44a7',
     'order-37/1 mmpc mi none': 'bdecc6e1b7b1534c',
@@ -125,10 +125,10 @@ GOLDEN = {
     'order-37/1 si-hiton-pc mi none': '5147c7a1935eadb4',
     'order-37/1 si-hiton-pc mi start-set': 'a96cb555ae68b923',
     'order-37/1 si-hiton-pc mi legacy': '4afa1f41e2e1e08c',
-    'order-37/2 gs mi none': '9c3095dc98acb440',
+    'order-37/2 gs mi none': '70136dbd07767bac',
     'order-37/2 gs mi start-set': '6dba7623deeed9b8',
     'order-37/2 gs mi legacy': '0fe54e95ff810544',
-    'order-37/2 inter-iamb mi none': 'fe16f1e750601d8f',
+    'order-37/2 inter-iamb mi none': 'e6c48ec2e343397d',
     'order-37/2 inter-iamb mi start-set': '679075cc875c4a4c',
     'order-37/2 inter-iamb mi legacy': 'fd6f37fbb23abf59',
     'order-37/2 mmpc mi none': '0e42be048d18468f',
@@ -137,10 +137,10 @@ GOLDEN = {
     'order-37/2 si-hiton-pc mi none': '66a53ea5fdfc0c35',
     'order-37/2 si-hiton-pc mi start-set': 'f0cc201e0118e21b',
     'order-37/2 si-hiton-pc mi legacy': 'b40820d3625cbac2',
-    'order-37/3 gs mi none': '2ba3cc90bfc9d936',
+    'order-37/3 gs mi none': 'd69b8329d9152d4c',
     'order-37/3 gs mi start-set': 'b47cfbf01d5051df',
     'order-37/3 gs mi legacy': '44aa8608ad9560c1',
-    'order-37/3 inter-iamb mi none': 'd5b37153c64d0b9e',
+    'order-37/3 inter-iamb mi none': 'c708c5ad6c40260c',
     'order-37/3 inter-iamb mi start-set': '69c91fbae5c67b10',
     'order-37/3 inter-iamb mi legacy': '253751591d68e718',
     'order-37/3 mmpc mi none': '2a0038226c79889f',
@@ -149,10 +149,10 @@ GOLDEN = {
     'order-37/3 si-hiton-pc mi none': 'f7d779bcfcd4332a',
     'order-37/3 si-hiton-pc mi start-set': '2ec7b88faf992e4c',
     'order-37/3 si-hiton-pc mi legacy': 'c42c842998b4ffd5',
-    'order-37/4 gs mi none': '025f833183b76a73',
+    'order-37/4 gs mi none': 'f976850ac7e9689b',
     'order-37/4 gs mi start-set': 'cd31d0aa3d0b5357',
     'order-37/4 gs mi legacy': 'b7829a4c9717df11',
-    'order-37/4 inter-iamb mi none': 'a4d3a4dd9d9308b9',
+    'order-37/4 inter-iamb mi none': 'c8cc9c19fb0190e9',
     'order-37/4 inter-iamb mi start-set': 'af0a04e6e171a834',
     'order-37/4 inter-iamb mi legacy': 'f1a5b7f33c274c20',
     'order-37/4 mmpc mi none': '6eba0557f47c7f12',
@@ -161,10 +161,10 @@ GOLDEN = {
     'order-37/4 si-hiton-pc mi none': '9769fef6fd8f2528',
     'order-37/4 si-hiton-pc mi start-set': 'a445460b97101d5a',
     'order-37/4 si-hiton-pc mi legacy': '45ee6a6880ee9538',
-    'order-37/5 gs mi none': '495066a389b8ba1c',
+    'order-37/5 gs mi none': '0e4f2eb62a2a1fdb',
     'order-37/5 gs mi start-set': '8c32d1e8fd715189',
     'order-37/5 gs mi legacy': 'd043bbf426c3fcd8',
-    'order-37/5 inter-iamb mi none': 'f773278626193b0c',
+    'order-37/5 inter-iamb mi none': 'fddf387dee51b476',
     'order-37/5 inter-iamb mi start-set': 'a1408f090a8f02b2',
     'order-37/5 inter-iamb mi legacy': 'b93a0d96d778714a',
     'order-37/5 mmpc mi none': '9fbc48a65b64133c',
@@ -173,10 +173,10 @@ GOLDEN = {
     'order-37/5 si-hiton-pc mi none': '4325571bf2275b3a',
     'order-37/5 si-hiton-pc mi start-set': '300523f318337a33',
     'order-37/5 si-hiton-pc mi legacy': 'bf4c4245a3568ba9',
-    'order-37/6 gs mi none': '897d6b8e5e90e42a',
+    'order-37/6 gs mi none': '8cc27fbe8d67dd71',
     'order-37/6 gs mi start-set': '7085c6cf8dc8ec23',
     'order-37/6 gs mi legacy': '34707c8d82bfb066',
-    'order-37/6 inter-iamb mi none': '3dff1b7ccec1ec44',
+    'order-37/6 inter-iamb mi none': 'a6bb2703a274d527',
     'order-37/6 inter-iamb mi start-set': 'a0024fed6f9b4bea',
     'order-37/6 inter-iamb mi legacy': 'ca98662667fdabc5',
     'order-37/6 mmpc mi none': '6a44cf341e439768',
@@ -185,10 +185,10 @@ GOLDEN = {
     'order-37/6 si-hiton-pc mi none': '40da6d4ca6645edd',
     'order-37/6 si-hiton-pc mi start-set': '2f1389e6e53163cf',
     'order-37/6 si-hiton-pc mi legacy': '0608151c9063e407',
-    'order-37/7 gs mi none': '5b66e2ca3682631a',
+    'order-37/7 gs mi none': '0f7f185312e7d369',
     'order-37/7 gs mi start-set': '68b5b5e8a4805542',
     'order-37/7 gs mi legacy': 'f95e9d97818b79d6',
-    'order-37/7 inter-iamb mi none': '45459dbd73160627',
+    'order-37/7 inter-iamb mi none': '2cc859bb3abc11a4',
     'order-37/7 inter-iamb mi start-set': '263d6b350223b41f',
     'order-37/7 inter-iamb mi legacy': 'f0ac81eb304e368f',
     'order-37/7 mmpc mi none': 'a5f48828e70ffde3',
@@ -197,11 +197,11 @@ GOLDEN = {
     'order-37/7 si-hiton-pc mi none': 'f5f602c8cab6dc8d',
     'order-37/7 si-hiton-pc mi start-set': 'c26872c2d90162d0',
     'order-37/7 si-hiton-pc mi legacy': 'b83b7b83bfbee221',
-    'discrete-iamb gs mi none': 'f5d0b2901323dd6e',
-    'discrete-iamb inter-iamb mi none': '781e651718e04f97',
+    'discrete-iamb gs mi none': '44661f843c64f619',
+    'discrete-iamb inter-iamb mi none': '04c2da20d80014da',
     'gauss-sihiton si-hiton-pc cor none': '45ecf0504d0616fe',
-    'gauss-14 gs cor none': 'ef0fe95cfd16af64',
-    'gauss-14 inter-iamb cor none': 'ff7ada3d146eb0ec',
+    'gauss-14 gs cor none': '65ffe55c959dcdca',
+    'gauss-14 inter-iamb cor none': '747436994caaa5fd',
     'gauss-14 mmpc cor none': '5270f2f8953fa28f',
     'gauss-14 si-hiton-pc cor none': '9fdf5ce39d48b041',
 }
@@ -235,7 +235,7 @@ def test_two_workers_reproduce_the_discrete_digests(dataset_name, algorithm, sch
 
 
 def test_the_small_gaussian_tests_given_two_or_more(monkeypatch):
-    """The ``gauss-14`` learns execute 3,347 cor tests given two or more
+    """The ``gauss-14`` learns execute 2,762 cor tests given two or more
     variables, which take the t test's forward-solve path."""
     sizes = []
     kernel = PartialCorrelationTest._kernel_many
@@ -247,7 +247,7 @@ def test_the_small_gaussian_tests_given_two_or_more(monkeypatch):
     monkeypatch.setattr(PartialCorrelationTest, "_kernel_many", counting)
     for algorithm in ALGORITHMS:
         learn_record(dataset("gauss-14"), GlobalLearnConfig(algorithm=algorithm, test="cor"))
-    assert sum(size >= 2 for size in sizes) == 3347
+    assert sum(size >= 2 for size in sizes) == 2762
 
 
 if __name__ == "__main__":

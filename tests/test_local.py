@@ -570,9 +570,9 @@ class TestRequestSequence:
         ("si-hiton-pc", "single"): "b3d6e106e67d559c4fd3f801ff868fc139aa1b29b24700e3c82f274aae9bea3e",
     }
     SKELETON_DIGESTS = {
-        ("gs", "none"): "07b9b1f8c7cb347d650a6b86b17c39aad28ba0c0b5aad005646895362d2fbc54",
+        ("gs", "none"): "0dcc4c3e244c2d8bf632ba08bd66baa0f4dc260fa0759813b0e53c71cb5b7be2",
         ("gs", "start-set"): "6be8da145f1b74a359298613fb7c3ef0cbc5db33f8af9d3458cb49e55f724922",
-        ("inter-iamb", "none"): "3816f8df13a7c498317db0038d1dba61523f23b8b4d2e639fb478e3c96f224dc",
+        ("inter-iamb", "none"): "a7c257a5c7df71fa3edb3a296340a5d9d6b443e095951bd75bef09bc1819ccdd",
         ("inter-iamb", "start-set"): "e39b77a203d71d51b27826cd9465d4eb4d89e516c16c688dc5e41478896e35a4",
     }
 

@@ -14,7 +14,7 @@ from bnsl.graph import (
     hamming_skeleton,
     unshielded_colliders,
 )
-from bnsl.local import SepsetTable, learn_nbr
+from bnsl.local import LocalLearnConfig, SepsetTable, learn_mb, learn_nbr
 from bnsl.network import sample
 from bnsl.parallel import ParallelExecutor
 from bnsl.structure import (
@@ -309,8 +309,8 @@ class TestBacktrackingModes:
 
     @pytest.mark.parametrize("algorithm", ["gs", "inter-iamb"])
     def test_backtracking_decides_each_pair_once(self, algorithm):
-        # Mode none searches every in-blanket pair from both endpoints; the
-        # backtracking modes skip the endpoint that comes second.
+        # Every mode searches each in-blanket pair once, from its name-smaller
+        # endpoint: half the tests of searching it from both endpoints.
         for seed in range(8):
             dag = random_dag(9, 900 + seed, edge_prob=0.3, max_in_degree=3)
             data = oracle_setup(dag)
@@ -320,7 +320,10 @@ class TestBacktrackingModes:
                 cfg = GlobalLearnConfig(algorithm=algorithm, test="oracle", backtracking=mode)
                 learn_skeleton(data, cfg, ex, truth=dag)
                 [counts[mode]] = [t.test_count for t in ex.telemetry if t.phase == "pair-separation"]
-            assert counts["none"] == 2 * counts["start-set"] == 2 * counts["legacy"] > 0, (seed, counts)
+                engine = make_engine("oracle", data, cfg.alpha, truth=dag)
+                _, _, per_endpoint = per_endpoint_pair_separation(engine, reference_blankets(data, algorithm, mode, engine)[0])
+                assert 2 * counts[mode] == per_endpoint, (seed, mode)
+            assert counts["none"] == counts["start-set"] == counts["legacy"] > 0, (seed, counts)
 
     def test_start_set_phases_run_through_the_executor(self):
         bn = random_discrete_network(14, seed=21, edge_prob=0.2, max_in_degree=2)
@@ -358,6 +361,84 @@ class TestBacktrackingModes:
             skel, _ = learn_skeleton(data, cfg)
             rskel, _ = learn_skeleton(reverse_columns(data), cfg)
             assert hamming_skeleton(skel, rskel) == 0
+
+
+def reference_blankets(data, algorithm, mode, engine):
+    """The symmetrised blankets of the first phase, by hand: each node's
+    blanket in column order, seeded in the backtracking modes with the
+    earlier nodes that chose it (``start``, or ``whitelist`` in ``legacy``)
+    and blacklisting the rest; and the witnessed sets merged first-wins in
+    name order."""
+    names = list(data.names)
+    found, tables = {}, {}
+    for k, node in enumerate(names):
+        earlier = frozenset(names[:k] if mode != "none" else ())
+        chose = frozenset(i for i in earlier if node in found[i])
+        seeds = {"whitelist": chose} if mode == "legacy" else {"start": chose}
+        found[node], tables[node] = learn_mb(data, node, LocalLearnConfig(algorithm, blacklist=earlier - chose, **seeds), engine)
+    sepsets = {}
+    for node in sorted(names):
+        for pair, sep in tables[node].items():
+            sepsets.setdefault(pair, sep)
+    return {i: frozenset(j for j in found[i] if i in found[j]) for i in names}, sepsets
+
+
+def per_endpoint_pair_separation(engine, blankets):
+    """Pair separation as each endpoint deciding for itself: every endpoint
+    of each in-blanket pair searches the subsets of the smaller blanket (the
+    name-smaller endpoint's on a tie) minus the pair, by size and then in
+    ``itertools.combinations`` order, and keeps the other endpoint iff none
+    separates them; the two answers are intersected. Returns the
+    neighbours, the separating sets (the name-smaller endpoint's first) and
+    the number of tests requested."""
+    kept, sepsets, requests = {}, {}, 0
+    for x in sorted(blankets):
+        kept[x] = set()
+        for y in sorted(blankets[x]):
+            a, b = sorted((x, y))
+            pool = sorted((blankets[a] if len(blankets[a]) <= len(blankets[b]) else blankets[b]) - {a, b})
+            for z in itertools.chain.from_iterable(itertools.combinations(pool, k) for k in range(len(pool) + 1)):
+                requests += 1
+                if engine.test(x, y, frozenset(z)).independent:
+                    sepsets.setdefault((a, b), frozenset(z))
+                    break
+            else:
+                kept[x].add(y)
+    return {x: frozenset(y for y in kept[x] if x in kept[y]) for x in kept}, sepsets, requests
+
+
+class TestPairSeparationReference:
+    """Searching each in-blanket pair once, from its name-smaller endpoint,
+    gives the neighbours and separating sets of the per-endpoint protocol in
+    every backtracking mode."""
+
+    @staticmethod
+    def assert_matches_reference(data, algorithm, mode, test, truth=None):
+        cfg = GlobalLearnConfig(algorithm=algorithm, test=test, backtracking=mode)
+        skel, seps = learn_skeleton(data, cfg, truth=truth)
+        engine = make_engine(test, data, cfg.alpha, truth=truth)
+        blankets, expected = reference_blankets(data, algorithm, mode, engine)
+        neighbours, pair_sepsets, _ = per_endpoint_pair_separation(engine, blankets)
+        for pair, sep in pair_sepsets.items():
+            expected.setdefault(pair, sep)
+        assert {x: skel.neighbours(x) for x in data.names} == neighbours
+        assert dict(seps.items()) == expected
+
+    @pytest.mark.parametrize("mode", ["none", "start-set", "legacy"])
+    @pytest.mark.parametrize("algorithm", ["gs", "inter-iamb"])
+    def test_oracle_dags(self, algorithm, mode):
+        for seed in range(8):
+            dag = random_dag(9, 900 + seed, edge_prob=0.3, max_in_degree=3)
+            data = oracle_setup(dag)
+            self.assert_matches_reference(data, algorithm, mode, "oracle", dag)
+
+    @pytest.mark.parametrize("mode", ["none", "start-set", "legacy"])
+    @pytest.mark.parametrize("algorithm", ["gs", "inter-iamb"])
+    def test_mi_samples(self, algorithm, mode):
+        for seed in range(3):
+            bn = random_discrete_network(12, 930 + seed, edge_prob=0.25, max_in_degree=3, max_levels=3)
+            data = sample(bn, 400, seed)
+            self.assert_matches_reference(data, algorithm, mode, "mi")
 
 
 class OnlyTestEngine:
