@@ -189,6 +189,7 @@ def _cmd_learn_local(args) -> None:
             f"{a}|{b}": (sorted(s) if s is not None else None) for (a, b), s in sepsets.items()
         },
         "tests": engine.counter.count,
+        "executed": engine.counter.executed,
     }
     sys.stdout.write(json.dumps(doc, indent=1) + "\n")
 

@@ -11,7 +11,8 @@ conditioning set), and the rest share two loops:
   each of some conditioning sets and add the one most associated at its
   weakest. IAMB scans given the current blanket (Inter-IAMB also shrinks
   after each addition), MMPC given each subset of it up to
-  ``max_condition_size``. SI-HITON-PC ranks by one scan given z = {}.
+  ``max_condition_size``. SI-HITON-PC ranks by one scan given z = {},
+  then walks only the dependent candidates, from subsets of size one.
 - :func:`_eliminate`, one name-ordered elimination pass. Every blanket
   backend ends with :func:`_shrink`, which repeats it to a fixpoint testing
   each member given the rest; every neighbourhood backend with
@@ -181,13 +182,15 @@ class _SubsetOrder:
         for size in range(self.top + 1):
             yield from self.level(size)
 
-    def first(self, test: CiEngine, x: str, y: str, skip: str | None = None) -> frozenset[str] | None:
-        """The first subset without ``skip`` given which ``x`` and ``y`` test
-        independent, or ``None``. Leaving out the subsets that hold a member
-        ``skip`` walks ``subsets_in_order(pool - {skip}, cap)``: combinations
-        of a sorted list keep their relative order when an element goes."""
+    def first(self, test: CiEngine, x: str, y: str, skip: str | None = None, start: int = 0) -> frozenset[str] | None:
+        """The first subset without ``skip``, of ``start`` or more elements,
+        given which ``x`` and ``y`` test independent, or ``None``. Leaving
+        out the subsets that hold a member ``skip`` walks
+        ``subsets_in_order(pool - {skip}, cap)``: combinations of a sorted
+        list keep their relative order when an element goes. A walk from
+        ``start=1`` skips the empty set, for a pair already tested given it."""
         levels = self.levels
-        for size in range(self.top + 1):
+        for size in range(start, self.top + 1):
             for s in levels[size] if size < len(levels) else self.level(size):
                 if skip not in s and test.test(x, y, s).independent:
                     return s
@@ -286,12 +289,16 @@ def _mmpc(names, cpc, target, cfg, test, witness) -> None:
 
 def _si_hiton_pc(names, pc, target, cfg, test, witness) -> None:
     """Rank the candidates by one scan given the empty set, then admit each
-    that no subset of ``pc`` separates. Every search walks one order of
-    ``pc``, replaced when ``pc`` grows."""
+    dependent one that no non-empty subset of ``pc`` separates. The scan
+    asks each marginal test once: it witnesses the independent candidates,
+    which are never walked, and a dependent one's walk starts at size one.
+    Every search walks one order of ``pc``, replaced when ``pc`` grows."""
     candidates = [v for v in names if v not in pc]
     order = _SubsetOrder(pc, cfg.max_condition_size)
-    for _, v, _ in sorted(_scan(test, target, candidates, [_NO_NODES], witness), key=itemgetter(0)):
-        sep = order.first(test, target, v)
+    for _, v, out in sorted(_scan(test, target, candidates, [_NO_NODES], witness), key=itemgetter(0)):
+        if out.independent:
+            continue
+        sep = order.first(test, target, v, start=1)
         if sep is None:
             pc.add(v)
             order = _SubsetOrder(pc, cfg.max_condition_size)

@@ -267,6 +267,22 @@ class TestCli:
         assert banned not in doc["members"]
         assert doc["tests"] > 0
 
+    def test_learn_local_reports_requested_and_executed_tests(self, net_path, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        main(["sample", "--network", str(net_path), "--n", "400", "--seed", "1", "--output", str(csv_path)])
+        counts = {}
+        for node in NET.dag.nodes:
+            assert main(["learn-local", "--data", str(csv_path), "--node", node, "--backend", "si-hiton-pc"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert 0 < doc["executed"] <= doc["tests"]
+            counts[node] = doc["tests"], doc["executed"]
+        # X6's seven candidates all test dependent given the empty set. The
+        # ranking scan asks each of those tests once; walks that began at the
+        # empty set again would request seven memo hits more (30 requested,
+        # the same 16 executed).
+        assert counts["X6"] == (23, 16)
+        assert [sum(c) for c in zip(*counts.values())] == [88, 71]
+
     def test_usage_error_exits_1(self):
         assert main(["learn", "--algorithm", "gs"]) == 1
         assert main(["frobnicate"]) == 1

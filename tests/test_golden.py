@@ -110,9 +110,9 @@ GOLDEN = {
     'order-37/0 mmpc mi none': '29c6847f8e3ff16d',
     'order-37/0 mmpc mi start-set': '2270437fba0946d4',
     'order-37/0 mmpc mi legacy': '2280e231e4ab189f',
-    'order-37/0 si-hiton-pc mi none': 'dbb28f5e33eb0e80',
-    'order-37/0 si-hiton-pc mi start-set': '2b666b2350c4d639',
-    'order-37/0 si-hiton-pc mi legacy': 'ec0cde93630af426',
+    'order-37/0 si-hiton-pc mi none': '86d5f4cb849caff6',
+    'order-37/0 si-hiton-pc mi start-set': '408f909513c274a1',
+    'order-37/0 si-hiton-pc mi legacy': '66cb5542efec992e',
     'order-37/1 gs mi none': 'c7b57f29b856fad5',
     'order-37/1 gs mi start-set': '2612a6f1fb23d657',
     'order-37/1 gs mi legacy': '7c48bcdfab66ef1a',
@@ -122,9 +122,9 @@ GOLDEN = {
     'order-37/1 mmpc mi none': 'bdecc6e1b7b1534c',
     'order-37/1 mmpc mi start-set': 'd2e9fc030d61894b',
     'order-37/1 mmpc mi legacy': 'd3ddf248482b8346',
-    'order-37/1 si-hiton-pc mi none': '5147c7a1935eadb4',
-    'order-37/1 si-hiton-pc mi start-set': 'a96cb555ae68b923',
-    'order-37/1 si-hiton-pc mi legacy': '4afa1f41e2e1e08c',
+    'order-37/1 si-hiton-pc mi none': '24dcf6b637b17237',
+    'order-37/1 si-hiton-pc mi start-set': 'dcdda2e0be392a62',
+    'order-37/1 si-hiton-pc mi legacy': '7417454dc5ee51f5',
     'order-37/2 gs mi none': '70136dbd07767bac',
     'order-37/2 gs mi start-set': '6dba7623deeed9b8',
     'order-37/2 gs mi legacy': '0fe54e95ff810544',
@@ -134,9 +134,9 @@ GOLDEN = {
     'order-37/2 mmpc mi none': '0e42be048d18468f',
     'order-37/2 mmpc mi start-set': '9f626f942d40e86a',
     'order-37/2 mmpc mi legacy': 'eefd338eabd77a16',
-    'order-37/2 si-hiton-pc mi none': '66a53ea5fdfc0c35',
-    'order-37/2 si-hiton-pc mi start-set': 'f0cc201e0118e21b',
-    'order-37/2 si-hiton-pc mi legacy': 'b40820d3625cbac2',
+    'order-37/2 si-hiton-pc mi none': 'a1c4f052e1e2f5ea',
+    'order-37/2 si-hiton-pc mi start-set': '37bebc4087738254',
+    'order-37/2 si-hiton-pc mi legacy': 'c861dae70159a07b',
     'order-37/3 gs mi none': 'd69b8329d9152d4c',
     'order-37/3 gs mi start-set': 'b47cfbf01d5051df',
     'order-37/3 gs mi legacy': '44aa8608ad9560c1',
@@ -146,9 +146,9 @@ GOLDEN = {
     'order-37/3 mmpc mi none': '2a0038226c79889f',
     'order-37/3 mmpc mi start-set': '61ae5057d8ca35fe',
     'order-37/3 mmpc mi legacy': '2175023a67bb8543',
-    'order-37/3 si-hiton-pc mi none': 'f7d779bcfcd4332a',
-    'order-37/3 si-hiton-pc mi start-set': '2ec7b88faf992e4c',
-    'order-37/3 si-hiton-pc mi legacy': 'c42c842998b4ffd5',
+    'order-37/3 si-hiton-pc mi none': '251fc63a2c3aef23',
+    'order-37/3 si-hiton-pc mi start-set': '26f9fbaf1413d122',
+    'order-37/3 si-hiton-pc mi legacy': 'c9f6f40990712e45',
     'order-37/4 gs mi none': 'f976850ac7e9689b',
     'order-37/4 gs mi start-set': 'cd31d0aa3d0b5357',
     'order-37/4 gs mi legacy': 'b7829a4c9717df11',
@@ -158,9 +158,9 @@ GOLDEN = {
     'order-37/4 mmpc mi none': '6eba0557f47c7f12',
     'order-37/4 mmpc mi start-set': '72e392cf3d28d427',
     'order-37/4 mmpc mi legacy': '347a07d8ddb4b237',
-    'order-37/4 si-hiton-pc mi none': '9769fef6fd8f2528',
-    'order-37/4 si-hiton-pc mi start-set': 'a445460b97101d5a',
-    'order-37/4 si-hiton-pc mi legacy': '45ee6a6880ee9538',
+    'order-37/4 si-hiton-pc mi none': 'a3ea7a603df3a286',
+    'order-37/4 si-hiton-pc mi start-set': 'a2264f7d72527045',
+    'order-37/4 si-hiton-pc mi legacy': 'cfba8476e42c7d62',
     'order-37/5 gs mi none': '0e4f2eb62a2a1fdb',
     'order-37/5 gs mi start-set': '8c32d1e8fd715189',
     'order-37/5 gs mi legacy': 'd043bbf426c3fcd8',
@@ -170,9 +170,9 @@ GOLDEN = {
     'order-37/5 mmpc mi none': '9fbc48a65b64133c',
     'order-37/5 mmpc mi start-set': '58d9c5b64c35108e',
     'order-37/5 mmpc mi legacy': '42088004834db5c7',
-    'order-37/5 si-hiton-pc mi none': '4325571bf2275b3a',
-    'order-37/5 si-hiton-pc mi start-set': '300523f318337a33',
-    'order-37/5 si-hiton-pc mi legacy': 'bf4c4245a3568ba9',
+    'order-37/5 si-hiton-pc mi none': '70cbc0cfb2c9150c',
+    'order-37/5 si-hiton-pc mi start-set': '909d103e96a9fe8c',
+    'order-37/5 si-hiton-pc mi legacy': 'f2bf2cd55b3df565',
     'order-37/6 gs mi none': '8cc27fbe8d67dd71',
     'order-37/6 gs mi start-set': '7085c6cf8dc8ec23',
     'order-37/6 gs mi legacy': '34707c8d82bfb066',
@@ -182,9 +182,9 @@ GOLDEN = {
     'order-37/6 mmpc mi none': '6a44cf341e439768',
     'order-37/6 mmpc mi start-set': '63510dd681fb5f0a',
     'order-37/6 mmpc mi legacy': 'def110d3e40d034a',
-    'order-37/6 si-hiton-pc mi none': '40da6d4ca6645edd',
-    'order-37/6 si-hiton-pc mi start-set': '2f1389e6e53163cf',
-    'order-37/6 si-hiton-pc mi legacy': '0608151c9063e407',
+    'order-37/6 si-hiton-pc mi none': '0a7ace9e4896a646',
+    'order-37/6 si-hiton-pc mi start-set': '647885794e3b47f8',
+    'order-37/6 si-hiton-pc mi legacy': '381ead779120395a',
     'order-37/7 gs mi none': '0f7f185312e7d369',
     'order-37/7 gs mi start-set': '68b5b5e8a4805542',
     'order-37/7 gs mi legacy': 'f95e9d97818b79d6',
@@ -194,16 +194,16 @@ GOLDEN = {
     'order-37/7 mmpc mi none': 'a5f48828e70ffde3',
     'order-37/7 mmpc mi start-set': '63d8db75633218a3',
     'order-37/7 mmpc mi legacy': '794780e786ef5bfc',
-    'order-37/7 si-hiton-pc mi none': 'f5f602c8cab6dc8d',
-    'order-37/7 si-hiton-pc mi start-set': 'c26872c2d90162d0',
-    'order-37/7 si-hiton-pc mi legacy': 'b83b7b83bfbee221',
+    'order-37/7 si-hiton-pc mi none': '82bbf6901b5f52a7',
+    'order-37/7 si-hiton-pc mi start-set': 'c3b59d7fecb0b9fe',
+    'order-37/7 si-hiton-pc mi legacy': '3444ce3849404e05',
     'discrete-iamb gs mi none': '44661f843c64f619',
     'discrete-iamb inter-iamb mi none': '04c2da20d80014da',
-    'gauss-sihiton si-hiton-pc cor none': '45ecf0504d0616fe',
+    'gauss-sihiton si-hiton-pc cor none': '6df452baa21df813',
     'gauss-14 gs cor none': '65ffe55c959dcdca',
     'gauss-14 inter-iamb cor none': '747436994caaa5fd',
     'gauss-14 mmpc cor none': '5270f2f8953fa28f',
-    'gauss-14 si-hiton-pc cor none': '9fdf5ce39d48b041',
+    'gauss-14 si-hiton-pc cor none': '6e5450f5efe6fc60',
 }
 
 @pytest.mark.parametrize("dataset_name, algorithm, test, mode", configurations(), ids=str)
