@@ -17,7 +17,8 @@ conditioning set), and the rest share two loops:
   backend ends with :func:`_shrink`, which repeats it to a fixpoint testing
   each member given the rest; every neighbourhood backend with
   :func:`_backward`, which runs it once with a separating-subset search.
-  The pipeline's pair separation runs it once with each pair's own pool.
+  The pipeline's pair separation runs it once per node, over the node's
+  own blanket.
 
 All heuristic choices are deterministic: candidates are scanned in name
 order, association ranking breaks ties by statistic magnitude then name,
@@ -33,7 +34,8 @@ a walk first reaches that size. Searches that repeat a pool share one
 order, and so one frozenset per subset: SI-HITON-PC's forward searches
 (one order for ``pc``, replaced when it grows), :func:`_backward` (one
 order for the members; member ``v`` skips the subsets that hold ``v``)
-and the pipeline's pair separation (one order per blanket). Every empty
+and the pipeline's pair separation (one order per task, over the node's
+own blanket; pair ``j`` skips the subsets that hold ``j``). Every empty
 conditioning set, in a search or a scan, is the one ``graph._NO_NODES``.
 
 A scan asks the engine for each conditioning set's whole batch
@@ -215,18 +217,17 @@ def learn_mb(
 
 
 def learn_nbr(
-    data, target: str, cfg: LocalLearnConfig, test: CiEngine, mb: Iterable[str] | None = None
+    data, target: str, cfg: LocalLearnConfig, test: CiEngine
 ) -> tuple[frozenset[str], SepsetTable]:
     """Learn the neighbourhood (parents and children) of ``target``.
 
-    ``mb`` optionally restricts the candidate pool to a precomputed Markov
-    blanket. Returns the candidate neighbourhood and, for every rejected
-    candidate, the separating set that excluded it.
+    Returns the candidate neighbourhood and, for every rejected candidate,
+    the separating set that excluded it.
     """
-    return _learn(_NBR_STEPS, _backward, "neighbourhoods", data, target, cfg, test, mb)
+    return _learn(_NBR_STEPS, _backward, "neighbourhoods", data, target, cfg, test)
 
 
-def _learn(steps, eliminate, kind, data, target, cfg, test, within=None):
+def _learn(steps, eliminate, kind, data, target, cfg, test):
     """Run the forward phase ``steps[cfg.backend]`` for ``target`` on the
     member set seeded with the whitelist and the start set, then
     ``eliminate``. Both note in ``witness`` the latest separating set of
@@ -234,7 +235,7 @@ def _learn(steps, eliminate, kind, data, target, cfg, test, within=None):
     cfg.validate(target)
     if cfg.backend not in steps:
         raise ValueError(f"backend {cfg.backend!r} does not learn {kind}")
-    names = _resolve_names(data, target, cfg, within)
+    names = _resolve_names(data, target, cfg)
     members, witness = set(cfg.whitelist | cfg.start), {}
     steps[cfg.backend](names, members, target, cfg, test, witness)
     eliminate(members, target, cfg, test, witness)
@@ -249,19 +250,15 @@ def _sepsets(target, members, witness) -> SepsetTable:
     return table
 
 
-def _resolve_names(data, target: str, cfg: LocalLearnConfig, within=None) -> list[str]:
+def _resolve_names(data, target: str, cfg: LocalLearnConfig) -> list[str]:
     """Eligible candidate names in canonical (name) order. The dataset's
     name-rank table lists every name, in name order."""
     rank = data.name_ranks[0]
-    outside = () if within is None else sorted(set(within) - rank.keys())
-    for name in (target, *cfg.start, *cfg.whitelist, *cfg.blacklist, *outside):
+    for name in (target, *cfg.start, *cfg.whitelist, *cfg.blacklist):
         if name not in rank:
             raise ValueError(f"unknown variable: {name!r}")
-    if within is None:
-        # The start set and whitelist are names, neither the target nor blacklisted.
-        return [v for v in rank if v != target and v not in cfg.blacklist]
-    # Forced and seeded members take part even when outside the restriction.
-    return sorted((set(within) - {target} - cfg.blacklist) | cfg.start | cfg.whitelist)
+    # The start set and whitelist are names, neither the target nor blacklisted.
+    return [v for v in rank if v != target and v not in cfg.blacklist]
 
 
 def _grow(names, cmb, target, cfg, test, witness) -> None:

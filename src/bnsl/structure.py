@@ -11,20 +11,22 @@ Meek's three orientation-propagation rules run to fixpoint.
 
 Each skeleton phase runs one node step, ``step(node, earlier, engine) ->
 (members, sepset table)``, for every node, and merges the tables first-wins
-in name order. The backtracking mode only decides what ``earlier`` holds. In
-mode ``none`` it is empty: the steps are independent, run in parallel
-across nodes, and the result does not depend on the column order; the
-coordinator synchronises only at the symmetry barriers and for the final
-propagation.
+in name order. The backtracking mode only decides what ``earlier`` holds in
+the first phase. In mode ``none`` it is empty: the steps are independent,
+run in parallel across nodes, and the result does not depend on the column
+order; the coordinator synchronises only at the symmetry barriers and for
+the final propagation.
 
 Backtracking trades tests for order dependence and therefore requires a
-single worker: the phase runs through the executor as one task over the
-column-ordered names, and ``earlier`` maps each node already processed to
-the members it chose. A node that an earlier node chose is seeded into the
-learner (``start-set``) or forced in (``legacy``, through the whitelist);
-an earlier node that did not choose it is blacklisted. Pair separation
-ignores ``earlier``: each in-blanket pair is searched once, by its
-name-smaller endpoint, and the symmetry barrier decides the other's.
+single worker: the first phase runs through the executor as one task over
+the column-ordered names, and ``earlier`` maps each node already processed
+to the members it chose. A node that an earlier node chose is seeded into
+the learner (``start-set``) or forced in (``legacy``, through the
+whitelist); an earlier node that did not choose it is blacklisted. Pair
+separation reads no ``earlier`` and runs one task per node in every mode:
+each in-blanket pair is searched once, by the endpoint that owns the
+smaller blanket (the name-smaller one on a tie), over its own blanket
+minus the pair, and the symmetry barrier decides it for the other.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .citests import CiEngine, make_engine
 from .data import Dataset
 from .graph import Dag, Pdag, Skeleton, VStructure, _pair, _reaches, apply_meek_rules
 from .local import MB_BACKENDS, LocalLearnConfig, SepsetTable, first_separator, learn_mb, learn_nbr
-from .local import _eliminate, _orders, _sepsets
+from .local import _SubsetOrder, _eliminate, _sepsets
 from .parallel import ParallelExecutor
 
 ALGORITHMS = ("gs", "inter-iamb", "mmpc", "si-hiton-pc")
@@ -106,9 +108,14 @@ def learn_skeleton(
     cfg.validate()
     if executor is None:
         executor = ParallelExecutor(cfg.workers, cfg.schedule)
-    engine = make_engine(cfg.test, data, cfg.alpha, truth=truth)
+    return _skeleton(data, cfg, executor, make_engine(cfg.test, data, cfg.alpha, truth=truth))
+
+
+def _skeleton(data, cfg, executor, engine) -> tuple[Skeleton, SepsetTable]:
+    """:func:`learn_skeleton` on a validated config and a built engine."""
     names = list(data.names)
     sepsets = SepsetTable()
+    sequential = cfg.backtracking != "none"
 
     learner = learn_mb if cfg.algorithm in MB_BACKENDS else learn_nbr
 
@@ -116,38 +123,35 @@ def learn_skeleton(
         return learner(data, node, _seeded(cfg, node, earlier), worker_engine)
 
     def pair_step(node, _earlier, worker_engine):
-        # Each pair is searched once, by its name-smaller endpoint, whatever
-        # the mode; the symmetry barrier decides it for the other endpoint.
-        # The pools drawn from one blanket share one subset order.
-        members, witness = set(blankets[node]), {}
-        order_of = _orders(cfg.max_condition_size)
-
-        def separator(j):
-            blanket, skip = _pair_pool(blankets, node, j)
-            return order_of(blanket).first(worker_engine, node, j, skip)
-
-        _eliminate(members, {j for j in members if j < node}, witness, separator)
+        # The node searches each pair it owns: those whose other endpoint has
+        # a larger blanket, or an equal one and a larger name. Its pool is
+        # its own blanket minus the pair, one subset order for all of them.
+        blanket, rank = blankets[node], (len(blankets[node]), node)
+        members, witness, order = set(blanket), {}, _SubsetOrder(blanket, cfg.max_condition_size)
+        others = {j for j in blanket if (len(blankets[j]), j) < rank}
+        _eliminate(members, others, witness, lambda j: order.first(worker_engine, node, j, j))
         return members, _sepsets(node, members, witness)
 
     if learner is learn_mb:
-        blankets = _node_phase("markov-blankets", names, node_step, cfg, executor, engine, sepsets)
-        neighbours = _node_phase("pair-separation", names, pair_step, cfg, executor, engine, sepsets)
+        blankets = _node_phase("markov-blankets", names, node_step, sequential, executor, engine, sepsets)
+        neighbours = _node_phase("pair-separation", names, pair_step, False, executor, engine, sepsets)
     else:
-        neighbours = _node_phase("neighbours", names, node_step, cfg, executor, engine, sepsets)
+        neighbours = _node_phase("neighbours", names, node_step, sequential, executor, engine, sepsets)
     edges = [(i, j) for i in names for j in sorted(neighbours[i]) if i < j]
     return Skeleton(names, edges), sepsets
 
 
-def _node_phase(phase, names, step, cfg, executor, engine, sepsets):
+def _node_phase(phase, names, step, sequential, executor, engine, sepsets):
     """Run ``step(node, earlier, engine) -> (members, sepset table)`` for
     every node, merge the tables first-wins in name order and return the
     symmetrised member sets.
 
-    Mode ``none`` maps the nodes in parallel with ``earlier = {}``.
-    Backtracking runs one task over the column-ordered names and folds each
-    node's members into ``earlier`` before the next node's step.
+    By default the nodes are mapped in parallel, one task each, with
+    ``earlier = {}``. A ``sequential`` phase runs one task over the
+    column-ordered names and folds each node's members into ``earlier``
+    before the next node's step.
     """
-    if cfg.backtracking == "none":
+    if not sequential:
         def task(node, worker_engine):
             return step(node, {}, worker_engine)
 
@@ -183,14 +187,6 @@ def _symmetrize(names, candidate_sets):
         i: frozenset(j for j in candidate_sets[i] if i in candidate_sets[j])
         for i in names
     }
-
-
-def _pair_pool(blankets, i, j):
-    """Search pool for the pair (i, j) with i the name-smaller endpoint: the
-    smaller blanket, minus the pair, as ``(blanket, endpoint to leave out)``.
-    The blankets are symmetric, so each holds the other endpoint. A tie on
-    size takes ``i``'s: ties break by name, so the pool is deterministic."""
-    return (blankets[i], j) if len(blankets[i]) <= len(blankets[j]) else (blankets[j], i)
 
 
 class VStructureResult(NamedTuple):
@@ -277,12 +273,13 @@ def learn_cpdag(
     executor: ParallelExecutor | None = None,
     truth: Dag | None = None,
 ) -> Pdag:
-    """Full pipeline: skeleton, v-structures, then orientation propagation."""
+    """Full pipeline: skeleton, v-structures, then orientation propagation.
+    Both searches run on one engine."""
     cfg.validate()
     if executor is None:
         executor = ParallelExecutor(cfg.workers, cfg.schedule)
-    skel, sepsets = learn_skeleton(data, cfg, executor, truth=truth)
     engine = make_engine(cfg.test, data, cfg.alpha, truth=truth)
+    skel, sepsets = _skeleton(data, cfg, executor, engine)
     oriented = orient_v_structures(
         skel, sepsets, data, engine, executor, cfg.max_condition_size
     )

@@ -1,6 +1,7 @@
 """Pipeline tests: skeleton, orientation, propagation, backtracking modes."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -309,8 +310,9 @@ class TestBacktrackingModes:
 
     @pytest.mark.parametrize("algorithm", ["gs", "inter-iamb"])
     def test_backtracking_decides_each_pair_once(self, algorithm):
-        # Every mode searches each in-blanket pair once, from its name-smaller
-        # endpoint: half the tests of searching it from both endpoints.
+        # Every mode searches each in-blanket pair once, from the endpoint
+        # that owns the smaller blanket: half the tests of searching it from
+        # both endpoints.
         for seed in range(8):
             dag = random_dag(9, 900 + seed, edge_prob=0.3, max_in_degree=3)
             data = oracle_setup(dag)
@@ -462,6 +464,64 @@ class OnlyTestEngine:
 class ProxyExecutor(ParallelExecutor):
     def run_phase(self, phase, items, task_fn, engine_factory):
         return super().run_phase(phase, items, task_fn, lambda: OnlyTestEngine(engine_factory()))
+
+
+class TaskRecorder(OnlyTestEngine):
+    """:class:`OnlyTestEngine` that keeps its task's ``(x, y, z)`` requests."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = []
+
+    def test(self, x, y, z):
+        self.calls.append((x, y, frozenset(z)))
+        return self.inner.test(x, y, z)
+
+
+class RecordingTaskExecutor(ParallelExecutor):
+    """One-lane executor that gives every task a recorder of its own, kept in
+    ``tasks[phase][item]``."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.tasks = {}
+
+    def run_phase(self, phase, items, task_fn, engine_factory):
+        recorders = self.tasks[phase] = {}
+
+        def task(item, engine):
+            recorders[item] = engine
+            return task_fn(item, engine)
+
+        return super().run_phase(phase, items, task, lambda: TaskRecorder(engine_factory()))
+
+
+class TestPairOwnership:
+    """Each in-blanket pair is searched once, in one task per node, by the
+    endpoint that owns the smaller blanket (the name-smaller one on a tie),
+    over its own blanket minus the pair, in every mode."""
+
+    DATA = sample(random_discrete_network(14, seed=21, edge_prob=0.2, max_in_degree=2), 600, 3)
+
+    @pytest.mark.parametrize("mode", ["none", "start-set"])
+    @pytest.mark.parametrize("algorithm", ["gs", "inter-iamb"])
+    def test_owner_of_the_smaller_blanket_searches(self, algorithm, mode):
+        data, ex = self.DATA, RecordingTaskExecutor()
+        cfg = GlobalLearnConfig(algorithm=algorithm, test="mi", backtracking=mode)
+        learn_skeleton(data, cfg, ex)
+        blankets, _ = reference_blankets(data, algorithm, mode, make_engine("mi", data, cfg.alpha))
+        rank = {x: (len(blanket), x) for x, blanket in blankets.items()}
+        pairs = {frozenset((x, y)) for x in blankets for y in blankets[x]}
+        # The data hold pairs whose smaller blanket is the name-larger endpoint's.
+        assert any(rank[max(pair)] < rank[min(pair)] for pair in pairs)
+        tasks = ex.tasks["pair-separation"]
+        assert sorted(tasks) == sorted(data.names)
+        searched = Counter()
+        for node, recorder in tasks.items():
+            for x, y, z in recorder.calls:
+                assert x == node and rank[x] < rank[y] and z <= blankets[x] - {y}, (node, x, y, z)
+            searched.update({frozenset((x, y)) for x, y, _ in recorder.calls})
+        assert searched == Counter(pairs)
 
 
 class TestBatchedScans:
