@@ -1,18 +1,22 @@
 """Golden digests of whole learns, pinned across commits.
 
 Each configuration runs the three steps of ``learn_cpdag`` (skeleton,
-v-structures, Meek's rules) and hashes a canonical JSON of what they
-produced: the CPDAG's arcs and edges, the sorted ``SepsetTable`` items, the
-accepted v-structures and the conflict count, and each phase's requested
-and executed test totals. Float statistics are never hashed: their last
-bits may differ under another libm or numpy build, while structure and
-counts change only when a test crosses alpha or a learner changes.
+v-structures, Meek's rules) and is pinned twice. One digest hashes a
+canonical JSON of what they produced: the CPDAG's arcs and edges, the
+sorted ``SepsetTable`` items, the accepted v-structures and the conflict
+count, and each phase's name and executed test total. Beside it, each
+phase's requested test total is pinned as a plain integer, so a change
+that only asks fewer (or more) tests shows as that, with the outputs and
+executed counts still checked by the digest. Float statistics are never
+hashed: their last bits may differ under another libm or numpy build,
+while structure and counts change only when a test crosses alpha or a
+learner changes.
 
 Every JSON list is sorted or in the learner's own order, so no set or dict
 iteration order reaches a digest; CI runs this file under two
 ``PYTHONHASHSEED`` values to check that.
 
-A change that alters a digest on purpose names the digest and the reason in
+A change that alters a pin on purpose names the pin and the reason in
 ``CHANGES.md``. ``python tests/test_golden.py`` prints the current table.
 """
 
@@ -84,6 +88,22 @@ def digest(record: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def pins(record: dict) -> tuple[str, list[int]]:
+    """(digest of the outputs and per-phase executed counts, per-phase
+    requested counts) of one learn's record."""
+    phases = record["phases"]
+    outputs = {**record, "phases": [[phase, executed] for phase, _, executed in phases]}
+    return digest(outputs), [requested for _, requested, _ in phases]
+
+
+def check(record: dict, key: str) -> None:
+    """Compare a learn's pins with the golden ones, outputs first."""
+    got_digest, got_requested = pins(record)
+    want_digest, want_requested = GOLDEN[key]
+    assert got_digest == want_digest, "outputs or executed counts differ"
+    assert got_requested == want_requested, "requested counts differ"
+
+
 def configurations() -> list[tuple[str, str, str, str]]:
     """(dataset, algorithm, test, backtracking) of every pinned learn."""
     out = [
@@ -101,123 +121,121 @@ def _key(name, algorithm, test, mode) -> str:
 
 
 GOLDEN = {
-    'order-37/0 gs mi none': '8030096ceca7d4e7',
-    'order-37/0 gs mi start-set': 'e6e7d31113cc726a',
-    'order-37/0 gs mi legacy': '6fba33ffecc0f960',
-    'order-37/0 inter-iamb mi none': '44ecddce914242f5',
-    'order-37/0 inter-iamb mi start-set': 'bf273399f3ea8a54',
-    'order-37/0 inter-iamb mi legacy': '2a33082b72d68d8e',
-    'order-37/0 mmpc mi none': '29c6847f8e3ff16d',
-    'order-37/0 mmpc mi start-set': '2270437fba0946d4',
-    'order-37/0 mmpc mi legacy': '2280e231e4ab189f',
-    'order-37/0 si-hiton-pc mi none': '86d5f4cb849caff6',
-    'order-37/0 si-hiton-pc mi start-set': '408f909513c274a1',
-    'order-37/0 si-hiton-pc mi legacy': '66cb5542efec992e',
-    'order-37/1 gs mi none': 'c7b57f29b856fad5',
-    'order-37/1 gs mi start-set': '2612a6f1fb23d657',
-    'order-37/1 gs mi legacy': '7c48bcdfab66ef1a',
-    'order-37/1 inter-iamb mi none': '783c1f5b63330065',
-    'order-37/1 inter-iamb mi start-set': 'd2e440382e85c308',
-    'order-37/1 inter-iamb mi legacy': 'da9fda967add44a7',
-    'order-37/1 mmpc mi none': 'bdecc6e1b7b1534c',
-    'order-37/1 mmpc mi start-set': 'd2e9fc030d61894b',
-    'order-37/1 mmpc mi legacy': 'd3ddf248482b8346',
-    'order-37/1 si-hiton-pc mi none': '24dcf6b637b17237',
-    'order-37/1 si-hiton-pc mi start-set': 'dcdda2e0be392a62',
-    'order-37/1 si-hiton-pc mi legacy': '7417454dc5ee51f5',
-    'order-37/2 gs mi none': '70136dbd07767bac',
-    'order-37/2 gs mi start-set': '6dba7623deeed9b8',
-    'order-37/2 gs mi legacy': '0fe54e95ff810544',
-    'order-37/2 inter-iamb mi none': 'e6c48ec2e343397d',
-    'order-37/2 inter-iamb mi start-set': '679075cc875c4a4c',
-    'order-37/2 inter-iamb mi legacy': 'fd6f37fbb23abf59',
-    'order-37/2 mmpc mi none': '0e42be048d18468f',
-    'order-37/2 mmpc mi start-set': '9f626f942d40e86a',
-    'order-37/2 mmpc mi legacy': 'eefd338eabd77a16',
-    'order-37/2 si-hiton-pc mi none': 'a1c4f052e1e2f5ea',
-    'order-37/2 si-hiton-pc mi start-set': '37bebc4087738254',
-    'order-37/2 si-hiton-pc mi legacy': 'c861dae70159a07b',
-    'order-37/3 gs mi none': 'd69b8329d9152d4c',
-    'order-37/3 gs mi start-set': 'b47cfbf01d5051df',
-    'order-37/3 gs mi legacy': '44aa8608ad9560c1',
-    'order-37/3 inter-iamb mi none': 'c708c5ad6c40260c',
-    'order-37/3 inter-iamb mi start-set': '69c91fbae5c67b10',
-    'order-37/3 inter-iamb mi legacy': '253751591d68e718',
-    'order-37/3 mmpc mi none': '2a0038226c79889f',
-    'order-37/3 mmpc mi start-set': '61ae5057d8ca35fe',
-    'order-37/3 mmpc mi legacy': '2175023a67bb8543',
-    'order-37/3 si-hiton-pc mi none': '251fc63a2c3aef23',
-    'order-37/3 si-hiton-pc mi start-set': '26f9fbaf1413d122',
-    'order-37/3 si-hiton-pc mi legacy': 'c9f6f40990712e45',
-    'order-37/4 gs mi none': 'f976850ac7e9689b',
-    'order-37/4 gs mi start-set': 'cd31d0aa3d0b5357',
-    'order-37/4 gs mi legacy': 'b7829a4c9717df11',
-    'order-37/4 inter-iamb mi none': 'c8cc9c19fb0190e9',
-    'order-37/4 inter-iamb mi start-set': 'af0a04e6e171a834',
-    'order-37/4 inter-iamb mi legacy': 'f1a5b7f33c274c20',
-    'order-37/4 mmpc mi none': '6eba0557f47c7f12',
-    'order-37/4 mmpc mi start-set': '72e392cf3d28d427',
-    'order-37/4 mmpc mi legacy': '347a07d8ddb4b237',
-    'order-37/4 si-hiton-pc mi none': 'a3ea7a603df3a286',
-    'order-37/4 si-hiton-pc mi start-set': 'a2264f7d72527045',
-    'order-37/4 si-hiton-pc mi legacy': 'cfba8476e42c7d62',
-    'order-37/5 gs mi none': '0e4f2eb62a2a1fdb',
-    'order-37/5 gs mi start-set': '8c32d1e8fd715189',
-    'order-37/5 gs mi legacy': 'd043bbf426c3fcd8',
-    'order-37/5 inter-iamb mi none': 'fddf387dee51b476',
-    'order-37/5 inter-iamb mi start-set': 'a1408f090a8f02b2',
-    'order-37/5 inter-iamb mi legacy': 'b93a0d96d778714a',
-    'order-37/5 mmpc mi none': '9fbc48a65b64133c',
-    'order-37/5 mmpc mi start-set': '58d9c5b64c35108e',
-    'order-37/5 mmpc mi legacy': '42088004834db5c7',
-    'order-37/5 si-hiton-pc mi none': '70cbc0cfb2c9150c',
-    'order-37/5 si-hiton-pc mi start-set': '909d103e96a9fe8c',
-    'order-37/5 si-hiton-pc mi legacy': 'f2bf2cd55b3df565',
-    'order-37/6 gs mi none': '8cc27fbe8d67dd71',
-    'order-37/6 gs mi start-set': '7085c6cf8dc8ec23',
-    'order-37/6 gs mi legacy': '34707c8d82bfb066',
-    'order-37/6 inter-iamb mi none': 'a6bb2703a274d527',
-    'order-37/6 inter-iamb mi start-set': 'a0024fed6f9b4bea',
-    'order-37/6 inter-iamb mi legacy': 'ca98662667fdabc5',
-    'order-37/6 mmpc mi none': '6a44cf341e439768',
-    'order-37/6 mmpc mi start-set': '63510dd681fb5f0a',
-    'order-37/6 mmpc mi legacy': 'def110d3e40d034a',
-    'order-37/6 si-hiton-pc mi none': '0a7ace9e4896a646',
-    'order-37/6 si-hiton-pc mi start-set': '647885794e3b47f8',
-    'order-37/6 si-hiton-pc mi legacy': '381ead779120395a',
-    'order-37/7 gs mi none': '0f7f185312e7d369',
-    'order-37/7 gs mi start-set': '68b5b5e8a4805542',
-    'order-37/7 gs mi legacy': 'f95e9d97818b79d6',
-    'order-37/7 inter-iamb mi none': '2cc859bb3abc11a4',
-    'order-37/7 inter-iamb mi start-set': '263d6b350223b41f',
-    'order-37/7 inter-iamb mi legacy': 'f0ac81eb304e368f',
-    'order-37/7 mmpc mi none': 'a5f48828e70ffde3',
-    'order-37/7 mmpc mi start-set': '63d8db75633218a3',
-    'order-37/7 mmpc mi legacy': '794780e786ef5bfc',
-    'order-37/7 si-hiton-pc mi none': '82bbf6901b5f52a7',
-    'order-37/7 si-hiton-pc mi start-set': 'c3b59d7fecb0b9fe',
-    'order-37/7 si-hiton-pc mi legacy': '3444ce3849404e05',
-    'discrete-iamb gs mi none': '44661f843c64f619',
-    'discrete-iamb inter-iamb mi none': '04c2da20d80014da',
-    'gauss-sihiton si-hiton-pc cor none': '6df452baa21df813',
-    'gauss-14 gs cor none': '65ffe55c959dcdca',
-    'gauss-14 inter-iamb cor none': '747436994caaa5fd',
-    'gauss-14 mmpc cor none': '5270f2f8953fa28f',
-    'gauss-14 si-hiton-pc cor none': '6e5450f5efe6fc60',
+    'order-37/0 gs mi none': ('cf90056f368395f4', [2512, 18, 0]),
+    'order-37/0 gs mi start-set': ('ee01b16e1c879483', [1107, 18, 0]),
+    'order-37/0 gs mi legacy': ('2cd4f2bb8437da1f', [1078, 38, 0]),
+    'order-37/0 inter-iamb mi none': ('e5731942bba4b1df', [2960, 17, 0]),
+    'order-37/0 inter-iamb mi start-set': ('5b1d6aa7a826e5d9', [1298, 18, 0]),
+    'order-37/0 inter-iamb mi legacy': ('c33dbc5e368369cb', [1262, 37, 0]),
+    'order-37/0 mmpc mi none': ('7c841f2a0ceeb331', [4219, 0]),
+    'order-37/0 mmpc mi start-set': ('98968d889126fb39', [2119, 0]),
+    'order-37/0 mmpc mi legacy': ('f103f9d515f58e49', [2095, 0]),
+    'order-37/0 si-hiton-pc mi none': ('089dd0cfa6f5594d', [1405, 0]),
+    'order-37/0 si-hiton-pc mi start-set': ('a01058344bf01a3d', [731, 0]),
+    'order-37/0 si-hiton-pc mi legacy': ('7181f69f7f1129fc', [707, 0]),
+    'order-37/1 gs mi none': ('d8b8f9bc06322ac2', [2589, 25, 0]),
+    'order-37/1 gs mi start-set': ('eb0a4f99b1d99379', [1202, 28, 0]),
+    'order-37/1 gs mi legacy': ('9e55c6a7d1e78317', [1160, 61, 0]),
+    'order-37/1 inter-iamb mi none': ('a2a741cb72f73aae', [3552, 29, 0]),
+    'order-37/1 inter-iamb mi start-set': ('f8229fd1904a83c7', [1615, 34, 0]),
+    'order-37/1 inter-iamb mi legacy': ('eb623c3c716f7cd7', [1525, 65, 0]),
+    'order-37/1 mmpc mi none': ('eb323bf995525d23', [5195, 0]),
+    'order-37/1 mmpc mi start-set': ('4d57a49d9d1f4514', [2656, 0]),
+    'order-37/1 mmpc mi legacy': ('01ef32cdc1617d01', [2615, 0]),
+    'order-37/1 si-hiton-pc mi none': ('3072bb214c550093', [1437, 0]),
+    'order-37/1 si-hiton-pc mi start-set': ('3c28bb6731f7ce84', [768, 0]),
+    'order-37/1 si-hiton-pc mi legacy': ('7879cd2a028aed45', [727, 0]),
+    'order-37/2 gs mi none': ('95f28346807323ae', [2410, 18, 0]),
+    'order-37/2 gs mi start-set': ('e7ba5bae28ca4dc9', [1085, 17, 0]),
+    'order-37/2 gs mi legacy': ('419ff0b057b95af0', [1060, 30, 0]),
+    'order-37/2 inter-iamb mi none': ('c7f8aa4931fd776f', [2997, 16, 0]),
+    'order-37/2 inter-iamb mi start-set': ('b8b752034dd9d837', [1237, 17, 0]),
+    'order-37/2 inter-iamb mi legacy': ('3076440858bb3dd1', [1201, 32, 0]),
+    'order-37/2 mmpc mi none': ('511960c5f27fb1f2', [4009, 0]),
+    'order-37/2 mmpc mi start-set': ('acd32d40eaab5c00', [1841, 0]),
+    'order-37/2 mmpc mi legacy': ('053cf33bd052ae3e', [1820, 0]),
+    'order-37/2 si-hiton-pc mi none': ('7ceb8622b7252108', [1395, 0]),
+    'order-37/2 si-hiton-pc mi start-set': ('ceac73bca6393dee', [723, 0]),
+    'order-37/2 si-hiton-pc mi legacy': ('fce8c1fb61b6826e', [702, 0]),
+    'order-37/3 gs mi none': ('96dda4bb44641508', [2518, 14, 0]),
+    'order-37/3 gs mi start-set': ('9cfcc5ad6c7ede14', [1200, 22, 0]),
+    'order-37/3 gs mi legacy': ('32c644ef309f8341', [1172, 32, 0]),
+    'order-37/3 inter-iamb mi none': ('ddf9dc9a5e66c33d', [3110, 19, 0]),
+    'order-37/3 inter-iamb mi start-set': ('2db34dd2e22c3def', [1342, 23, 0]),
+    'order-37/3 inter-iamb mi legacy': ('52792b5624a1a25c', [1302, 35, 0]),
+    'order-37/3 mmpc mi none': ('6d6aafeef3017816', [4500, 0]),
+    'order-37/3 mmpc mi start-set': ('c8fad44bcd83d3b9', [2309, 0]),
+    'order-37/3 mmpc mi legacy': ('c0f671b776a58766', [2286, 0]),
+    'order-37/3 si-hiton-pc mi none': ('6ea85bb576536199', [1433, 0]),
+    'order-37/3 si-hiton-pc mi start-set': ('b9dfbc9dfec64c30', [756, 0]),
+    'order-37/3 si-hiton-pc mi legacy': ('b5cd1252a503e30c', [731, 0]),
+    'order-37/4 gs mi none': ('f8e271c55ed148f5', [2371, 24, 0]),
+    'order-37/4 gs mi start-set': ('d243a530992d24ba', [1076, 25, 0]),
+    'order-37/4 gs mi legacy': ('c3a7da0020a324be', [1051, 33, 0]),
+    'order-37/4 inter-iamb mi none': ('2fa868b70452a031', [2812, 16, 0]),
+    'order-37/4 inter-iamb mi start-set': ('66ba6594ca0e8d8c', [1319, 24, 0]),
+    'order-37/4 inter-iamb mi legacy': ('dfea56577b6d6a71', [1261, 29, 0]),
+    'order-37/4 mmpc mi none': ('6f07c497aa5b8cc0', [4420, 0]),
+    'order-37/4 mmpc mi start-set': ('326a47faa5e572ed', [2089, 0]),
+    'order-37/4 mmpc mi legacy': ('b2e5428698c102c4', [2065, 0]),
+    'order-37/4 si-hiton-pc mi none': ('f666205dfaf571da', [1423, 0]),
+    'order-37/4 si-hiton-pc mi start-set': ('ce874a96fb5de450', [738, 0]),
+    'order-37/4 si-hiton-pc mi legacy': ('030089d5189c42ba', [714, 0]),
+    'order-37/5 gs mi none': ('237e493f951e9d94', [2547, 18, 0]),
+    'order-37/5 gs mi start-set': ('42d000b6107a8d80', [1165, 21, 0]),
+    'order-37/5 gs mi legacy': ('fc6bd46606df9031', [1134, 45, 0]),
+    'order-37/5 inter-iamb mi none': ('3d67707a6d0f430d', [3108, 18, 0]),
+    'order-37/5 inter-iamb mi start-set': ('c32b2127c3749c0e', [1444, 18, 0]),
+    'order-37/5 inter-iamb mi legacy': ('d2100e659ea2def3', [1373, 44, 0]),
+    'order-37/5 mmpc mi none': ('2ffbaa4394bdddae', [4571, 0]),
+    'order-37/5 mmpc mi start-set': ('f0a1bd455081795a', [2379, 0]),
+    'order-37/5 mmpc mi legacy': ('711155bfccfbf534', [2345, 0]),
+    'order-37/5 si-hiton-pc mi none': ('3ccd9e9de394fe44', [1417, 0]),
+    'order-37/5 si-hiton-pc mi start-set': ('0ac8354abfd457f2', [748, 0]),
+    'order-37/5 si-hiton-pc mi legacy': ('4c5399b167520fa2', [714, 0]),
+    'order-37/6 gs mi none': ('d8dd7dec1baccde2', [2652, 25, 0]),
+    'order-37/6 gs mi start-set': ('592237088513f4c3', [1240, 27, 0]),
+    'order-37/6 gs mi legacy': ('9c7513ff66ccdde3', [1206, 48, 0]),
+    'order-37/6 inter-iamb mi none': ('58c5aad187a5fad1', [3404, 27, 0]),
+    'order-37/6 inter-iamb mi start-set': ('e65d44812fa025b6', [1480, 27, 0]),
+    'order-37/6 inter-iamb mi legacy': ('f1fd04b86d863f71', [1453, 49, 0]),
+    'order-37/6 mmpc mi none': ('534b91644f6ae5d9', [4429, 0]),
+    'order-37/6 mmpc mi start-set': ('84070b57044e1457', [2303, 0]),
+    'order-37/6 mmpc mi legacy': ('1d543f751ad85d41', [2275, 0]),
+    'order-37/6 si-hiton-pc mi none': ('cfd743b6583605e3', [1408, 0]),
+    'order-37/6 si-hiton-pc mi start-set': ('3d5fea7fe2ac4a21', [740, 0]),
+    'order-37/6 si-hiton-pc mi legacy': ('4cee254678ed8ca4', [712, 0]),
+    'order-37/7 gs mi none': ('2c881db11d61e50a', [3003, 25, 0]),
+    'order-37/7 gs mi start-set': ('a1b314046093150e', [1231, 29, 0]),
+    'order-37/7 gs mi legacy': ('0c1025a23a258bce', [1195, 48, 0]),
+    'order-37/7 inter-iamb mi none': ('4da7d3d4cee7b6b0', [3885, 30, 0]),
+    'order-37/7 inter-iamb mi start-set': ('4370766388dd625f', [1549, 33, 0]),
+    'order-37/7 inter-iamb mi legacy': ('72079265c5148994', [1469, 45, 0]),
+    'order-37/7 mmpc mi none': ('956d75fa503076dd', [5062, 0]),
+    'order-37/7 mmpc mi start-set': ('8e4d9ca4440de01f', [2350, 0]),
+    'order-37/7 mmpc mi legacy': ('93e97a25be94c7c1', [2321, 0]),
+    'order-37/7 si-hiton-pc mi none': ('27b0f0091b3e848f', [1434, 0]),
+    'order-37/7 si-hiton-pc mi start-set': ('6367b16795e8185f', [752, 0]),
+    'order-37/7 si-hiton-pc mi legacy': ('7383609669da4d25', [723, 0]),
+    'discrete-iamb gs mi none': ('01a317c3a60f17d0', [5847, 213, 0]),
+    'discrete-iamb inter-iamb mi none': ('8167491a791e74a4', [11450, 248, 0]),
+    'gauss-sihiton si-hiton-pc cor none': ('9863efd2e9479120', [71121, 0]),
+    'gauss-14 gs cor none': ('9c6873318795dd1f', [543, 377, 0]),
+    'gauss-14 inter-iamb cor none': ('3d346230a73a76f8', [1341, 456, 0]),
+    'gauss-14 mmpc cor none': ('b54daf0cfb5825b0', [2934, 0]),
+    'gauss-14 si-hiton-pc cor none': ('ec7a29cd2e842f68', [666, 0]),
 }
 
 @pytest.mark.parametrize("dataset_name, algorithm, test, mode", configurations(), ids=str)
 def test_learn_matches_its_golden_digest(dataset_name, algorithm, test, mode):
     cfg = GlobalLearnConfig(algorithm=algorithm, test=test, backtracking=mode)
-    got = digest(learn_record(dataset(dataset_name), cfg))
-    assert got == GOLDEN[_key(dataset_name, algorithm, test, mode)]
+    check(learn_record(dataset(dataset_name), cfg), _key(dataset_name, algorithm, test, mode))
 
 
 @pytest.mark.parametrize("schedule", ["static", "dynamic"])
 def test_two_workers_reproduce_the_gaussian_digest(schedule):
     cfg = GlobalLearnConfig(algorithm="si-hiton-pc", test="cor", workers=2, schedule=schedule)
-    got = digest(learn_record(dataset("gauss-sihiton"), cfg))
-    assert got == GOLDEN[_key("gauss-sihiton", "si-hiton-pc", "cor", "none")]
+    check(learn_record(dataset("gauss-sihiton"), cfg), _key("gauss-sihiton", "si-hiton-pc", "cor", "none"))
 
 
 TWO_WORKER_DISCRETE = [("discrete-iamb", algorithm) for algorithm in ("gs", "inter-iamb")]
@@ -230,8 +248,7 @@ def test_two_workers_reproduce_the_discrete_digests(dataset_name, algorithm, sch
     """Sepsets and member sets cross the lane pipe at k = 2; each run must
     reproduce its one-worker digest."""
     cfg = GlobalLearnConfig(algorithm=algorithm, test="mi", workers=2, schedule=schedule)
-    got = digest(learn_record(dataset(dataset_name), cfg))
-    assert got == GOLDEN[_key(dataset_name, algorithm, "mi", "none")]
+    check(learn_record(dataset(dataset_name), cfg), _key(dataset_name, algorithm, "mi", "none"))
 
 
 def test_the_small_gaussian_tests_given_two_or_more(monkeypatch):
@@ -254,4 +271,4 @@ if __name__ == "__main__":
     for config in configurations():
         name, algorithm, test, mode = config
         cfg = GlobalLearnConfig(algorithm=algorithm, test=test, backtracking=mode)
-        print(f"    {_key(*config)!r}: {digest(learn_record(dataset(name), cfg))!r},")
+        print(f"    {_key(*config)!r}: {pins(learn_record(dataset(name), cfg))!r},")
