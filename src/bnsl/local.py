@@ -10,8 +10,10 @@ conditioning set), and the rest share two loops:
 - :func:`_forward`, max-min forward selection: scan the candidates given
   each of some conditioning sets and add the one most associated at its
   weakest. IAMB scans given the current blanket (Inter-IAMB also shrinks
-  after each addition), MMPC given each subset of it up to
-  ``max_condition_size``. SI-HITON-PC ranks by one scan given z = {},
+  after each addition). MMPC keeps each candidate's weakest outcome for
+  the whole call: its first scan walks each subset of the seeds up to
+  ``max_condition_size``, and each later one only the subsets that hold
+  the member just admitted. SI-HITON-PC ranks by one scan given z = {},
   then walks only the dependent candidates, from subsets of size one.
 - :func:`_eliminate`, one name-ordered elimination pass. Every blanket
   backend ends with :func:`_shrink`, which repeats it to a fixpoint testing
@@ -20,9 +22,16 @@ conditioning set), and the rest share two loops:
   The pipeline's pair separation runs it once per node, over the node's
   own blanket.
 
+So a neighbourhood learner asks each test once per call. Its forward
+phase records, for each member it admits, the member set it was tested
+against (``walked``); it tested dependent given each subset of that set
+up to the cap, so the backward pass skips them. Start-set seeds were never
+scanned: they have no entry and are searched in full.
+
 All heuristic choices are deterministic: candidates are scanned in name
 order, association ranking breaks ties by statistic magnitude then name,
-and separating subsets are enumerated by increasing size and name-
+a candidate's weakest outcome is the first in subset order among equal
+p-values, and separating subsets are enumerated by increasing size and name-
 lexicographically within a size. :meth:`_SubsetOrder.first` is the single
 search for the first separating subset (:func:`first_separator` runs it
 on a pool of its own). Whitelisted nodes are forced members and never
@@ -33,10 +42,11 @@ A :class:`_SubsetOrder` builds a pool's subsets one size at a time, when
 a walk first reaches that size. Searches that repeat a pool share one
 order, and so one frozenset per subset: SI-HITON-PC's forward searches
 (one order for ``pc``, replaced when it grows), :func:`_backward` (one
-order for the members; member ``v`` skips the subsets that hold ``v``)
-and the pipeline's pair separation (one order per task, over the node's
-own blanket; pair ``j`` skips the subsets that hold ``j``). Every empty
-conditioning set, in a search or a scan, is the one ``graph._NO_NODES``.
+order for the members; member ``v`` skips the subsets that hold ``v``,
+and those inside its ``walked`` set) and the pipeline's pair separation
+(one order per task, over the node's own blanket; pair ``j`` skips the
+subsets that hold ``j``). Every empty conditioning set, in a search or a
+scan, is the one ``graph._NO_NODES``.
 
 A scan asks the engine for each conditioning set's whole batch
 (``test_many``); engines that only implement ``test`` get one call per
@@ -184,17 +194,28 @@ class _SubsetOrder:
         for size in range(self.top + 1):
             yield from self.level(size)
 
-    def first(self, test: CiEngine, x: str, y: str, skip: str | None = None, start: int = 0) -> frozenset[str] | None:
-        """The first subset without ``skip``, of ``start`` or more elements,
-        given which ``x`` and ``y`` test independent, or ``None``. Leaving
-        out the subsets that hold a member ``skip`` walks
-        ``subsets_in_order(pool - {skip}, cap)``: combinations of a sorted
-        list keep their relative order when an element goes. A walk from
-        ``start=1`` skips the empty set, for a pair already tested given it."""
+    def first(
+        self,
+        test: CiEngine,
+        x: str,
+        y: str,
+        skip: str | None = None,
+        start: int = 0,
+        asked: frozenset[str] | None = None,
+    ) -> frozenset[str] | None:
+        """The first subset without ``skip``, of ``start`` or more elements
+        and not inside ``asked``, given which ``x`` and ``y`` test
+        independent, or ``None``. Leaving out the subsets that hold a
+        member ``skip`` walks ``subsets_in_order(pool - {skip}, cap)``:
+        combinations of a sorted list keep their relative order when an
+        element goes. A walk from ``start=1`` skips the empty set, for a
+        pair already tested given it; one with ``asked`` skips every subset
+        of ``asked`` (the empty set included), for a pair already tested
+        given each of them. ``asked=None`` skips none."""
         levels = self.levels
         for size in range(start, self.top + 1):
             for s in levels[size] if size < len(levels) else self.level(size):
-                if skip not in s and test.test(x, y, s).independent:
+                if skip not in s and (asked is None or not s <= asked) and test.test(x, y, s).independent:
                     return s
         return None
 
@@ -230,15 +251,16 @@ def learn_nbr(
 def _learn(steps, eliminate, kind, data, target, cfg, test):
     """Run the forward phase ``steps[cfg.backend]`` for ``target`` on the
     member set seeded with the whitelist and the start set, then
-    ``eliminate``. Both note in ``witness`` the latest separating set of
-    each candidate they rejected."""
+    ``eliminate``, passing it what the forward phase returns (a
+    neighbourhood backend's ``walked`` sets). Both note in ``witness`` the
+    latest separating set of each candidate they rejected."""
     cfg.validate(target)
     if cfg.backend not in steps:
         raise ValueError(f"backend {cfg.backend!r} does not learn {kind}")
     names = _resolve_names(data, target, cfg)
     members, witness = set(cfg.whitelist | cfg.start), {}
-    steps[cfg.backend](names, members, target, cfg, test, witness)
-    eliminate(members, target, cfg, test, witness)
+    walked = steps[cfg.backend](names, members, target, cfg, test, witness)
+    eliminate(members, target, cfg, test, witness, walked)
     return frozenset(members), _sepsets(target, members, witness)
 
 
@@ -277,30 +299,48 @@ def _grow(names, cmb, target, cfg, test, witness) -> None:
 
 def _iamb(names, cmb, target, cfg, test, witness, interleave: bool) -> None:
     grown = partial(_shrink, target=target, cfg=cfg, test=test, witness=witness) if interleave else None
-    _forward(names, cmb, target, test, witness, lambda members: [_frozen(members)], grown)
+    _forward(names, cmb, target, test, witness, lambda members, _: [_frozen(members)], grown)
 
 
-def _mmpc(names, cpc, target, cfg, test, witness) -> None:
-    _forward(names, cpc, target, test, witness, partial(subsets_in_order, cap=cfg.max_condition_size))
+def _mmpc(names, cpc, target, cfg, test, witness) -> dict[str, frozenset[str]]:
+    """Max-min parents and children with a running weakest outcome per
+    candidate: the first scan walks each subset of the seeds, and the scan
+    after admitting ``m`` only the new subsets {m} | s, for s a subset of
+    the earlier members of at most ``cap - 1`` elements (none at cap 0)."""
+    cap = cfg.max_condition_size
+
+    def sets(members, added):
+        if added is None:
+            return subsets_in_order(members, cap)
+        if cap == 0:
+            return ()
+        one = frozenset((added,))
+        return (s | one for s in subsets_in_order(members - one, None if cap is None else cap - 1))
+
+    return _forward(names, cpc, target, test, witness, sets, weakest={})
 
 
-def _si_hiton_pc(names, pc, target, cfg, test, witness) -> None:
+def _si_hiton_pc(names, pc, target, cfg, test, witness) -> dict[str, frozenset[str]]:
     """Rank the candidates by one scan given the empty set, then admit each
     dependent one that no non-empty subset of ``pc`` separates. The scan
     asks each marginal test once: it witnesses the independent candidates,
     which are never walked, and a dependent one's walk starts at size one.
-    Every search walks one order of ``pc``, replaced when ``pc`` grows."""
+    Every search walks one order of ``pc``, replaced when ``pc`` grows.
+    Returns each admitted candidate's ``pc`` at its admission."""
     candidates = [v for v in names if v not in pc]
     order = _SubsetOrder(pc, cfg.max_condition_size)
-    for _, v, out in sorted(_scan(test, target, candidates, [_NO_NODES], witness), key=itemgetter(0)):
+    walked = {}
+    for _, v, out in sorted(_scan(test, target, candidates, [_NO_NODES], witness, {}), key=itemgetter(0)):
         if out.independent:
             continue
         sep = order.first(test, target, v, start=1)
         if sep is None:
+            walked[v] = frozenset(pc)
             pc.add(v)
             order = _SubsetOrder(pc, cfg.max_condition_size)
         else:
             witness[v] = sep
+    return walked
 
 
 def _frozen(members) -> frozenset[str]:
@@ -308,40 +348,62 @@ def _frozen(members) -> frozenset[str]:
     return frozenset(members) if members else _NO_NODES
 
 
-def _forward(names, members, target, test, witness, sets, grown=None) -> None:
+def _forward(names, members, target, test, witness, sets, grown=None, weakest=None) -> dict[str, frozenset[str]]:
     """Max-min forward selection: while the candidate most associated at its
-    weakest over ``sets(members)`` tests dependent, add it to ``members`` and
-    call ``grown(members)``. A member set seen before ends the loop: a guard
-    against inconsistent answers when ``grown`` drops members."""
-    seen = {frozenset(members)}
+    weakest tests dependent, add it to ``members`` and call
+    ``grown(members)``. A round scans the candidates given
+    ``sets(members, added)``, ``added`` being the member the last round
+    admitted (``None`` in the first round), into a fresh weakest map, or
+    into the caller's ``weakest`` if it holds one for the whole call; then
+    ``sets`` gives only the sets new since the last round. A member set
+    seen before ends the loop: a guard against inconsistent answers when
+    ``grown`` drops members. Returns ``walked``: each admitted candidate's
+    member set at its admission."""
+    state = frozenset(members)
+    seen, walked, added = {state}, {}, None
     while candidates := [v for v in names if v not in members]:
-        _, v, out = min(_scan(test, target, candidates, sets(members), witness))
+        merged = {} if weakest is None else weakest
+        _, v, out = min(_scan(test, target, candidates, sets(members, added), witness, merged))
         if out.independent:
-            return
+            break
+        walked[v], added = state, v
         members.add(v)
         if grown is not None:
             grown(members)
         if (state := frozenset(members)) in seen:
-            return
+            break
         seen.add(state)
+    return walked
 
 
-def _scan(test, target, candidates, sets, witness) -> list:
+def _scan(test, target, candidates, sets, witness, weakest) -> list:
     """``(ranking key, name, outcome)`` per candidate, the outcome its weakest
-    over the conditioning ``sets`` (largest p, first set on ties); that set
-    witnesses an independent candidate. Each set is one ``test_many`` batch,
-    or one ``test`` call per candidate on engines that only have ``test``."""
+    over the conditioning ``sets`` and what ``weakest`` already holds for
+    it (largest p; on equal p the set first in :func:`subsets_in_order`
+    order), merged into ``weakest``; that set witnesses an independent
+    candidate. Each set is one ``test_many`` batch, or one ``test`` call
+    per candidate on engines that only have ``test``."""
     many = getattr(test, "test_many", None)
-    weakest = {}
     for s in sets:
         outcomes = many(target, candidates, s) if many else [test.test(target, v, s) for v in candidates]
         for v, out in zip(candidates, outcomes):
-            if v not in weakest or out.p_value > weakest[v][0].p_value:
+            held = weakest.get(v)
+            if held is None or _weaker(out, s, *held):
                 weakest[v] = out, s
-    for v, (out, s) in weakest.items():
+    ranked = []
+    for v in candidates:
+        out, s = weakest[v]
         if out.independent:
             witness[v] = s
-    return [(out.ranking_key(v), v, out) for v, (out, _) in weakest.items()]
+        ranked.append((out.ranking_key(v), v, out))
+    return ranked
+
+
+def _weaker(out, s, held, t) -> bool:
+    """Whether outcome ``out`` given ``s`` is weaker than ``held`` given
+    ``t``: a larger p, or an equal p given a set that comes before ``t`` in
+    :func:`subsets_in_order`."""
+    return out.p_value > held.p_value or (out.p_value == held.p_value and (len(s), sorted(s)) < (len(t), sorted(t)))
 
 
 def _eliminate(members: set[str], keep, witness, separator) -> bool:
@@ -359,8 +421,10 @@ def _eliminate(members: set[str], keep, witness, separator) -> bool:
     return dropped
 
 
-def _shrink(members, target, cfg, test, witness) -> None:
-    """Drop members independent of the target given the rest, to fixpoint."""
+def _shrink(members, target, cfg, test, witness, walked=None) -> None:
+    """Drop members independent of the target given the rest, to fixpoint.
+    ``walked`` goes unread: it is the neighbourhood backends' record for
+    :func:`_backward`."""
     def given_rest(v):
         return rest if test.test(target, v, rest := _frozen(members - {v})).independent else None
 
@@ -368,12 +432,20 @@ def _shrink(members, target, cfg, test, witness) -> None:
         pass
 
 
-def _backward(members, target, cfg, test, witness) -> None:
+def _backward(members, target, cfg, test, witness, walked) -> None:
     """Drop, in one pass, the members some subset of the rest separates.
     Each search walks the current members' shared order and skips the
-    subsets that hold the member tested; a drop starts a new order."""
+    subsets that hold the member tested, and those inside ``walked[v]``:
+    the forward phase tested an admitted member dependent given each of
+    them. A seed has no entry and is searched in full, the empty set
+    included. A drop starts a new order."""
     order_of = _orders(cfg.max_condition_size)
-    _eliminate(members, cfg.whitelist, witness, lambda v: order_of(frozenset(members)).first(test, target, v, v))
+    _eliminate(
+        members,
+        cfg.whitelist,
+        witness,
+        lambda v: order_of(frozenset(members)).first(test, target, v, v, asked=walked.get(v)),
+    )
 
 
 _MB_STEPS = {

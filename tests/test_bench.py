@@ -277,11 +277,13 @@ class TestCli:
             assert 0 < doc["executed"] <= doc["tests"]
             counts[node] = doc["tests"], doc["executed"]
         # X6's seven candidates all test dependent given the empty set. The
-        # ranking scan asks each of those tests once; walks that began at the
-        # empty set again would request seven memo hits more (30 requested,
-        # the same 16 executed).
-        assert counts["X6"] == (23, 16)
-        assert [sum(c) for c in zip(*counts.values())] == [88, 71]
+        # ranking scan asks each of those tests once, and the backward pass
+        # skips the subsets a member's walk already asked, so every request
+        # is executed. A backward pass that re-asked them would request seven
+        # memo hits more (23 requested, the same 16 executed), and walks that
+        # began at the empty set again seven more still (30).
+        assert counts["X6"] == (16, 16)
+        assert [sum(c) for c in zip(*counts.values())] == [71, 71]
 
     def test_usage_error_exits_1(self):
         assert main(["learn", "--algorithm", "gs"]) == 1

@@ -127,103 +127,103 @@ GOLDEN = {
     'order-37/0 inter-iamb mi none': ('e5731942bba4b1df', [2960, 17, 0]),
     'order-37/0 inter-iamb mi start-set': ('5b1d6aa7a826e5d9', [1298, 18, 0]),
     'order-37/0 inter-iamb mi legacy': ('c33dbc5e368369cb', [1262, 37, 0]),
-    'order-37/0 mmpc mi none': ('7c841f2a0ceeb331', [4219, 0]),
-    'order-37/0 mmpc mi start-set': ('98968d889126fb39', [2119, 0]),
-    'order-37/0 mmpc mi legacy': ('f103f9d515f58e49', [2095, 0]),
-    'order-37/0 si-hiton-pc mi none': ('089dd0cfa6f5594d', [1405, 0]),
-    'order-37/0 si-hiton-pc mi start-set': ('a01058344bf01a3d', [731, 0]),
-    'order-37/0 si-hiton-pc mi legacy': ('7181f69f7f1129fc', [707, 0]),
+    'order-37/0 mmpc mi none': ('7c841f2a0ceeb331', [2759, 0]),
+    'order-37/0 mmpc mi start-set': ('98968d889126fb39', [1539, 0]),
+    'order-37/0 mmpc mi legacy': ('f103f9d515f58e49', [1515, 0]),
+    'order-37/0 si-hiton-pc mi none': ('089dd0cfa6f5594d', [1364, 0]),
+    'order-37/0 si-hiton-pc mi start-set': ('a01058344bf01a3d', [709, 0]),
+    'order-37/0 si-hiton-pc mi legacy': ('7181f69f7f1129fc', [685, 0]),
     'order-37/1 gs mi none': ('d8b8f9bc06322ac2', [2589, 25, 0]),
     'order-37/1 gs mi start-set': ('eb0a4f99b1d99379', [1202, 28, 0]),
     'order-37/1 gs mi legacy': ('9e55c6a7d1e78317', [1160, 61, 0]),
     'order-37/1 inter-iamb mi none': ('a2a741cb72f73aae', [3552, 29, 0]),
     'order-37/1 inter-iamb mi start-set': ('f8229fd1904a83c7', [1615, 34, 0]),
     'order-37/1 inter-iamb mi legacy': ('eb623c3c716f7cd7', [1525, 65, 0]),
-    'order-37/1 mmpc mi none': ('eb323bf995525d23', [5195, 0]),
-    'order-37/1 mmpc mi start-set': ('4d57a49d9d1f4514', [2656, 0]),
-    'order-37/1 mmpc mi legacy': ('01ef32cdc1617d01', [2615, 0]),
-    'order-37/1 si-hiton-pc mi none': ('3072bb214c550093', [1437, 0]),
-    'order-37/1 si-hiton-pc mi start-set': ('3c28bb6731f7ce84', [768, 0]),
-    'order-37/1 si-hiton-pc mi legacy': ('7879cd2a028aed45', [727, 0]),
+    'order-37/1 mmpc mi none': ('eb323bf995525d23', [3243, 0]),
+    'order-37/1 mmpc mi start-set': ('4d57a49d9d1f4514', [1861, 0]),
+    'order-37/1 mmpc mi legacy': ('01ef32cdc1617d01', [1818, 0]),
+    'order-37/1 si-hiton-pc mi none': ('3072bb214c550093', [1382, 0]),
+    'order-37/1 si-hiton-pc mi start-set': ('3c28bb6731f7ce84', [736, 0]),
+    'order-37/1 si-hiton-pc mi legacy': ('7879cd2a028aed45', [693, 0]),
     'order-37/2 gs mi none': ('95f28346807323ae', [2410, 18, 0]),
     'order-37/2 gs mi start-set': ('e7ba5bae28ca4dc9', [1085, 17, 0]),
     'order-37/2 gs mi legacy': ('419ff0b057b95af0', [1060, 30, 0]),
     'order-37/2 inter-iamb mi none': ('c7f8aa4931fd776f', [2997, 16, 0]),
     'order-37/2 inter-iamb mi start-set': ('b8b752034dd9d837', [1237, 17, 0]),
     'order-37/2 inter-iamb mi legacy': ('3076440858bb3dd1', [1201, 32, 0]),
-    'order-37/2 mmpc mi none': ('511960c5f27fb1f2', [4009, 0]),
-    'order-37/2 mmpc mi start-set': ('acd32d40eaab5c00', [1841, 0]),
-    'order-37/2 mmpc mi legacy': ('053cf33bd052ae3e', [1820, 0]),
-    'order-37/2 si-hiton-pc mi none': ('7ceb8622b7252108', [1395, 0]),
-    'order-37/2 si-hiton-pc mi start-set': ('ceac73bca6393dee', [723, 0]),
-    'order-37/2 si-hiton-pc mi legacy': ('fce8c1fb61b6826e', [702, 0]),
+    'order-37/2 mmpc mi none': ('511960c5f27fb1f2', [2655, 0]),
+    'order-37/2 mmpc mi start-set': ('acd32d40eaab5c00', [1363, 0]),
+    'order-37/2 mmpc mi legacy': ('053cf33bd052ae3e', [1342, 0]),
+    'order-37/2 si-hiton-pc mi none': ('7ceb8622b7252108', [1357, 0]),
+    'order-37/2 si-hiton-pc mi start-set': ('ceac73bca6393dee', [702, 0]),
+    'order-37/2 si-hiton-pc mi legacy': ('fce8c1fb61b6826e', [681, 0]),
     'order-37/3 gs mi none': ('96dda4bb44641508', [2518, 14, 0]),
     'order-37/3 gs mi start-set': ('9cfcc5ad6c7ede14', [1200, 22, 0]),
     'order-37/3 gs mi legacy': ('32c644ef309f8341', [1172, 32, 0]),
     'order-37/3 inter-iamb mi none': ('ddf9dc9a5e66c33d', [3110, 19, 0]),
     'order-37/3 inter-iamb mi start-set': ('2db34dd2e22c3def', [1342, 23, 0]),
     'order-37/3 inter-iamb mi legacy': ('52792b5624a1a25c', [1302, 35, 0]),
-    'order-37/3 mmpc mi none': ('6d6aafeef3017816', [4500, 0]),
-    'order-37/3 mmpc mi start-set': ('c8fad44bcd83d3b9', [2309, 0]),
-    'order-37/3 mmpc mi legacy': ('c0f671b776a58766', [2286, 0]),
-    'order-37/3 si-hiton-pc mi none': ('6ea85bb576536199', [1433, 0]),
-    'order-37/3 si-hiton-pc mi start-set': ('b9dfbc9dfec64c30', [756, 0]),
-    'order-37/3 si-hiton-pc mi legacy': ('b5cd1252a503e30c', [731, 0]),
+    'order-37/3 mmpc mi none': ('6d6aafeef3017816', [2898, 0]),
+    'order-37/3 mmpc mi start-set': ('c8fad44bcd83d3b9', [1634, 0]),
+    'order-37/3 mmpc mi legacy': ('c0f671b776a58766', [1606, 0]),
+    'order-37/3 si-hiton-pc mi none': ('6ea85bb576536199', [1386, 0]),
+    'order-37/3 si-hiton-pc mi start-set': ('b9dfbc9dfec64c30', [730, 0]),
+    'order-37/3 si-hiton-pc mi legacy': ('b5cd1252a503e30c', [700, 0]),
     'order-37/4 gs mi none': ('f8e271c55ed148f5', [2371, 24, 0]),
     'order-37/4 gs mi start-set': ('d243a530992d24ba', [1076, 25, 0]),
     'order-37/4 gs mi legacy': ('c3a7da0020a324be', [1051, 33, 0]),
     'order-37/4 inter-iamb mi none': ('2fa868b70452a031', [2812, 16, 0]),
     'order-37/4 inter-iamb mi start-set': ('66ba6594ca0e8d8c', [1319, 24, 0]),
     'order-37/4 inter-iamb mi legacy': ('dfea56577b6d6a71', [1261, 29, 0]),
-    'order-37/4 mmpc mi none': ('6f07c497aa5b8cc0', [4420, 0]),
-    'order-37/4 mmpc mi start-set': ('326a47faa5e572ed', [2089, 0]),
-    'order-37/4 mmpc mi legacy': ('b2e5428698c102c4', [2065, 0]),
-    'order-37/4 si-hiton-pc mi none': ('f666205dfaf571da', [1423, 0]),
-    'order-37/4 si-hiton-pc mi start-set': ('ce874a96fb5de450', [738, 0]),
-    'order-37/4 si-hiton-pc mi legacy': ('030089d5189c42ba', [714, 0]),
+    'order-37/4 mmpc mi none': ('6f07c497aa5b8cc0', [2860, 0]),
+    'order-37/4 mmpc mi start-set': ('326a47faa5e572ed', [1495, 0]),
+    'order-37/4 mmpc mi legacy': ('b2e5428698c102c4', [1471, 0]),
+    'order-37/4 si-hiton-pc mi none': ('f666205dfaf571da', [1379, 0]),
+    'order-37/4 si-hiton-pc mi start-set': ('ce874a96fb5de450', [714, 0]),
+    'order-37/4 si-hiton-pc mi legacy': ('030089d5189c42ba', [690, 0]),
     'order-37/5 gs mi none': ('237e493f951e9d94', [2547, 18, 0]),
     'order-37/5 gs mi start-set': ('42d000b6107a8d80', [1165, 21, 0]),
     'order-37/5 gs mi legacy': ('fc6bd46606df9031', [1134, 45, 0]),
     'order-37/5 inter-iamb mi none': ('3d67707a6d0f430d', [3108, 18, 0]),
     'order-37/5 inter-iamb mi start-set': ('c32b2127c3749c0e', [1444, 18, 0]),
     'order-37/5 inter-iamb mi legacy': ('d2100e659ea2def3', [1373, 44, 0]),
-    'order-37/5 mmpc mi none': ('2ffbaa4394bdddae', [4571, 0]),
-    'order-37/5 mmpc mi start-set': ('f0a1bd455081795a', [2379, 0]),
-    'order-37/5 mmpc mi legacy': ('711155bfccfbf534', [2345, 0]),
-    'order-37/5 si-hiton-pc mi none': ('3ccd9e9de394fe44', [1417, 0]),
-    'order-37/5 si-hiton-pc mi start-set': ('0ac8354abfd457f2', [748, 0]),
-    'order-37/5 si-hiton-pc mi legacy': ('4c5399b167520fa2', [714, 0]),
+    'order-37/5 mmpc mi none': ('2ffbaa4394bdddae', [2933, 0]),
+    'order-37/5 mmpc mi start-set': ('f0a1bd455081795a', [1698, 0]),
+    'order-37/5 mmpc mi legacy': ('711155bfccfbf534', [1664, 0]),
+    'order-37/5 si-hiton-pc mi none': ('3ccd9e9de394fe44', [1371, 0]),
+    'order-37/5 si-hiton-pc mi start-set': ('0ac8354abfd457f2', [722, 0]),
+    'order-37/5 si-hiton-pc mi legacy': ('4c5399b167520fa2', [688, 0]),
     'order-37/6 gs mi none': ('d8dd7dec1baccde2', [2652, 25, 0]),
     'order-37/6 gs mi start-set': ('592237088513f4c3', [1240, 27, 0]),
     'order-37/6 gs mi legacy': ('9c7513ff66ccdde3', [1206, 48, 0]),
     'order-37/6 inter-iamb mi none': ('58c5aad187a5fad1', [3404, 27, 0]),
     'order-37/6 inter-iamb mi start-set': ('e65d44812fa025b6', [1480, 27, 0]),
     'order-37/6 inter-iamb mi legacy': ('f1fd04b86d863f71', [1453, 49, 0]),
-    'order-37/6 mmpc mi none': ('534b91644f6ae5d9', [4429, 0]),
-    'order-37/6 mmpc mi start-set': ('84070b57044e1457', [2303, 0]),
-    'order-37/6 mmpc mi legacy': ('1d543f751ad85d41', [2275, 0]),
-    'order-37/6 si-hiton-pc mi none': ('cfd743b6583605e3', [1408, 0]),
-    'order-37/6 si-hiton-pc mi start-set': ('3d5fea7fe2ac4a21', [740, 0]),
-    'order-37/6 si-hiton-pc mi legacy': ('4cee254678ed8ca4', [712, 0]),
+    'order-37/6 mmpc mi none': ('534b91644f6ae5d9', [2863, 0]),
+    'order-37/6 mmpc mi start-set': ('84070b57044e1457', [1641, 0]),
+    'order-37/6 mmpc mi legacy': ('1d543f751ad85d41', [1611, 0]),
+    'order-37/6 si-hiton-pc mi none': ('cfd743b6583605e3', [1364, 0]),
+    'order-37/6 si-hiton-pc mi start-set': ('3d5fea7fe2ac4a21', [715, 0]),
+    'order-37/6 si-hiton-pc mi legacy': ('4cee254678ed8ca4', [685, 0]),
     'order-37/7 gs mi none': ('2c881db11d61e50a', [3003, 25, 0]),
     'order-37/7 gs mi start-set': ('a1b314046093150e', [1231, 29, 0]),
     'order-37/7 gs mi legacy': ('0c1025a23a258bce', [1195, 48, 0]),
     'order-37/7 inter-iamb mi none': ('4da7d3d4cee7b6b0', [3885, 30, 0]),
     'order-37/7 inter-iamb mi start-set': ('4370766388dd625f', [1549, 33, 0]),
     'order-37/7 inter-iamb mi legacy': ('72079265c5148994', [1469, 45, 0]),
-    'order-37/7 mmpc mi none': ('956d75fa503076dd', [5062, 0]),
-    'order-37/7 mmpc mi start-set': ('8e4d9ca4440de01f', [2350, 0]),
-    'order-37/7 mmpc mi legacy': ('93e97a25be94c7c1', [2321, 0]),
-    'order-37/7 si-hiton-pc mi none': ('27b0f0091b3e848f', [1434, 0]),
-    'order-37/7 si-hiton-pc mi start-set': ('6367b16795e8185f', [752, 0]),
-    'order-37/7 si-hiton-pc mi legacy': ('7383609669da4d25', [723, 0]),
+    'order-37/7 mmpc mi none': ('956d75fa503076dd', [3176, 0]),
+    'order-37/7 mmpc mi start-set': ('8e4d9ca4440de01f', [1668, 0]),
+    'order-37/7 mmpc mi legacy': ('93e97a25be94c7c1', [1638, 0]),
+    'order-37/7 si-hiton-pc mi none': ('27b0f0091b3e848f', [1381, 0]),
+    'order-37/7 si-hiton-pc mi start-set': ('6367b16795e8185f', [725, 0]),
+    'order-37/7 si-hiton-pc mi legacy': ('7383609669da4d25', [695, 0]),
     'discrete-iamb gs mi none': ('01a317c3a60f17d0', [5847, 213, 0]),
     'discrete-iamb inter-iamb mi none': ('8167491a791e74a4', [11450, 248, 0]),
-    'gauss-sihiton si-hiton-pc cor none': ('9863efd2e9479120', [71121, 0]),
+    'gauss-sihiton si-hiton-pc cor none': ('9863efd2e9479120', [66071, 0]),
     'gauss-14 gs cor none': ('9c6873318795dd1f', [543, 377, 0]),
     'gauss-14 inter-iamb cor none': ('3d346230a73a76f8', [1341, 456, 0]),
-    'gauss-14 mmpc cor none': ('b54daf0cfb5825b0', [2934, 0]),
-    'gauss-14 si-hiton-pc cor none': ('ec7a29cd2e842f68', [666, 0]),
+    'gauss-14 mmpc cor none': ('b54daf0cfb5825b0', [1551, 0]),
+    'gauss-14 si-hiton-pc cor none': ('ec7a29cd2e842f68', [532, 0]),
 }
 
 @pytest.mark.parametrize("dataset_name, algorithm, test, mode", configurations(), ids=str)

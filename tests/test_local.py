@@ -550,10 +550,10 @@ class TestRequestSequence:
         ("iamb", "single"): "d71c31b710d391a5249b5708e4c8aa379e89dd5278507c2e0cc1122b7dfae61d",
         ("inter-iamb", "batched"): "60cb88b2ee6725462162426287b874669e0767690378ce02f1ac2478cb0f1271",
         ("inter-iamb", "single"): "689dec3c495085713235f7da0731a7a8572ce157a6e3407d56e193ae98a8d401",
-        ("mmpc", "batched"): "6dc095c99aea420bad724fac28e8f44724f8714c4017e1eb35b655e29de13c0c",
-        ("mmpc", "single"): "c6fa12a8bf483a8c03dd7c93533c6f4cb0063005dc0c4b6e06b49e547e8252f5",
-        ("si-hiton-pc", "batched"): "24458830887f82164b3c43f064224d59dc33606a548f8d7335e9e07516d3d491",
-        ("si-hiton-pc", "single"): "fd6d63cfcb2668ebef74922c451ff964f36b20a48fd7000aeacf880b08fdb4d5",
+        ("mmpc", "batched"): "01787b6096429c43623f2e73e6d8b15c7576a7ab7f687c361fd4f32147a391eb",
+        ("mmpc", "single"): "86585b071a1c746b40b327ff1c3f51e1d379c5055849a550cb03166e3a32ea36",
+        ("si-hiton-pc", "batched"): "a846f455ee1f7e9fc0a69e4e22f8ce59ed17d0ec42ef39fb2a842bb17a08b5b8",
+        ("si-hiton-pc", "single"): "28e0ea87edfc10c72a7e60af79e77deff6f483a0fd17ea14d6344b3ffd1cdc84",
     }
     SKELETON_DIGESTS = {
         ("gs", "none"): "52a9b9d1101b7120ced7d4e9c8480d1820b17b84d7dce6125b614b69fdae3d97",
@@ -587,3 +587,40 @@ class TestRequestSequence:
         cfg = GlobalLearnConfig(algorithm=algorithm, alpha=0.05, backtracking=mode)
         skel, seps = structure.learn_skeleton(self.DATA, cfg)
         assert _digest(engine.calls, [(skel.edges, seps)]) == self.SKELETON_DIGESTS[(algorithm, mode)]
+
+
+class EachTestRecordingEngine(RecordingEngine):
+    """:class:`RecordingEngine` that also passes ``test_many`` through and
+    records each candidate of a batch as one (target, candidate, z) query."""
+
+    def test_many(self, target, candidates, z):
+        self.calls.extend((target, v, frozenset(z)) for v in candidates)
+        return self.inner.test_many(target, candidates, z)
+
+
+class TestOncePerCall:
+    """A neighbourhood learner asks each test at most once per call. MMPC
+    keeps each candidate's weakest outcome, so the scan after an admission
+    asks only the subsets that hold the new member. The backward pass skips
+    the subsets a member's forward phase tested it against, and searches
+    start-set seeds, which no scan tested, in full."""
+
+    DATA = {
+        "discrete": (sample(random_discrete_network(12, 33, edge_prob=0.3, max_levels=3), 600, 5), "mi"),
+        "gauss-14": (gaussian_sem_dataset(14, 400, 7, edge_prob=0.3, max_in_degree=3), "cor"),
+    }
+
+    @pytest.mark.parametrize("cap", (None, 0, 1, 2), ids=str)
+    @pytest.mark.parametrize("data_name", sorted(DATA))
+    @pytest.mark.parametrize("backend", NBR_BACKENDS)
+    def test_no_test_is_requested_twice_in_one_call(self, backend, data_name, cap):
+        data, test = self.DATA[data_name]
+        engine = structure.make_engine(test, data, 0.05)
+        for target in data.names:
+            a, b, c, d, e = [v for v in data.names if v != target][:5]
+            for kw in ({}, {"start": frozenset({a, c, e})}, {"whitelist": frozenset({b, d})}):
+                recorder = EachTestRecordingEngine(engine.spawn())
+                learn_nbr(data, target, LocalLearnConfig(backend, max_condition_size=cap, **kw), recorder)
+                asked = [(frozenset((x, y)), z) for x, y, z in recorder.calls]
+                assert len(asked) == len(set(asked)), (target, kw)
+                assert recorder.counter.count == recorder.counter.executed == len(asked) > 0

@@ -1,14 +1,15 @@
-"""bnsl's SI-HITON-PC against the test-only reference in
-``reference_learners``, which shares no code with ``bnsl``.
+"""bnsl's SI-HITON-PC and MMPC against the test-only references in
+``reference_learners``, which share no code with ``bnsl``.
 
 Both implementations are answered by the same scripted test, so every
 learner branch is reached, not only those a faithful oracle reaches: the
 answers mix d-separation in a random DAG with hashed p-values whose exact
-ties exercise the ranking's tie-breaks. For each node, the members, the
-separating sets and the full sequence of requested (x, y, z) tests must
-be equal. Variable names sort differently from their column order and
-from their numbers ("V10" < "V2"), so a rule that ranks or walks by
-position, or by anything but name, shows.
+ties exercise the ranking's tie-breaks and MMPC's choice among equally
+weak subsets. For each node, the members, the separating sets and the
+full sequence of requested (x, y, z) tests must be equal. Variable names
+sort differently from their column order and from their numbers ("V10" <
+"V2"), so a rule that ranks or walks by position, or by anything but
+name, shows.
 """
 
 from __future__ import annotations
@@ -77,7 +78,10 @@ def seeds(names, target, mode, rng) -> dict[str, frozenset[str]]:
     return {"whitelist" if mode == "legacy" else "start": chose, "blacklist": rest}
 
 
-def run_both(index: int, mode: str, cap):
+REFERENCES = {"si-hiton-pc": ref.si_hiton_pc, "mmpc": ref.mmpc}
+
+
+def run_both(index: int, mode: str, cap, backend: str = "si-hiton-pc"):
     """(bnsl, reference) results per node: members, sepsets and requests."""
     names, answers = case(index)
     data = DiscreteDataset([(v, ["0", "1"]) for v in names], np.zeros((1, len(names)), dtype=int))
@@ -86,7 +90,7 @@ def run_both(index: int, mode: str, cap):
     for target in names:
         kw = seeds(names, target, mode, rng)
         engine = ScriptedEngine(answers)
-        members, table = learn_nbr(data, target, LocalLearnConfig("si-hiton-pc", max_condition_size=cap, **kw), engine)
+        members, table = learn_nbr(data, target, LocalLearnConfig(backend, max_condition_size=cap, **kw), engine)
         ours[target] = members, {b if a == target else a: s for (a, b), s in table.items()}, engine.requests
 
         requests = []
@@ -95,7 +99,7 @@ def run_both(index: int, mode: str, cap):
             requests.append((x, y, frozenset(z)))
             return answers(x, y, z)
 
-        theirs[target] = *ref.si_hiton_pc(names, target, logged, cap=cap, **kw), requests
+        theirs[target] = *REFERENCES[backend](names, target, logged, cap=cap, **kw), requests
     return ours, theirs
 
 
@@ -104,6 +108,15 @@ def run_both(index: int, mode: str, cap):
 def test_si_hiton_pc_matches_the_reference(mode, cap):
     for index in TIER1_CASES:
         ours, theirs = run_both(index, mode, cap)
+        for target in ours:
+            assert ours[target] == theirs[target], (index, target)
+
+
+@pytest.mark.parametrize("cap", CAPS, ids=str)
+@pytest.mark.parametrize("mode", MODES)
+def test_mmpc_matches_the_reference(mode, cap):
+    for index in TIER1_CASES:
+        ours, theirs = run_both(index, mode, cap, "mmpc")
         for target in ours:
             assert ours[target] == theirs[target], (index, target)
 
@@ -132,3 +145,27 @@ def test_the_cases_reach_every_branch():
             if given & sepsets.keys():
                 seen.add("dropped by the backward pass")
     assert len(seen) == 5, seen
+
+
+def test_the_mmpc_cases_reach_a_tie_a_later_scan_decides():
+    """In some tier-1 forward phase, a variable's largest p is reached
+    given two or more subsets, and the one first in subset order is asked
+    after another: the scan after an admission must then replace the
+    weakest subset held, as a scan of every subset in order would have."""
+    decided = 0
+    for index in TIER1_CASES:
+        names, answers = case(index)
+        for target in names:
+            asked = {}
+
+            def logged(x, y, z):
+                out = answers(x, y, z)
+                asked.setdefault(y, []).append((out.p_value, z))
+                return out
+
+            ref.mmpc_forward(names, target, logged)
+            for rows in asked.values():
+                top = max(p for p, _ in rows)
+                tied = [z for p, z in rows if p == top]
+                decided += min(tied, key=lambda z: (len(z), sorted(z))) != tied[0]
+    assert decided > 0
