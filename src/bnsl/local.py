@@ -22,11 +22,20 @@ conditioning set), and the rest share two loops:
   The pipeline's pair separation runs it once per node, over the node's
   own blanket.
 
-So a neighbourhood learner asks each test once per call. Its forward
-phase records, for each member it admits, the member set it was tested
-against (``walked``); it tested dependent given each subset of that set
-up to the cap, so the backward pass skips them. Start-set seeds were never
-scanned: they have no entry and are searched in full.
+So every learner asks each test once per call: it never asks a test
+whose answer the call already holds. The independent answers are the
+``witness`` sets (candidate -> its latest separating set); the dependent
+ones are the ``walked`` sets (member -> set), which the forward phase
+returns and the elimination reads. GS's grow loop and the IAMB scans skip
+a candidate whose witness is the set at hand. A blanket backend's
+``walked[v]`` is the latest set ``v`` tested dependent given, its
+admission set first; :func:`_shrink` keeps a member whose rest equals it
+untested and records each dependent test there, and IAMB's interleaved
+and closing shrinks share one record. A neighbourhood backend's
+``walked[v]`` is the member set ``v`` was tested against at admission:
+it tested dependent given each subset of it up to the cap, so the
+backward pass skips them. Start-set seeds were never scanned: they have
+no entry, and the backward pass searches them in full.
 
 All heuristic choices are deterministic: candidates are scanned in name
 order, association ranking breaks ties by statistic magnitude then name,
@@ -283,23 +292,34 @@ def _resolve_names(data, target: str, cfg: LocalLearnConfig) -> list[str]:
     return [v for v in rank if v != target and v not in cfg.blacklist]
 
 
-def _grow(names, cmb, target, cfg, test, witness) -> None:
+def _grow(names, cmb, target, cfg, test, witness) -> dict[str, frozenset[str]]:
+    """Grow-shrink's grow loop: add each candidate dependent on the target
+    given the blanket as it stands, in name order, until a pass adds none.
+    A candidate already tested independent given the current blanket is
+    not asked again. Returns each added member's conditioning set."""
+    walked = {}
     changed = True
     while changed:
         changed = False
         for v in names:
             if v not in cmb:
                 cond = _frozen(cmb)
+                if witness.get(v) == cond:
+                    continue
                 if test.test(target, v, cond).independent:
                     witness[v] = cond
                 else:
+                    walked[v] = cond
                     cmb.add(v)
                     changed = True
+    return walked
 
 
-def _iamb(names, cmb, target, cfg, test, witness, interleave: bool) -> None:
+def _iamb(names, cmb, target, cfg, test, witness, interleave: bool) -> dict[str, frozenset[str]]:
+    """IAMB's forward phase (Inter-IAMB's shrinks after each admission),
+    with one ``walked`` record for its shrinks and the closing one."""
     grown = partial(_shrink, target=target, cfg=cfg, test=test, witness=witness) if interleave else None
-    _forward(names, cmb, target, test, witness, lambda members, _: [_frozen(members)], grown)
+    return _forward(names, cmb, target, test, witness, lambda members, _: [_frozen(members)], grown)
 
 
 def _mmpc(names, cpc, target, cfg, test, witness) -> dict[str, frozenset[str]]:
@@ -351,25 +371,30 @@ def _frozen(members) -> frozenset[str]:
 def _forward(names, members, target, test, witness, sets, grown=None, weakest=None) -> dict[str, frozenset[str]]:
     """Max-min forward selection: while the candidate most associated at its
     weakest tests dependent, add it to ``members`` and call
-    ``grown(members)``. A round scans the candidates given
+    ``grown(members, walked=walked)``. A round scans the candidates given
     ``sets(members, added)``, ``added`` being the member the last round
     admitted (``None`` in the first round), into a fresh weakest map, or
     into the caller's ``weakest`` if it holds one for the whole call; then
-    ``sets`` gives only the sets new since the last round. A member set
-    seen before ends the loop: a guard against inconsistent answers when
-    ``grown`` drops members. Returns ``walked``: each admitted candidate's
-    member set at its admission."""
+    ``sets`` gives only the sets new since the last round. A round whose
+    candidates were all tested independent given its sets ranks none and
+    ends the loop. A member set seen before ends it too: a guard against
+    inconsistent answers when ``grown`` drops members. Returns
+    ``walked``: each admitted candidate's member set at its admission,
+    which ``grown`` updates with its dependent tests."""
     state = frozenset(members)
     seen, walked, added = {state}, {}, None
     while candidates := [v for v in names if v not in members]:
         merged = {} if weakest is None else weakest
-        _, v, out = min(_scan(test, target, candidates, sets(members, added), witness, merged))
+        ranked = _scan(test, target, candidates, sets(members, added), witness, merged)
+        if not ranked:
+            break
+        _, v, out = min(ranked)
         if out.independent:
             break
         walked[v], added = state, v
         members.add(v)
         if grown is not None:
-            grown(members)
+            grown(members, walked=walked)
         if (state := frozenset(members)) in seen:
             break
         seen.add(state)
@@ -381,21 +406,26 @@ def _scan(test, target, candidates, sets, witness, weakest) -> list:
     over the conditioning ``sets`` and what ``weakest`` already holds for
     it (largest p; on equal p the set first in :func:`subsets_in_order`
     order), merged into ``weakest``; that set witnesses an independent
-    candidate. Each set is one ``test_many`` batch, or one ``test`` call
-    per candidate on engines that only have ``test``."""
+    candidate. A set's tests leave out each candidate witnessed by that
+    very set, which the call already tested independent given it; a
+    candidate with no outcome in ``weakest`` is not ranked. Each set is
+    one ``test_many`` batch, or one ``test`` call per candidate on engines
+    that only have ``test``."""
     many = getattr(test, "test_many", None)
     for s in sets:
-        outcomes = many(target, candidates, s) if many else [test.test(target, v, s) for v in candidates]
-        for v, out in zip(candidates, outcomes):
+        asked = [v for v in candidates if witness.get(v) != s]
+        outcomes = many(target, asked, s) if many else [test.test(target, v, s) for v in asked]
+        for v, out in zip(asked, outcomes):
             held = weakest.get(v)
             if held is None or _weaker(out, s, *held):
                 weakest[v] = out, s
     ranked = []
     for v in candidates:
-        out, s = weakest[v]
-        if out.independent:
-            witness[v] = s
-        ranked.append((out.ranking_key(v), v, out))
+        if v in weakest:
+            out, s = weakest[v]
+            if out.independent:
+                witness[v] = s
+            ranked.append((out.ranking_key(v), v, out))
     return ranked
 
 
@@ -421,12 +451,19 @@ def _eliminate(members: set[str], keep, witness, separator) -> bool:
     return dropped
 
 
-def _shrink(members, target, cfg, test, witness, walked=None) -> None:
+def _shrink(members, target, cfg, test, witness, walked) -> None:
     """Drop members independent of the target given the rest, to fixpoint.
-    ``walked`` goes unread: it is the neighbourhood backends' record for
-    :func:`_backward`."""
+    ``walked[v]`` holds the latest set given which member ``v`` tested
+    dependent; a member whose rest equals it is kept without a test, and
+    each dependent test here replaces it."""
     def given_rest(v):
-        return rest if test.test(target, v, rest := _frozen(members - {v})).independent else None
+        rest = _frozen(members - {v})
+        if walked.get(v) == rest:
+            return None
+        if test.test(target, v, rest).independent:
+            return rest
+        walked[v] = rest
+        return None
 
     while _eliminate(members, cfg.whitelist, witness, given_rest):
         pass

@@ -259,12 +259,13 @@ def orient_v_structures(
 
 
 def _on_demand_sepset(skel, a, b, engine, cap):
-    """Search N(a) \\ {b} then N(b) \\ {a} for a separating set."""
-    for pool in (skel.neighbours(a) - {b}, skel.neighbours(b) - {a}):
-        sep = first_separator(engine, a, b, pool, cap)
-        if sep is not None:
-            return sep
-    return None
+    """Search N(a) \\ {b}, then N(b) \\ {a}, for a separating set. The second
+    search skips the subsets of the first pool: the first tested each."""
+    first = skel.neighbours(a) - {b}
+    sep = first_separator(engine, a, b, first, cap)
+    if sep is None:
+        sep = _SubsetOrder(skel.neighbours(b) - {a}, cap).first(engine, a, b, asked=first)
+    return sep
 
 
 def learn_cpdag(

@@ -10,6 +10,10 @@ test can compare the two implementations request by request.
 - :func:`mmpc`: max-min parents and children (Tsamardinos, Brown &
   Aliferis, Machine Learning 2006, Algorithms 1-2), with its running
   minimum association and bnsl's conventions.
+- :func:`gs`: grow-shrink (Margaritis & Thrun, NIPS 2000), and
+  :func:`iamb`: IAMB and Inter-IAMB (Tsamardinos, Aliferis & Statnikov,
+  FLAIRS 2003), with bnsl's conventions, Markov blanket learners that ask
+  no test whose answer the call already holds.
 - :class:`ScriptedAnswers`: a deterministic test whose answers come from a
   hash, mixed with d-separation in a random DAG by a knob, so answers run
   from faithful to arbitrary.
@@ -174,6 +178,135 @@ def _backward(test, target, members, whitelist, cap, admitted_at, sepsets) -> No
         if sep is not None:
             members.discard(v)
             sepsets[v] = sep
+
+
+def gs(
+    names,
+    target: str,
+    test: Callable,
+    start=(),
+    whitelist=(),
+    blacklist=(),
+) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
+    """Markov blanket of ``target`` and the separating set of every
+    variable left out, by grow-shrink.
+
+    Steps (Margaritis & Thrun 2000), with bnsl's conventions:
+
+    1. The candidates are every variable but the target and the blacklist,
+       in name order. S starts as the whitelist and the start set.
+    2. Grow: take the candidates outside S in name order and test each
+       against the target given S as it stands; a dependent one joins S at
+       once. Repeat until a pass adds nothing. A candidate already tested
+       independent given the current S is not tested again: S separates
+       it.
+    3. Shrink, as :func:`_shrink` states it. A member joined S after a
+       dependent test given S as it stood then.
+    """
+    s = set(whitelist) | set(start)
+    candidates = _candidates(names, target, blacklist)
+    sepsets: dict[str, frozenset[str]] = {}
+    dependent: dict[str, frozenset[str]] = {}
+    grown = True
+    while grown:
+        grown = False
+        for v in candidates:
+            given = frozenset(s)
+            if v in s or sepsets.get(v) == given:
+                continue
+            if test(target, v, given).independent:
+                sepsets[v] = given
+            else:
+                dependent[v] = given
+                s.add(v)
+                grown = True
+    _shrink(test, target, s, whitelist, dependent, sepsets)
+    return frozenset(s), {v: z for v, z in sepsets.items() if v not in s}
+
+
+def iamb(
+    names,
+    target: str,
+    test: Callable,
+    start=(),
+    whitelist=(),
+    blacklist=(),
+    interleaved: bool = False,
+) -> tuple[frozenset[str], dict[str, frozenset[str]]]:
+    """Markov blanket of ``target`` and the separating set of every
+    variable left out, by IAMB, or by Inter-IAMB when ``interleaved``.
+
+    Steps (Tsamardinos, Aliferis & Statnikov 2003), with bnsl's
+    conventions:
+
+    1. The candidates are every variable but the target and the blacklist,
+       in name order. CMB starts as the whitelist and the start set.
+    2. Test each candidate outside CMB against the target given CMB, in
+       name order, except those already tested independent given this
+       very CMB (it separates them). Each independent one is separated by
+       CMB. If no candidate was tested, stop.
+    3. Take the tested candidate whose answer ranks first, by p-value
+       ascending, then statistic magnitude descending, then name. If it is
+       independent, stop; otherwise it joins CMB. Inter-IAMB then shrinks
+       CMB, as :func:`_shrink` states it. If CMB is now a set it has been
+       before (the answers need not be consistent), stop; otherwise go to
+       step 2.
+    4. Shrink, as :func:`_shrink` states it. Every shrink of one call
+       shares one record of the last set each member tested dependent
+       given, its admission first.
+    """
+    cmb = set(whitelist) | set(start)
+    candidates = _candidates(names, target, blacklist)
+    sepsets: dict[str, frozenset[str]] = {}
+    dependent: dict[str, frozenset[str]] = {}
+    seen = {frozenset(cmb)}
+    while True:
+        given = frozenset(cmb)
+        answers = [(test(target, v, given), v) for v in candidates if v not in cmb and sepsets.get(v) != given]
+        for out, v in answers:
+            if out.independent:
+                sepsets[v] = given
+        if not answers:
+            break
+        out, best = min(answers, key=lambda a: (a[0].p_value, -abs(a[0].statistic), a[1]))
+        if out.independent:
+            break
+        dependent[best] = given
+        cmb.add(best)
+        if interleaved:
+            _shrink(test, target, cmb, whitelist, dependent, sepsets)
+        if frozenset(cmb) in seen:
+            break
+        seen.add(frozenset(cmb))
+    _shrink(test, target, cmb, whitelist, dependent, sepsets)
+    return frozenset(cmb), {v: z for v, z in sepsets.items() if v not in cmb}
+
+
+def _candidates(names, target, blacklist) -> list[str]:
+    """Every variable but the target and the blacklist, in name order."""
+    return sorted(v for v in names if v != target and v not in set(blacklist))
+
+
+def _shrink(test, target, members, whitelist, dependent, sepsets) -> None:
+    """Shrink to a fixpoint: take the members outside the whitelist in
+    name order and test each against the target given the other members
+    as they stand; an independent one leaves at once, separated by that
+    set. Repeat until a pass drops nothing. A member whose last dependent
+    answer (``dependent``) was given exactly that set is kept untested;
+    each dependent answer here replaces its entry."""
+    dropped = True
+    while dropped:
+        dropped = False
+        for v in sorted(members - set(whitelist)):
+            rest = frozenset(members - {v})
+            if dependent.get(v) == rest:
+                continue
+            if test(target, v, rest).independent:
+                members.discard(v)
+                sepsets[v] = rest
+                dropped = True
+            else:
+                dependent[v] = rest
 
 
 def _subsets(pool, cap):

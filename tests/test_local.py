@@ -144,13 +144,17 @@ class ScriptedEngine:
 
 class TestForwardGuard:
     def test_a_member_set_seen_before_ends_the_forward_loop(self):
-        # Inter-IAMB's scan adds A and its interleaved shrink drops A again,
-        # which brings the member set back to the empty set it started from.
-        data = DiscreteDataset([("A", ["0", "1"]), ("T", ["0", "1"])], np.zeros((2, 2), dtype=int))
+        # Inter-IAMB's scans admit A given {} and then B given {A}; the
+        # interleaved shrink then drops A given {B} and B given {}, which
+        # brings the member set back to the empty set it started from. The
+        # shrink never re-tests A given {}, the test that admitted it.
+        data = DiscreteDataset(
+            [("A", ["0", "1"]), ("B", ["0", "1"]), ("T", ["0", "1"])], np.zeros((2, 3), dtype=int)
+        )
         engine = ScriptedEngine()
         members, sepsets = learn_mb(data, "T", LocalLearnConfig("inter-iamb"), engine)
-        assert members == frozenset() and engine.scans == 1
-        assert sepsets.get("A", "T") == frozenset()
+        assert members == frozenset() and engine.scans == 2
+        assert sepsets.get("A", "T") == {"B"} and sepsets.get("B", "T") == frozenset()
 
 
 class TestLearnNbr:
@@ -544,22 +548,22 @@ class TestRequestSequence:
     DATA = sample(random_discrete_network(7, 808, edge_prob=0.35, max_levels=3), 400, 808)
 
     LEARNER_DIGESTS = {
-        ("gs", "batched"): "4ce2979d96a498b98958f6cfd95beb44bfd2e853ee23cac74ac1f270a838906a",
-        ("gs", "single"): "4ce2979d96a498b98958f6cfd95beb44bfd2e853ee23cac74ac1f270a838906a",
-        ("iamb", "batched"): "3dd161774db01a64ad5acb078d54b235033e2bc4b2b97c138c86d52d3b4a190f",
-        ("iamb", "single"): "d71c31b710d391a5249b5708e4c8aa379e89dd5278507c2e0cc1122b7dfae61d",
-        ("inter-iamb", "batched"): "60cb88b2ee6725462162426287b874669e0767690378ce02f1ac2478cb0f1271",
-        ("inter-iamb", "single"): "689dec3c495085713235f7da0731a7a8572ce157a6e3407d56e193ae98a8d401",
+        ("gs", "batched"): "6de69479a8d86d5d9d06d7f63aae62d6c25b58487db77aed8a432c002e042f20",
+        ("gs", "single"): "6de69479a8d86d5d9d06d7f63aae62d6c25b58487db77aed8a432c002e042f20",
+        ("iamb", "batched"): "91ea49dea0b6b93e31c27d1da2fa5753486b7c561c96e02d6850e0ad180c5ad5",
+        ("iamb", "single"): "9336ea9b552d4ece1d0cc3f8838e6bd0a36d25f8b041e48ae019206a2c61d8a5",
+        ("inter-iamb", "batched"): "954371962a19cb38f65f7db7f17ef77b46d32f0e07b033bbc636f49ebed89220",
+        ("inter-iamb", "single"): "aa76e3cf3283ec5b5c874905e5f4295f0f44c59eedaa2d5ed5355b2e6b9cc750",
         ("mmpc", "batched"): "01787b6096429c43623f2e73e6d8b15c7576a7ab7f687c361fd4f32147a391eb",
         ("mmpc", "single"): "86585b071a1c746b40b327ff1c3f51e1d379c5055849a550cb03166e3a32ea36",
         ("si-hiton-pc", "batched"): "a846f455ee1f7e9fc0a69e4e22f8ce59ed17d0ec42ef39fb2a842bb17a08b5b8",
         ("si-hiton-pc", "single"): "28e0ea87edfc10c72a7e60af79e77deff6f483a0fd17ea14d6344b3ffd1cdc84",
     }
     SKELETON_DIGESTS = {
-        ("gs", "none"): "52a9b9d1101b7120ced7d4e9c8480d1820b17b84d7dce6125b614b69fdae3d97",
-        ("gs", "start-set"): "56706ba9be06fbcf21bb6e57ce5ba642b09a42475a65e4bae26ee12ca7a1950d",
-        ("inter-iamb", "none"): "c3caa28f41f272690d64897a1dc983d5f0e22d37cb6dacfe32a18f6a0354143a",
-        ("inter-iamb", "start-set"): "f356b2b69935cc104bbaa5f09b16cf674e27c94b7b1a5e98cf86499a07244da6",
+        ("gs", "none"): "8431035547482ba999fd0e40e1ed11a718f359a8c6f0ca8a690fa9567ec7b89a",
+        ("gs", "start-set"): "1d7725a3b3783e5af8dccb96fe3796d4f83bae79ad680c58b13d426c1daa7637",
+        ("inter-iamb", "none"): "efb8a99ac38dd74e1039256f08e16b8ae75bd57bb154239cbfb7749a0332a169",
+        ("inter-iamb", "start-set"): "2138c9f68d05a57731e1c873cf0beb774dc4cc8c44009c322d88e2f9c687ef1c",
     }
 
     @pytest.mark.parametrize("backend, calls", sorted(LEARNER_DIGESTS))
@@ -599,11 +603,14 @@ class EachTestRecordingEngine(RecordingEngine):
 
 
 class TestOncePerCall:
-    """A neighbourhood learner asks each test at most once per call. MMPC
-    keeps each candidate's weakest outcome, so the scan after an admission
-    asks only the subsets that hold the new member. The backward pass skips
-    the subsets a member's forward phase tested it against, and searches
-    start-set seeds, which no scan tested, in full."""
+    """Every learner asks each test at most once per call. MMPC keeps each
+    candidate's weakest outcome, so the scan after an admission asks only
+    the subsets that hold the new member. The backward pass skips the
+    subsets a member's forward phase tested it against, and searches
+    start-set seeds, which no scan tested, in full. The blanket learners
+    skip a candidate already tested independent given the set at hand (its
+    witness) and a member already tested dependent given its rest (its
+    ``walked`` set); the cap does not reach them."""
 
     DATA = {
         "discrete": (sample(random_discrete_network(12, 33, edge_prob=0.3, max_levels=3), 600, 5), "mi"),
@@ -612,15 +619,16 @@ class TestOncePerCall:
 
     @pytest.mark.parametrize("cap", (None, 0, 1, 2), ids=str)
     @pytest.mark.parametrize("data_name", sorted(DATA))
-    @pytest.mark.parametrize("backend", NBR_BACKENDS)
+    @pytest.mark.parametrize("backend", MB_BACKENDS + NBR_BACKENDS)
     def test_no_test_is_requested_twice_in_one_call(self, backend, data_name, cap):
         data, test = self.DATA[data_name]
         engine = structure.make_engine(test, data, 0.05)
+        learner = learn_mb if backend in MB_BACKENDS else learn_nbr
         for target in data.names:
             a, b, c, d, e = [v for v in data.names if v != target][:5]
             for kw in ({}, {"start": frozenset({a, c, e})}, {"whitelist": frozenset({b, d})}):
                 recorder = EachTestRecordingEngine(engine.spawn())
-                learn_nbr(data, target, LocalLearnConfig(backend, max_condition_size=cap, **kw), recorder)
+                learner(data, target, LocalLearnConfig(backend, max_condition_size=cap, **kw), recorder)
                 asked = [(frozenset((x, y)), z) for x, y, z in recorder.calls]
                 assert len(asked) == len(set(asked)), (target, kw)
                 assert recorder.counter.count == recorder.counter.executed == len(asked) > 0

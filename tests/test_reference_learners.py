@@ -1,12 +1,14 @@
-"""bnsl's SI-HITON-PC and MMPC against the test-only references in
+"""bnsl's local learners against the test-only references in
 ``reference_learners``, which share no code with ``bnsl``.
 
 Both implementations are answered by the same scripted test, so every
 learner branch is reached, not only those a faithful oracle reaches: the
 answers mix d-separation in a random DAG with hashed p-values whose exact
 ties exercise the ranking's tie-breaks and MMPC's choice among equally
-weak subsets. For each node, the members, the separating sets and the
-full sequence of requested (x, y, z) tests must be equal. Variable names
+weak subsets, and they need not be consistent, so the blanket learners'
+shrinks drop members their scans admitted. For each node, the members,
+the separating sets and the full sequence of requested (x, y, z) tests
+must be equal. Variable names
 sort differently from their column order and from their numbers ("V10" <
 "V2"), so a rule that ranks or walks by position, or by anything but
 name, shows.
@@ -15,6 +17,7 @@ name, shows.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ import pytest
 import reference_learners as ref
 from bnsl import citests
 from bnsl.data import DiscreteDataset
-from bnsl.local import LocalLearnConfig, learn_nbr
+from bnsl.local import MB_BACKENDS, NBR_BACKENDS, LocalLearnConfig, learn_mb, learn_nbr
 
 MODES = ("none", "start-set", "legacy")
 CAPS = (None, 0, 1, 2)
@@ -78,7 +81,13 @@ def seeds(names, target, mode, rng) -> dict[str, frozenset[str]]:
     return {"whitelist" if mode == "legacy" else "start": chose, "blacklist": rest}
 
 
-REFERENCES = {"si-hiton-pc": ref.si_hiton_pc, "mmpc": ref.mmpc}
+REFERENCES = {
+    "si-hiton-pc": ref.si_hiton_pc,
+    "mmpc": ref.mmpc,
+    "gs": ref.gs,
+    "iamb": ref.iamb,
+    "inter-iamb": partial(ref.iamb, interleaved=True),
+}
 
 
 def run_both(index: int, mode: str, cap, backend: str = "si-hiton-pc"):
@@ -90,7 +99,8 @@ def run_both(index: int, mode: str, cap, backend: str = "si-hiton-pc"):
     for target in names:
         kw = seeds(names, target, mode, rng)
         engine = ScriptedEngine(answers)
-        members, table = learn_nbr(data, target, LocalLearnConfig(backend, max_condition_size=cap, **kw), engine)
+        learner = learn_nbr if backend in NBR_BACKENDS else learn_mb
+        members, table = learner(data, target, LocalLearnConfig(backend, max_condition_size=cap, **kw), engine)
         ours[target] = members, {b if a == target else a: s for (a, b), s in table.items()}, engine.requests
 
         requests = []
@@ -99,7 +109,8 @@ def run_both(index: int, mode: str, cap, backend: str = "si-hiton-pc"):
             requests.append((x, y, frozenset(z)))
             return answers(x, y, z)
 
-        theirs[target] = *REFERENCES[backend](names, target, logged, cap=cap, **kw), requests
+        reference = partial(REFERENCES[backend], cap=cap) if backend in NBR_BACKENDS else REFERENCES[backend]
+        theirs[target] = *reference(names, target, logged, **kw), requests
     return ours, theirs
 
 
@@ -117,6 +128,17 @@ def test_si_hiton_pc_matches_the_reference(mode, cap):
 def test_mmpc_matches_the_reference(mode, cap):
     for index in TIER1_CASES:
         ours, theirs = run_both(index, mode, cap, "mmpc")
+        for target in ours:
+            assert ours[target] == theirs[target], (index, target)
+
+
+@pytest.mark.parametrize("backend", MB_BACKENDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_blanket_learners_match_the_reference(mode, backend):
+    """The cap does not reach a blanket learner: each conditions on its
+    whole blanket."""
+    for index in TIER1_CASES:
+        ours, theirs = run_both(index, mode, None, backend)
         for target in ours:
             assert ours[target] == theirs[target], (index, target)
 

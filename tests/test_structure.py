@@ -170,11 +170,14 @@ class TestOrientVStructures:
     def test_on_demand_search_without_a_separator_records_none(self):
         # A and B are adjacent in the truth but not in the skeleton: no
         # subset of either's neighbours separates them, so the pair is
-        # recorded as None and A - K - B becomes a collider.
+        # recorded as None and A - K - B becomes a collider. B's pool is
+        # A's, whose subsets the first search tested: they are not re-asked.
         truth = Dag(["A", "B", "K"], [("A", "B"), ("A", "K"), ("B", "K")])
         skel = Skeleton(["A", "B", "K"], [("A", "K"), ("B", "K")])
         seps = SepsetTable()
-        result = orient_v_structures(skel, seps, oracle_setup(truth), OracleTest(truth))
+        ex = ParallelExecutor(1)
+        result = orient_v_structures(skel, seps, oracle_setup(truth), OracleTest(truth), ex)
+        assert ex.total_tests() == 2  # {} and {K}
         assert seps.has("A", "B") and seps.get("A", "B") is None
         assert result.pdag.directed_arcs == {("A", "K"), ("B", "K")}
 
