@@ -100,8 +100,14 @@ class LocalLearnConfig:
         for name, group in (("start", self.start), ("whitelist", self.whitelist), ("blacklist", self.blacklist)):
             if target in group:
                 raise ValueError(f"target {target!r} may not appear in the {name} set")
-        if self.max_condition_size is not None and self.max_condition_size < 0:
-            raise ValueError("max_condition_size must be non-negative")
+        _check_cap(self.max_condition_size)
+
+
+def _check_cap(cap: int | None) -> None:
+    """Reject a negative ``max_condition_size``: it would search no subset,
+    not even the empty one, and so separate nothing."""
+    if cap is not None and cap < 0:
+        raise ValueError("max_condition_size must be non-negative")
 
 
 class SepsetTable:
@@ -164,7 +170,8 @@ class SepsetTable:
 def subsets_in_order(pool: Iterable[str], cap: int | None = None) -> Iterator[frozenset[str]]:
     """All subsets of ``pool`` by increasing size, name-lexicographic within
     a size, optionally capped at ``cap`` elements. Includes the empty set,
-    always the shared ``_NO_NODES``."""
+    always the shared ``_NO_NODES``. A negative ``cap`` raises
+    ``ValueError``, here and in every search."""
     return iter(_SubsetOrder(pool, cap))
 
 
@@ -188,6 +195,7 @@ class _SubsetOrder:
     __slots__ = ("pool", "top", "levels")
 
     def __init__(self, pool: Iterable[str], cap: int | None = None) -> None:
+        _check_cap(cap)
         self.pool = sorted(pool)
         self.top = len(self.pool) if cap is None else min(cap, len(self.pool))
         self.levels = [[_NO_NODES]]

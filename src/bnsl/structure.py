@@ -38,7 +38,7 @@ from .citests import CiEngine, make_engine
 from .data import Dataset
 from .graph import Dag, Pdag, Skeleton, VStructure, _pair, _reaches, apply_meek_rules
 from .local import MB_BACKENDS, LocalLearnConfig, SepsetTable, first_separator, learn_mb, learn_nbr
-from .local import _SubsetOrder, _eliminate, _sepsets
+from .local import _SubsetOrder, _check_cap, _eliminate, _sepsets
 from .parallel import ParallelExecutor
 
 ALGORITHMS = ("gs", "inter-iamb", "mmpc", "si-hiton-pc")
@@ -220,6 +220,7 @@ def orient_v_structures(
         executor = ParallelExecutor(1)
     if not set(skel.nodes) <= set(data.names):
         raise ValueError("skeleton nodes are not all present in the dataset")
+    _check_cap(max_condition_size)
     names = skel.nodes
     triples = skel.unshielded_triples()
     missing = sorted({(a, b) for a, _, b in triples if not sepsets.has(a, b)})

@@ -457,6 +457,17 @@ class TestFirstSeparator:
         assert engine.counter.count == 3
 
 
+    @pytest.mark.parametrize("cap", (-1, -3))
+    def test_a_negative_cap_is_rejected(self, cap):
+        # It would search no subset, not even the empty one.
+        engine = OracleTest(self.CHAIN4)
+        with pytest.raises(ValueError, match="max_condition_size"):
+            subsets_in_order(["M1", "M2"], cap)
+        with pytest.raises(ValueError, match="max_condition_size"):
+            first_separator(engine, "X", "Y", ["M1", "M2"], cap)
+        assert engine.counter.count == 0
+
+
 class TestSubsetOrder:
     """Separating-subset searches walk the subsets of a pool lazily, one size
     level at a time, and share one empty set."""

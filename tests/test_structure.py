@@ -181,6 +181,17 @@ class TestOrientVStructures:
         assert seps.has("A", "B") and seps.get("A", "B") is None
         assert result.pdag.directed_arcs == {("A", "K"), ("B", "K")}
 
+    def test_a_negative_cap_is_rejected(self):
+        # A -> C -> B with no recorded sepset: the search finds {C}, so the
+        # triple is no collider. A negative cap would search nothing and
+        # orient the false collider A -> C <- B.
+        chain = Dag(["A", "B", "C"], [("A", "C"), ("C", "B")])
+        skel = Skeleton(["A", "B", "C"], [("A", "C"), ("B", "C")])
+        data = oracle_setup(chain)
+        assert orient_v_structures(skel, SepsetTable(), data, OracleTest(chain)).v_structures == []
+        with pytest.raises(ValueError, match="max_condition_size"):
+            orient_v_structures(skel, SepsetTable(), data, OracleTest(chain), max_condition_size=-1)
+
     def test_inconsistent_inputs_rejected(self):
         skel = Skeleton(["A", "Z"], [])
         data = oracle_setup(CHAIN)
