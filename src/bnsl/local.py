@@ -22,20 +22,16 @@ conditioning set), and the rest share two loops:
   The pipeline's pair separation runs it once per node, over the node's
   own blanket.
 
-So every learner asks each test once per call: it never asks a test
-whose answer the call already holds. The independent answers are the
-``witness`` sets (candidate -> its latest separating set); the dependent
-ones are the ``walked`` sets (member -> set), which the forward phase
-returns and the elimination reads. GS's grow loop and the IAMB scans skip
-a candidate whose witness is the set at hand. A blanket backend's
-``walked[v]`` is the latest set ``v`` tested dependent given, its
-admission set first; :func:`_shrink` keeps a member whose rest equals it
-untested and records each dependent test there, and IAMB's interleaved
-and closing shrinks share one record. A neighbourhood backend's
-``walked[v]`` is the member set ``v`` was tested against at admission:
-it tested dependent given each subset of it up to the cap, so the
-backward pass skips them. Start-set seeds were never scanned: they have
-no entry, and the backward pass searches them in full.
+So every learner asks each test once per call: never one whose answer
+the call holds. ``witness`` holds the independent answers (candidate ->
+latest separating set), and GS's grow loop and the IAMB scans skip a
+candidate whose witness is the set at hand. ``walked`` holds dependent
+ones. A blanket backend's ``walked[v]`` is the latest set ``v`` tested
+dependent given, its admission set first, and every :func:`_shrink` of
+the call keeps ``v`` untested when its rest equals it. A neighbourhood
+backend's is the member set at ``v``'s admission: ``v`` tested dependent
+given each subset of it up to the cap, so the backward pass skips them.
+Start-set seeds have no entry, and are searched in full.
 
 All heuristic choices are deterministic: candidates are scanned in name
 order, association ranking breaks ties by statistic magnitude then name,
@@ -104,9 +100,7 @@ class LocalLearnConfig:
 
 
 def _check_cap(cap: int | None) -> None:
-    """Reject a negative ``max_condition_size``: it would search no subset,
-    not even the empty one, and so separate nothing."""
-    if cap is not None and cap < 0:
+    if cap is not None and cap < 0:  # it would search no subset, not even the empty one
         raise ValueError("max_condition_size must be non-negative")
 
 
@@ -301,19 +295,13 @@ def _resolve_names(data, target: str, cfg: LocalLearnConfig) -> list[str]:
 
 
 def _grow(names, cmb, target, cfg, test, witness) -> dict[str, frozenset[str]]:
-    """Grow-shrink's grow loop: add each candidate dependent on the target
-    given the blanket as it stands, in name order, until a pass adds none.
-    A candidate already tested independent given the current blanket is
-    not asked again. Returns each added member's conditioning set."""
-    walked = {}
-    changed = True
+    """GS's grow loop, in name-ordered passes until one adds nothing.
+    Returns each added member's conditioning set at its admission."""
+    walked, changed = {}, True
     while changed:
         changed = False
         for v in names:
-            if v not in cmb:
-                cond = _frozen(cmb)
-                if witness.get(v) == cond:
-                    continue
+            if v not in cmb and witness.get(v) != (cond := _frozen(cmb)):
                 if test.test(target, v, cond).independent:
                     witness[v] = cond
                 else:
@@ -324,8 +312,6 @@ def _grow(names, cmb, target, cfg, test, witness) -> dict[str, frozenset[str]]:
 
 
 def _iamb(names, cmb, target, cfg, test, witness, interleave: bool) -> dict[str, frozenset[str]]:
-    """IAMB's forward phase (Inter-IAMB's shrinks after each admission),
-    with one ``walked`` record for its shrinks and the closing one."""
     grown = partial(_shrink, target=target, cfg=cfg, test=test, witness=witness) if interleave else None
     return _forward(names, cmb, target, test, witness, lambda members, _: [_frozen(members)], grown)
 
@@ -383,12 +369,11 @@ def _forward(names, members, target, test, witness, sets, grown=None, weakest=No
     ``sets(members, added)``, ``added`` being the member the last round
     admitted (``None`` in the first round), into a fresh weakest map, or
     into the caller's ``weakest`` if it holds one for the whole call; then
-    ``sets`` gives only the sets new since the last round. A round whose
-    candidates were all tested independent given its sets ranks none and
-    ends the loop. A member set seen before ends it too: a guard against
-    inconsistent answers when ``grown`` drops members. Returns
-    ``walked``: each admitted candidate's member set at its admission,
-    which ``grown`` updates with its dependent tests."""
+    ``sets`` gives only the sets new since the last round. A round that
+    ranks no candidate ends the loop, and so does a member set seen before:
+    a guard against inconsistent answers when ``grown`` drops members.
+    Returns ``walked``: each admitted candidate's member set at its
+    admission (``grown`` may update it)."""
     state = frozenset(members)
     seen, walked, added = {state}, {}, None
     while candidates := [v for v in names if v not in members]:
@@ -414,11 +399,10 @@ def _scan(test, target, candidates, sets, witness, weakest) -> list:
     over the conditioning ``sets`` and what ``weakest`` already holds for
     it (largest p; on equal p the set first in :func:`subsets_in_order`
     order), merged into ``weakest``; that set witnesses an independent
-    candidate. A set's tests leave out each candidate witnessed by that
-    very set, which the call already tested independent given it; a
-    candidate with no outcome in ``weakest`` is not ranked. Each set is
-    one ``test_many`` batch, or one ``test`` call per candidate on engines
-    that only have ``test``."""
+    candidate. A set's tests leave out the candidates it witnesses, and a
+    candidate with no outcome is not ranked. Each set is one ``test_many``
+    batch, or one ``test`` call per candidate on engines that only have
+    ``test``."""
     many = getattr(test, "test_many", None)
     for s in sets:
         asked = [v for v in candidates if witness.get(v) != s]
@@ -461,16 +445,13 @@ def _eliminate(members: set[str], keep, witness, separator) -> bool:
 
 def _shrink(members, target, cfg, test, witness, walked) -> None:
     """Drop members independent of the target given the rest, to fixpoint.
-    ``walked[v]`` holds the latest set given which member ``v`` tested
-    dependent; a member whose rest equals it is kept without a test, and
-    each dependent test here replaces it."""
+    A member whose rest is its ``walked`` set, the latest it tested
+    dependent given, is kept untested; each dependent test replaces it."""
     def given_rest(v):
-        rest = _frozen(members - {v})
-        if walked.get(v) == rest:
-            return None
-        if test.test(target, v, rest).independent:
-            return rest
-        walked[v] = rest
+        if walked.get(v) != (rest := _frozen(members - {v})):
+            if test.test(target, v, rest).independent:
+                return rest
+            walked[v] = rest
         return None
 
     while _eliminate(members, cfg.whitelist, witness, given_rest):
