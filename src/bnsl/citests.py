@@ -1,10 +1,10 @@
-"""Conditional independence tests behind one memoised engine.
+"""Conditional independence tests behind one engine.
 
 Three statistics share one engine: the discrete mutual-information test
 (G^2, asymptotically chi-squared), the exact Student's t test for partial
 correlation, and a d-separation oracle for validating learners on known
-graphs. :class:`CiEngine` holds what they share - the memo, the counter
-and ``spawn`` - and each subclass only binds a kernel. The standalone
+graphs. :class:`CiEngine` holds what they share - the counter and
+``spawn`` - and each subclass only binds a kernel. The standalone
 :func:`mi_test` and :func:`cor_test` call the same kernels.
 
 Callers name variables, and names stop at the boundary: an engine's
@@ -14,30 +14,28 @@ the dataset's name-rank table (see :mod:`bnsl.data`) by one checker,
 :func:`_check`: the target and each candidate with one dict lookup, and z
 to its columns in name order (:func:`_z_columns`: ranks sorted as integers,
 then each rank's column). An engine's hook checks the target and candidates
-on every memo miss and keeps z's columns in a per-task cache keyed by the
+on every call and keeps z's columns in a per-task cache keyed by the
 frozenset, so each z is translated once per task. The kernels take ranks
 and columns only and check nothing. Rank order is name order, so the
 kernels receive z's columns exactly as a sort of the names would give them,
 and every statistic is unchanged. The oracle has no dataset: its hook gets
 the names, and ``d_separated`` checks them.
 
-Each engine keeps a memo of the outcomes it computed, keyed on the
-unordered pair and the conditioning set. Every kernel is symmetric in
-``x`` and ``y`` bit for bit, so a memo hit returns exactly what a fresh
-evaluation would. The executor builds one engine per task, so a memo lives
-for one task only. Its counter records two numbers: ``count``, the tests
-requested (memo hits included; this is the learner's cost in tests, and
-the logical count merged at the phase barriers), and ``executed``, the
-kernel evaluations. Both are invariant in the worker count and schedule.
-An outcome is a slotted, mutable dataclass, since building one is on
-every test's path. Only :func:`_cor_many` mutates one: it flags the fresh
-outcomes of a constant column degenerate before they enter the memo.
-Nothing mutates an outcome after that, and nothing hashes one.
+Every test an engine is asked runs its kernel: the learners ask each test
+once per call (see :mod:`bnsl.local`), so an engine keeps no outcomes.
+Every kernel is symmetric in ``x`` and ``y`` bit for bit. The executor
+builds one engine per task. Its counter records ``count``, the tests
+requested: the learner's cost in tests, merged at the phase barriers and
+invariant in the worker count and schedule. An outcome is a slotted,
+mutable dataclass, since building one is on every test's path. Only
+:func:`_cor_many` mutates one: it flags the fresh outcomes of a constant
+column degenerate before returning them. Nothing mutates an outcome after
+that, and nothing hashes one.
 
 :meth:`CiEngine.test_many` answers one target against many candidates
 given one conditioning set, and counts exactly as the same ``test`` calls
 would. Each engine binds one kernel hook, ``_kernel_many``, which gets the
-candidates not in the memo; ``test`` passes a miss as a batch of one. Each
+candidates of a batch; ``test`` passes its pair as a batch of one. Each
 statistic has one kernel, and its standalone test passes it one candidate.
 The G^2 kernel, :func:`_g2_many`, answers one candidate on a lean branch:
 one ``bincount`` over the test's cell codes, four scalar sums and the
@@ -66,8 +64,8 @@ through its Cholesky factor, in Python floats. The factor's rows and each
 variable's forward solve come from :func:`_solve`, memoised for two or
 more z columns, keyed on them and the variable; a solve given z extends
 the one given z without its last column by one entry. A
-:class:`PartialCorrelationTest` keeps that memo next to the outcome memo,
-so a task computes each row and solve once; ``spawn`` empties both.
+:class:`PartialCorrelationTest` keeps that memo for its task, so a task
+computes each row and solve once; ``spawn`` empties it.
 The learners batch the scans whose tests share a target and z and are all
 requested: IAMB's grow scan, MMPC's per-subset scan and SI-HITON-PC's
 z = {} ranking.
@@ -82,8 +80,8 @@ Tolerance contract of the t test: the factor form is within 1e-9 of an
 exact regression reference on well-conditioned data (criterion 6; |z| up
 to 8 in the unit tests), and for |z| <= 1 it equals the closed forms
 (r_xy - r_xz r_yz) / sqrt((1 - r_xz^2)(1 - r_yz^2)) and r_xy bit for bit.
-Outcomes stay bit-identical for memoised and cold calls (the standalone
-:func:`cor_test` builds the same solves cold), ``cor_test(x, y)`` and
+Outcomes stay bit-identical for calls with memoised and cold solves (the
+standalone :func:`cor_test` builds the same solves cold), ``cor_test(x, y)`` and
 ``cor_test(y, x)``, single and batched tests, any worker count and
 schedule: an outcome depends on (x, y, z) alone.
 
@@ -165,14 +163,13 @@ class TestOutcome:
 
 
 class TestCounter:
-    """Monotone counts of one engine: tests requested and tests executed."""
+    """Monotone count of the tests one engine was asked."""
 
     def __init__(self) -> None:
         self.count = 0
-        self.executed = 0
 
     def __repr__(self):
-        return f"TestCounter({self.count}, executed={self.executed})"
+        return f"TestCounter({self.count})"
 
 
 def _z_columns(data: Dataset, z: frozenset) -> tuple[int, ...]:
@@ -580,17 +577,17 @@ def oracle_test(dag: Dag, x: str, y: str, z: frozenset | set | tuple) -> TestOut
 
 
 class CiEngine:
-    """A test engine: a kernel behind a task-local memo and a counter.
+    """A test engine: a kernel behind a counter.
 
-    :meth:`test` and :meth:`test_many` pass each memo miss, by name, to the
+    :meth:`test` and :meth:`test_many` pass each request, by name, to the
     engine's one kernel hook, ``_kernel_many(target, candidates, z)``:
-    :meth:`test` passes the name-ordered pair as a batch of one, and
-    :meth:`test_many` the candidates not in the memo. Invalid arguments
-    raise on every call, because only outcomes enter the memo.
+    :meth:`test` passes ``y`` as a batch of one, and :meth:`test_many`
+    its candidates. Invalid arguments raise on every
+    call, before anything is counted.
 
     The hook of an engine over a dataset (``self.data``) checks and
     translates the names with :func:`_check`: the target and candidates
-    through the name-rank table on every miss, and z through a per-task
+    through the name-rank table on every call, and z through a per-task
     cache, ``_zs``, from the frozenset to its columns in name order; only
     a checked z enters it, and :meth:`spawn` empties it.
     """
@@ -602,44 +599,31 @@ class CiEngine:
             raise ValueError("alpha must be in (0, 1)")
         self.alpha = alpha
         self.counter = TestCounter()
-        self._memo: dict[tuple, TestOutcome] = {}
         self._zs: dict[frozenset, tuple[int, ...]] = {}
 
     def test(self, x: str, y: str, z) -> TestOutcome:
-        z = frozenset(z)
-        key = (x, y, z) if x < y else (y, x, z)
-        outcome = self._memo.get(key)
-        if outcome is None:
-            outcome = self._memo[key] = self._kernel_many(key[0], (key[1],), z)[0]
-            self.counter.executed += 1
+        outcome = self._kernel_many(x, (y,), frozenset(z))[0]
         self.counter.count += 1
         return outcome
 
     def test_many(self, target: str, candidates: list[str], z) -> list[TestOutcome]:
-        """``test(target, v, z)`` for each ``v`` in ``candidates``, in order.
-
-        Counts as ``len(candidates)`` calls of :meth:`test`: duplicates and
-        memo hits are requested, and each distinct pair not in the memo is
-        executed once. Invalid arguments raise before anything is counted.
-        """
-        z = frozenset(z)
-        keys = [(target, v, z) if target < v else (v, target, z) for v in candidates]
-        fresh = {key: v for v, key in zip(candidates, keys) if key not in self._memo}
-        if fresh:
-            self._memo.update(zip(fresh, self._kernel_many(target, fresh.values(), z)))
-            self.counter.executed += len(fresh)
-        self.counter.count += len(candidates)
-        return [self._memo[key] for key in keys]
+        """``test(target, v, z)`` for each ``v`` in ``candidates``, in order,
+        as one kernel batch; it counts as ``len(candidates)`` calls of
+        :meth:`test`. An empty batch asks nothing."""
+        if not candidates:
+            return []
+        outcomes = self._kernel_many(target, candidates, frozenset(z))
+        self.counter.count += len(outcomes)
+        return outcomes
 
     def _kernel_many(self, target, candidates, z) -> list[TestOutcome]:
         raise NotImplementedError
 
     def spawn(self):
         """Engine over the same data and precomputed tables, with a zeroed
-        private counter, an empty memo and an empty z cache."""
+        private counter and an empty z cache."""
         clone = copy.copy(self)
         clone.counter = TestCounter()
-        clone._memo = {}
         clone._zs = {}
         return clone
 
@@ -664,9 +648,8 @@ class PartialCorrelationTest(CiEngine):
     """Engine for :func:`cor_test` over one continuous dataset.
 
     The dataset's correlation matrix is shared by every engine over it.
-    Next to the memo, ``_solves`` memoises the forward solves of the tests
-    given two or more variables (see :func:`_solve`), and :meth:`spawn`
-    empties it with the memo.
+    ``_solves`` memoises the forward solves of the tests given two or more
+    variables (see :func:`_solve`), and :meth:`spawn` empties it.
     """
 
     name = "cor"

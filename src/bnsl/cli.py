@@ -170,8 +170,6 @@ def _cmd_learn(args) -> None:
                     "seconds": phase.seconds,
                     "per_worker_tests": [r.test_count for r in phase.reports],
                     "total_tests": phase.test_count,
-                    "per_worker_executed": [r.executed for r in phase.reports],
-                    "total_executed": phase.executed,
                 }
                 fh.write(json.dumps(doc) + "\n")
 
@@ -189,7 +187,6 @@ def _cmd_learn_local(args) -> None:
             f"{a}|{b}": (sorted(s) if s is not None else None) for (a, b), s in sepsets.items()
         },
         "tests": engine.counter.count,
-        "executed": engine.counter.executed,
     }
     sys.stdout.write(json.dumps(doc, indent=1) + "\n")
 

@@ -5,13 +5,14 @@ phase, tasks are pure functions of shared read-only inputs. A phase runs on
 ``k`` lanes, one per worker but no more than it has items (and at least
 one), so no idle lane is forked. Every lane runs the same loop: take the
 next item index, run the task on a fresh engine, keep ``(index, result)``
-and add up the test counts. Only the source of indices differs. A static
+and add up the test count. Only the source of indices differs. A static
 lane walks its contiguous span from :func:`partition`; a dynamic lane takes
 the next index from a shared counter (a ``multiprocessing.Value`` created
 before the fork), so lanes keep pulling items until the phase is drained.
 The parent puts results back by index and builds one :class:`WorkerReport`
-per lane, so output is identical for every worker count and for static
-versus dynamic scheduling; only the per-lane test-count split varies.
+per lane, so output and the phase's test count are identical for every
+worker count and for static versus dynamic scheduling; only the per-lane
+test-count split varies.
 
 Each lane runs in its own ``os.fork()`` child, which inherits the phase
 (items, task and engine factory, so tasks may be closures) and shares the
@@ -46,13 +47,11 @@ from typing import Callable, Iterator, Sequence
 
 @dataclass
 class WorkerReport:
-    """One worker's share of a phase: its items, the tests they requested
-    and the tests the engines executed (requests minus memo hits)."""
+    """One worker's share of a phase: its items and the tests they requested."""
 
     worker: int
     items: tuple
     test_count: int
-    executed: int = 0
 
 
 @dataclass
@@ -64,10 +63,6 @@ class PhaseTelemetry:
     @property
     def test_count(self) -> int:
         return sum(r.test_count for r in self.reports)
-
-    @property
-    def executed(self) -> int:
-        return sum(r.executed for r in self.reports)
 
 
 @dataclass
@@ -121,12 +116,12 @@ class PhaseTaskError(RuntimeError):
     and, for a failed task, the task's item."""
 
 
-def _run_lane(lane: int, ctx: _PhaseContext, parent: int | None = None) -> tuple[list, int, int]:
-    """Run one lane's items, each on a fresh engine so that a test memo lives
-    for exactly one task; returns ``[(index, result)]`` and the summed
-    requested and executed test counts. A forked lane passes its parent's
-    pid, and leaves through ``os._exit`` once that is no longer its parent."""
-    done, count, executed = [], 0, 0
+def _run_lane(lane: int, ctx: _PhaseContext, parent: int | None = None) -> tuple[list, int]:
+    """Run one lane's items, each on a fresh engine whose counter and caches
+    live for that task; returns ``[(index, result)]`` and the summed test
+    count. A forked lane passes its parent's pid, and leaves through
+    ``os._exit`` once that is no longer its parent."""
+    done, count = [], 0
     for i in ctx.indices(lane):
         if parent is not None and os.getppid() != parent:
             os._exit(1)
@@ -136,8 +131,7 @@ def _run_lane(lane: int, ctx: _PhaseContext, parent: int | None = None) -> tuple
         except Exception as exc:
             raise PhaseTaskError(f"phase {ctx.phase!r}: task {ctx.items[i]!r} failed: {exc}") from exc
         count += engine.counter.count
-        executed += engine.counter.executed
-    return done, count, executed
+    return done, count
 
 
 class ParallelExecutor:
@@ -168,7 +162,7 @@ class ParallelExecutor:
         """Execute ``task_fn(item, engine)`` for every item.
 
         Every task gets a private engine (and therefore a private test
-        counter and memo) from ``engine_factory``; counts are summed per
+        counter) from ``engine_factory``; counts are summed per
         lane and merged only at the barrier, i.e. here, after all lanes
         completed.
         """
@@ -184,18 +178,15 @@ class ParallelExecutor:
             lanes = _fork_lanes(ctx, k)
         results = [None] * len(items)
         reports = []
-        for lane, (done, count, executed) in enumerate(lanes):
+        for lane, (done, count) in enumerate(lanes):
             for i, result in done:
                 results[i] = result
-            reports.append(WorkerReport(lane, tuple(items[i] for i, _ in done), count, executed))
+            reports.append(WorkerReport(lane, tuple(items[i] for i, _ in done), count))
         self.telemetry.append(PhaseTelemetry(phase, time.perf_counter() - start, reports))
         return PhaseResult(results, reports)
 
     def total_tests(self) -> int:
         return sum(t.test_count for t in self.telemetry)
-
-    def total_executed(self) -> int:
-        return sum(t.executed for t in self.telemetry)
 
     def reset_telemetry(self) -> None:
         self.telemetry = []

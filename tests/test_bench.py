@@ -10,6 +10,7 @@ import pytest
 
 import bnsl
 from bnsl import bench
+from bnsl.citests import MutualInfoTest
 from bnsl.cli import build_parser, main
 from bnsl.formats import load_pdag, save_dataset, save_graph, save_network
 from bnsl.graph import Dag
@@ -197,12 +198,9 @@ class TestCli:
         assert [l["phase"] for l in lines1] == [l["phase"] for l in lines2]
         assert lines2[0]["phase"] == "neighbours" and lines2[0]["total_tests"] > 0
         for l1, l2 in zip(lines1, lines2):
-            assert all("per_worker_tests" in l and "per_worker_executed" in l for l in (l1, l2))
-            assert (l1["total_tests"], l1["total_executed"]) == (l2["total_tests"], l2["total_executed"])
-            # a phase may request no tests (here v-structures, whose sepsets
-            # all come from the neighbour phase); one that does executes some
-            assert 0 < l2["total_executed"] <= l2["total_tests"] or l2["total_tests"] == l2["total_executed"] == 0
-            assert sum(l2["per_worker_executed"]) == l2["total_executed"]
+            assert all(l.keys() == {"phase", "seconds", "per_worker_tests", "total_tests"} for l in (l1, l2))
+            assert l1["total_tests"] == l2["total_tests"] == sum(l2["per_worker_tests"])
+            assert len(l1["per_worker_tests"]) == 1
 
     def test_sample_stdout_matches_file(self, net_path, tmp_path):
         csv_path = tmp_path / "d.csv"
@@ -267,23 +265,28 @@ class TestCli:
         assert banned not in doc["members"]
         assert doc["tests"] > 0
 
-    def test_learn_local_reports_requested_and_executed_tests(self, net_path, tmp_path, capsys):
+    def test_learn_local_reports_requested_and_executed_tests(self, net_path, tmp_path, capsys, monkeypatch):
+        # One count: every requested test runs the kernel once.
+        kernel, executed = MutualInfoTest._kernel_many, []
+        monkeypatch.setattr(
+            MutualInfoTest, "_kernel_many", lambda self, *args: executed.append(len(args[1])) or kernel(self, *args)
+        )
         csv_path = tmp_path / "d.csv"
         main(["sample", "--network", str(net_path), "--n", "400", "--seed", "1", "--output", str(csv_path)])
         counts = {}
         for node in NET.dag.nodes:
+            executed.clear()
             assert main(["learn-local", "--data", str(csv_path), "--node", node, "--backend", "si-hiton-pc"]) == 0
             doc = json.loads(capsys.readouterr().out)
-            assert 0 < doc["executed"] <= doc["tests"]
-            counts[node] = doc["tests"], doc["executed"]
+            assert "executed" not in doc and 0 < doc["tests"] == sum(executed)
+            counts[node] = doc["tests"]
         # X6's seven candidates all test dependent given the empty set. The
         # ranking scan asks each of those tests once, and the backward pass
-        # skips the subsets a member's walk already asked, so every request
-        # is executed. A backward pass that re-asked them would request seven
-        # memo hits more (23 requested, the same 16 executed), and walks that
-        # began at the empty set again seven more still (30).
-        assert counts["X6"] == (16, 16)
-        assert [sum(c) for c in zip(*counts.values())] == [71, 71]
+        # skips the subsets a member's walk already asked. A backward pass
+        # that re-asked them would request seven tests more (23), and walks
+        # that began at the empty set again seven more still (30).
+        assert counts["X6"] == 16
+        assert sum(counts.values()) == 71
 
     def test_usage_error_exits_1(self):
         assert main(["learn", "--algorithm", "gs"]) == 1

@@ -639,8 +639,8 @@ class TestCountersAndEngines:
 
     def test_counter_type(self):
         c = citests.TestCounter()
-        assert (c.count, c.executed) == (0, 0)
-        assert repr(c) == "TestCounter(0, executed=0)"
+        assert c.count == 0
+        assert repr(c) == "TestCounter(0)"
 
 
 def assert_routes_agree(data, cases):
@@ -723,8 +723,6 @@ class TestMemoisedEngine:
             for x, y, z in queries:
                 assert bits(engine.test(x, y, z)) == bits(reference(x, y, z)), (engine.name, x, y, z)
             assert engine.counter.count == len(queries)
-            distinct = {(frozenset((x, y)), frozenset(z)) for x, y, z in queries}
-            assert engine.counter.executed == len(distinct)
 
     def test_marginal_table_matches_cor_test_for_every_pair(self):
         # Single z = {} tests, and each target's z = {} batch (read from the
@@ -742,18 +740,6 @@ class TestMemoisedEngine:
         assert math.isinf(engine.test(names[4], names[5], ()).statistic)
         assert engine.test(names[6], names[7], ()).statistic == -math.inf
 
-    def test_memo_hits_are_counted_as_requests(self):
-        data = dataset_from_table([[5, 1], [2, 7]])
-        engine = MutualInfoTest(data, alpha=0.01)
-        first = engine.test("X", "Y", frozenset())
-        assert engine.test("Y", "X", ()) is first
-        assert engine.test("X", "Y", set()) is first
-        assert (engine.counter.count, engine.counter.executed) == (3, 1)
-        clone = engine.spawn()
-        clone.test("X", "Y", ())
-        assert (clone.counter.count, clone.counter.executed) == (1, 1)
-        assert engine.counter.executed <= engine.counter.count
-
     def test_invalid_arguments_raise_on_every_call(self):
         discrete = dataset_from_table([[5, 1], [2, 7]])
         continuous = ContinuousDataset(["X", "Y"], np.random.default_rng(0).standard_normal((20, 2)))
@@ -768,7 +754,7 @@ class TestMemoisedEngine:
                 for x, y, z in [("X", "X", ()), ("X", "Q", ()), ("X", "Y", ("Y",)), ("X", "Y", ("Q",))]:
                     with pytest.raises(ValueError):
                         engine.test(x, y, z)
-            assert (engine.counter.count, engine.counter.executed) == (1, 1)
+            assert engine.counter.count == 1
         for standalone, data, alpha in ((mi_test, discrete, 1.5), (cor_test, continuous, 0.0)):
             for _ in range(2):
                 with pytest.raises(ValueError, match="alpha"):
@@ -859,7 +845,7 @@ class TestCorFactorCache:
         assert engine._solves.keys() == first.keys() | cold._solves.keys()
         assert len(engine._solves) - len(first) == 7
         clone = engine.spawn()
-        assert clone._solves == {} and clone._memo == {}
+        assert clone._solves == {}
         assert engine._solves and clone.corr is engine.corr
 
 
@@ -974,7 +960,7 @@ class TestManyCandidates:
             engine = MutualInfoTest(data, 0.05)
             for v, out in zip(candidates, engine.test_many(target, candidates, z)):
                 assert bits(out) == bits(mi_test(data, target, v, z, 0.05)), (target, v, sorted(z))
-            assert (engine.counter.count, engine.counter.executed) == (len(candidates), len(candidates))
+            assert engine.counter.count == len(candidates)
         degenerate = data.names[0]
         out = MutualInfoTest(data, 0.05).test_many(target, [degenerate], ())[0]
         assert out.degenerate and bits(out) == bits(mi_test(data, target, degenerate, (), 0.05))
@@ -1020,20 +1006,6 @@ class TestManyCandidates:
                 assert int(bits[rows[j, level], 0]) == want, (j, level)
                 assert (rows[j, level] == len(bits) - 1) == (level >= cards[j]), (j, level)
 
-    def test_duplicates_and_memo_hits_count_as_repeated_tests(self):
-        data = mixed_discrete(52)
-        names = sorted(data.names)
-        target, a, b, c = names[5], names[2], names[9], names[12]
-        z = (names[0],)
-        engine = MutualInfoTest(data, 0.05)
-        first = engine.test(b, target, z)
-        outs = engine.test_many(target, [a, b, a, c, b], z)
-        assert outs[1] is first and outs[0] is outs[2] and outs[4] is first
-        assert (engine.counter.count, engine.counter.executed) == (6, 3)
-        assert engine.test(target, c, z) is outs[3]
-        assert engine.test_many(target, [], z) == []
-        assert (engine.counter.count, engine.counter.executed) == (7, 3)
-
     def test_cor_table_path_and_fallback_equal_cor_test(self):
         data = asymmetric_continuous(53)
         names = sorted(data.names)
@@ -1043,7 +1015,7 @@ class TestManyCandidates:
             engine = PartialCorrelationTest(data, 0.01)
             for v, out in zip(candidates, engine.test_many(target, candidates, z)):
                 assert bits(out) == bits(cor_test(data, target, v, z, 0.01)), (target, v, z)
-            assert engine.counter.executed == len(candidates)
+            assert engine.counter.count == len(candidates)
         collinear = PartialCorrelationTest(data, 0.01).test_many(data.names[4], [data.names[5]], ())[0]
         assert math.isinf(collinear.statistic)
 
@@ -1063,7 +1035,9 @@ class TestManyCandidates:
                 for target, candidates, z in bad:
                     with pytest.raises(ValueError):
                         engine.test_many(target, candidates, z)
-            assert (engine.counter.count, engine.counter.executed) == (1, 1)
+            # An empty batch asks nothing, so it checks nothing either.
+            assert engine.test_many("Q", [], ("R",)) == []
+            assert engine.counter.count == 1
         for alpha in (1.5, 0.0):
             with pytest.raises(ValueError, match="alpha"):
                 MutualInfoTest(discrete, alpha)
@@ -1303,9 +1277,10 @@ class TestSingleTestBranch:
 class TestKernelHook:
     @pytest.mark.parametrize("kind", ["mi", "cor", "oracle"])
     def test_every_executed_test_goes_through_the_hook(self, monkeypatch, kind):
-        # One seam: the candidates an engine passes to _kernel_many add up
-        # to its executed count, in learns and in any mix of test and
-        # test_many calls (repeats and batches of one included).
+        # One seam: every requested test reaches _kernel_many exactly once,
+        # so the candidates passed to it add up to the requested count, in
+        # learns and in any mix of test and test_many calls (repeats and
+        # batches of one included).
         dag = random_dag(12, 71, edge_prob=0.3)
         data = {
             "mi": lambda: mixed_discrete(72, n=200, m=12),
@@ -1326,16 +1301,17 @@ class TestKernelHook:
             passed.clear()
             executor = ParallelExecutor(1)
             learn_cpdag(data, GlobalLearnConfig(algorithm, test=kind, alpha=0.05), executor, truth=truth)
-            assert 0 < sum(passed) == executor.total_executed(), algorithm
+            assert 0 < sum(passed) == executor.total_tests(), algorithm
         passed.clear()
         rng = np.random.default_rng(74)
-        names = list(data.names)
+        names, requested = list(data.names), 0
         for x, y, z in random_queries(names, rng, 200, max_z=3):
             engine.test(x, y, z)
             others = [v for v in names if v != x and v not in z]
             batch = [str(v) for v in rng.choice(others, int(rng.integers(1, 4)))]
             engine.test_many(x, batch + batch[:1], z)
-        assert sum(passed) == engine.counter.executed < engine.counter.count
+            requested += 2 + len(batch)
+        assert sum(passed) == engine.counter.count == requested
         assert 1 in passed and max(passed) > 1
 
 
@@ -1442,7 +1418,7 @@ def batched(engine, x, y, z):
 
 class TestEngineBoundary:
     """Names stop at ``test`` and ``test_many``: x, y and the candidates are
-    checked on every memo miss, and z once per task through the engine's z
+    checked on every call, and z once per task through the engine's z
     cache (a frozenset -> its columns in name order)."""
 
     @pytest.mark.parametrize("call", [single, batched])
@@ -1451,12 +1427,12 @@ class TestEngineBoundary:
         engine = boundary_engine(kind)
         call(engine, "X", "Y", {"W"})
         assert frozenset({"W"}) in engine._zs
-        counts = (engine.counter.count, engine.counter.executed)
+        count = engine.counter.count
         for _ in range(2):
             for x, y, z in [("W", "Y", {"W"}), ("X", "W", ("W",)), ("X", "X", {"W"}), ("Q", "Y", {"W"})]:
                 with pytest.raises(ValueError):
                     call(engine, x, y, z)
-        assert (engine.counter.count, engine.counter.executed) == counts
+        assert engine.counter.count == count
         assert list(engine._zs) == [frozenset({"W"})]
 
     @pytest.mark.parametrize("call", [single, batched])
@@ -1468,7 +1444,7 @@ class TestEngineBoundary:
             # the set's iteration order.
             with pytest.raises(ValueError, match="unknown variable: 'Q1'"):
                 call(engine, "X", "Y", {"W", "Q2", "Q1"})
-        assert engine._zs == {} and engine._memo == {}
+        assert engine._zs == {} and engine.counter.count == 0
         call(engine, "X", "Y", ["W"])
         assert engine._zs == {frozenset({"W"}): (engine.data.column_index("W"),)}
 
@@ -1498,7 +1474,7 @@ class TestEngineBoundary:
                 call(engine, "Q", "Y", {"R"})
             with pytest.raises(ValueError, match="unknown variable: 'R'"):
                 call(engine, "X", "Z", {"R"})
-        assert engine._zs == {} and engine._memo == {}
+        assert engine._zs == {} and engine.counter.count == 0
 
     @pytest.mark.parametrize("call", [single, batched])
     def test_the_oracle_names_the_name_smallest_unknown_z(self, call):
@@ -1513,7 +1489,7 @@ class TestEngineBoundary:
                 call(engine, "Q", "Y", {"R"})
         with pytest.raises(ValueError, match="unknown node: 'Q1'"):
             oracle_test(dag, "X", "Y", {"Q3", "Q1", "Q2"})
-        assert engine._memo == {}
+        assert engine.counter.count == 0
 
     @pytest.mark.parametrize("kind", ["mi", "cor"])
     def test_standalone_checks_alpha_after_the_target_and_z(self, kind):

@@ -38,7 +38,7 @@ TIER1_CASES = CASES[::4]
 class ScriptedEngine(citests.CiEngine):
     """A bnsl engine whose kernel is :class:`ref.ScriptedAnswers`, and which
     logs every requested test as (x, y, z), one entry per candidate of a
-    ``test_many`` batch, memo hits included."""
+    ``test_many`` batch."""
 
     name = "scripted"
 
