@@ -80,8 +80,8 @@ Tolerance contract of the t test: the factor form is within 1e-9 of an
 exact regression reference on well-conditioned data (criterion 6; |z| up
 to 8 in the unit tests), and for |z| <= 1 it equals the closed forms
 (r_xy - r_xz r_yz) / sqrt((1 - r_xz^2)(1 - r_yz^2)) and r_xy bit for bit.
-Outcomes stay bit-identical for calls with memoised and cold solves (the
-standalone :func:`cor_test` builds the same solves cold), ``cor_test(x, y)`` and
+Outcomes stay bit-identical for memoised and cold solves (the standalone
+:func:`cor_test` builds the same solves cold), ``cor_test(x, y)`` and
 ``cor_test(y, x)``, single and batched tests, any worker count and
 schedule: an outcome depends on (x, y, z) alone.
 
@@ -582,8 +582,8 @@ class CiEngine:
     :meth:`test` and :meth:`test_many` pass each request, by name, to the
     engine's one kernel hook, ``_kernel_many(target, candidates, z)``:
     :meth:`test` passes ``y`` as a batch of one, and :meth:`test_many`
-    its candidates. Invalid arguments raise on every
-    call, before anything is counted.
+    its candidates. Invalid arguments raise on every call, before
+    anything is counted.
 
     The hook of an engine over a dataset (``self.data``) checks and
     translates the names with :func:`_check`: the target and candidates
