@@ -284,7 +284,8 @@ def iamb(
 
 def _candidates(names, target, blacklist) -> list[str]:
     """Every variable but the target and the blacklist, in name order."""
-    return sorted(v for v in names if v != target and v not in set(blacklist))
+    blacklist = set(blacklist)
+    return sorted(v for v in names if v != target and v not in blacklist)
 
 
 def _shrink(test, target, members, whitelist, dependent, sepsets) -> None:

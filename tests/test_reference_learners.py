@@ -8,10 +8,9 @@ ties exercise the ranking's tie-breaks and MMPC's choice among equally
 weak subsets, and they need not be consistent, so the blanket learners'
 shrinks drop members their scans admitted. For each node, the members,
 the separating sets and the full sequence of requested (x, y, z) tests
-must be equal. Variable names
-sort differently from their column order and from their numbers ("V10" <
-"V2"), so a rule that ranks or walks by position, or by anything but
-name, shows.
+must be equal. Variable names sort differently from their column order
+and from their numbers ("V10" < "V2"), so a rule that ranks or walks by
+position, or by anything but name, shows.
 """
 
 from __future__ import annotations
